@@ -25,7 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Digraph, Graph, GraphError, _gather, shadow_undirected
+from .graphs import (
+    Digraph,
+    Graph,
+    GraphError,
+    _gather,
+    find,
+    is_acyclic_undirected,
+    shadow_undirected,
+    union_edges,
+)
 
 
 @dataclass
@@ -208,11 +217,28 @@ def fvs_directed(d: Digraph, root: int = 0, depth: int | None = None) -> FvsResu
     ones too.
 
     Two-cycles (antiparallel arc pairs) collapse to a single shadow edge and
-    are invisible to the reduction, so any that survive are broken afterwards
-    by removing the larger endpoint. The random models never produce them;
-    this only matters for arbitrary file input.
+    are invisible to the reduction, so ``break_two_cycles`` repairs the set
+    afterwards. The random models never produce them; this only matters for
+    arbitrary file input.
     """
     result = grow_induced_bfs(shadow_undirected(d), root=root, depth=depth)
+    fvs = break_two_cycles(d, result.fvs)
+    if fvs.size == result.fvs.size:
+        return result
+    in_fvs = np.zeros(d.n, dtype=bool)
+    in_fvs[fvs] = True
+    return FvsResult(
+        fvs=fvs,
+        survivors=np.flatnonzero(~in_fvs),
+        stats=result.stats,
+        T_used=result.T_used,
+        levels=[lv[~in_fvs[lv]] for lv in result.levels],
+    )
+
+
+def break_two_cycles(d: Digraph, fvs: np.ndarray) -> np.ndarray:
+    """``fvs`` plus the larger endpoint of every antiparallel arc pair that it
+    leaves intact, scanning pairs in ascending order; sorted."""
     arcs = d.arc_list
     lo = np.minimum(arcs[:, 0], arcs[:, 1]).astype(np.int64)
     hi = np.maximum(arcs[:, 0], arcs[:, 1]).astype(np.int64)
@@ -220,26 +246,14 @@ def fvs_directed(d: Digraph, root: int = 0, depth: int | None = None) -> FvsResu
     keys.sort()
     dup = np.unique(keys[:-1][keys[1:] == keys[:-1]]) if keys.size > 1 else np.empty(0, np.int64)
     if dup.size == 0:
-        return result
+        return fvs
     in_fvs = np.zeros(d.n, dtype=bool)
-    in_fvs[result.fvs] = True
-    extra = []
+    in_fvs[fvs] = True
     for key in dup.tolist():
         u, v = divmod(key, d.n)
         if not in_fvs[u] and not in_fvs[v]:
             in_fvs[v] = True
-            extra.append(v)
-    if not extra:
-        return result
-    fvs = np.flatnonzero(in_fvs)
-    survivors = np.flatnonzero(~in_fvs)
-    return FvsResult(
-        fvs=fvs,
-        survivors=survivors,
-        stats=result.stats,
-        T_used=result.T_used,
-        levels=[lv[~in_fvs[lv]] for lv in result.levels],
-    )
+    return np.flatnonzero(in_fvs)
 
 
 def prune_fvs(g: Graph, fvs) -> np.ndarray:
@@ -251,22 +265,9 @@ def prune_fvs(g: Graph, fvs) -> np.ndarray:
     """
     removed = set(int(v) for v in fvs)
     parent = np.arange(g.n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in g.edge_list.tolist():
-        if a in removed or b in removed:
-            continue
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise ValueError("input is not a feedback vertex set")
-        parent[rb] = ra
+    kept = ((a, b) for a, b in g.edge_list.tolist() if a not in removed and b not in removed)
+    if not union_edges(parent, kept):
+        raise ValueError("input is not a feedback vertex set")
 
     for v in sorted(removed):
         roots = set()
@@ -274,7 +275,7 @@ def prune_fvs(g: Graph, fvs) -> np.ndarray:
         for w in g.neighbors(v).tolist():
             if w in removed and w != v:
                 continue
-            rw = find(w)
+            rw = find(parent, w)
             if rw in roots:
                 ok = False
                 break
@@ -400,30 +401,7 @@ def sample_acyclic_fraction(g: Graph, r: int, samples: int, seed: int) -> float:
     for _ in range(samples):
         subset = rng.choice(g.n, size=r, replace=False)
         member[subset] = True
-        if _induced_is_forest(g, subset, member):
+        if is_acyclic_undirected(g, np.flatnonzero(~member)):
             acyclic += 1
         member[subset] = False
     return acyclic / samples
-
-
-def _induced_is_forest(g: Graph, subset: np.ndarray, member: np.ndarray) -> bool:
-    # union-find over induced edges, stopping at the first cycle edge
-    parent = {int(v): int(v) for v in subset}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for v in subset.tolist():
-        for w in g.neighbors(v).tolist():
-            if w <= v or not member[w]:
-                continue
-            rv, rw = find(v), find(w)
-            if rv == rw:
-                return False
-            parent[rw] = rv
-    return True

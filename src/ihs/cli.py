@@ -4,7 +4,8 @@ experiment sweeps with CSV reporting.
 Every run emits rows with a fixed column order (header always included);
 inapplicable cells are empty strings. All randomness is controlled by explicit
 ``--seed`` / ``--seeds`` flags; there is no wall-clock seeding. Exit codes:
-0 success, 2 input error, 3 solver abort (iteration cap or cycle budget).
+0 success, 2 input error, 3 solver abort (iteration cap, cycle budget or
+oracle protocol violation).
 """
 
 from __future__ import annotations
@@ -17,9 +18,13 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from functools import partial
 
+import numpy as np
+
 from .bfs_growth import (
+    break_two_cycles,
     check_concentration_bounds,
     concentration_depth,
     fvs_directed,
@@ -30,8 +35,8 @@ from .bfs_growth import (
 from .generic import GenericSolverConfig, SolverAbort, solve_implicit_hitting_set
 from .graphs import GraphError, is_acyclic_directed, is_acyclic_undirected, shadow_undirected
 from .instance_io import Instance, InstanceFormatError, read_instance, write_instance
-from .models import ModelParams, gen_dnp, gen_gnp, gen_planted
-from .oracles import bfs_cycle_oracle, shortest_cycle_oracle
+from .models import ModelParams, PlantedInstance, gen_dnp, gen_gnp, gen_planted
+from .oracles import OracleProtocolError, bfs_cycle_oracle, shortest_cycle_oracle
 from .planted import CycleBudgetExceeded, planted_diagnostics, recover_planted_fvs
 
 COLUMNS = [
@@ -91,13 +96,6 @@ def _parse_seeds(spec: str) -> list[int]:
     return [int(spec)]
 
 
-def _sweep(fn, seeds: list[int], jobs: int) -> list[dict]:
-    if jobs <= 1:
-        return [fn(seed) for seed in seeds]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, seeds))  # map preserves seed order
-
-
 def _generate(model: str, params: ModelParams):
     if model == "gnp":
         return gen_gnp(params), False, None
@@ -109,290 +107,243 @@ def _generate(model: str, params: ModelParams):
     raise ValueError(f"unknown model {model!r}")
 
 
-def _params_from_args(args, model: str) -> ModelParams:
+def _ms(t0: float) -> int:
+    return int((time.perf_counter() - t0) * 1000)
+
+
+class RunAborted(Exception):
+    """A solver aborted (exit 3); carries the row naming the aborted instance."""
+
+    def __init__(self, message: str, row: dict):
+        super().__init__(message, row)  # both in args, so it pickles across --jobs
+        self.row = row
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _solve(ids: dict, fn, *args, **kwargs):
+    """Call a solver; its documented aborts become RunAborted with a row of ``ids``."""
+    try:
+        return fn(*args, **kwargs)
+    except (SolverAbort, CycleBudgetExceeded, OracleProtocolError) as exc:
+        raise RunAborted(str(exc), make_row(run_id=0, **ids)) from None
+
+
+@dataclass(frozen=True)
+class Source:
+    """Where a run's instance comes from: an instance file, or ``model`` drawn
+    with ``params`` at the run's seed."""
+
+    path: str | None = None
+    model: str | None = None
+    params: ModelParams | None = None
+
+    def load(self, seed: int | None):
+        """(graph, directed, planted, params); params is None for a file
+        without a params trailer."""
+        if self.path is not None:
+            inst = read_instance(self.path)
+            return inst.graph, inst.directed, inst.planted, inst.params
+        params = replace(self.params, seed=seed)
+        return (*_generate(self.model, params), params)
+
+
+def _model_params(args, model: str, seed: int = 0) -> ModelParams:
     params = ModelParams(
-        n=args.n,
-        p=args.p,
-        delta=getattr(args, "delta", None) if model == "planted" else None,
-        k=getattr(args, "k", None),
-        seed=0,
+        n=args.n, p=args.p,
+        delta=args.delta if model == "planted" else None,
+        k=getattr(args, "k", None), seed=seed,
     )
     params.validate(model)
     return params
 
 
+def _source_and_seeds(args, models: tuple[str, ...]) -> tuple[Source, list]:
+    """A command's instance source and the seeds to run it at: the file once,
+    every seed of ``--seeds``, or ``--seed``."""
+    if args.instance is not None:
+        return Source(path=args.instance), [None]
+    if args.model is None:
+        raise ValueError("provide an instance file or --model with parameters")
+    if args.model not in models:
+        raise ValueError(f"model {args.model!r} not supported by this command")
+    if args.seeds is not None:
+        seeds = _parse_seeds(args.seeds)
+    elif args.seed is not None:
+        seeds = [args.seed]
+    else:
+        raise ValueError("--seed is required with --model (no wall-clock seeding)")
+    return Source(model=args.model, params=_model_params(args, args.model)), seeds
+
+
+def _param(params: ModelParams | None, name: str):
+    return getattr(params, name) if params is not None else None
+
+
 # ----------------------------------------------------------------------------
-# per-seed runners (module level so --jobs can pickle them)
+# one runner per workload: a seed in, a row out (module level so --jobs can
+# pickle them); single instances, --seeds sweeps and recipes all use these
 
-def _run_fvs_seed(seed: int, *, model: str, n: int, p: float, delta, k, root: int, prune: bool) -> dict:
-    params = ModelParams(n=n, p=p, delta=delta, k=k, seed=seed)
+def _run_fvs(seed, *, source: Source, root: int, prune: bool) -> dict:
     t0 = time.perf_counter()
-    if model == "gnp":
-        g = gen_gnp(params)
-        result = grow_induced_bfs(g, root=root)
-        fvs = result.fvs
-        algorithm = "grow-induced-bfs"
-        if prune:
-            fvs = prune_fvs(g, fvs)
-            algorithm += "+prune"
-        ok = is_acyclic_undirected(g, fvs)
-    else:  # dnp: solve the shadow
-        d = gen_dnp(params)
-        shadow = shadow_undirected(d)
-        result = grow_induced_bfs(shadow, root=root)
-        fvs = result.fvs
+    graph, directed, _, params = source.load(seed)
+    if directed:  # via the shadow, with the two-cycle repair
+        fvs = fvs_directed(graph, root=root).fvs
         algorithm = "grow-induced-bfs-shadow"
-        if prune:
-            fvs = prune_fvs(shadow, fvs)
-            algorithm += "+prune"
-        ok = is_acyclic_directed(d, fvs)
-    ms = int((time.perf_counter() - t0) * 1000)
+    else:
+        fvs = grow_induced_bfs(graph, root=root).fvs
+        algorithm = "grow-induced-bfs"
+    if prune:
+        fvs = prune_fvs(shadow_undirected(graph) if directed else graph, fvs)
+        if directed:  # pruning the shadow can put a two-cycle back
+            fvs = break_two_cycles(graph, fvs)
+        algorithm += "+prune"
+    ok = is_acyclic_directed(graph, fvs) if directed else is_acyclic_undirected(graph, fvs)
+    p = _param(params, "p")
     return make_row(
-        seed=seed, algorithm=algorithm, n=n, p=p,
-        delta=delta if delta is not None else "",
-        k=k if k is not None else "",
+        seed=_param(params, "seed"), algorithm=algorithm, n=graph.n, p=p,
+        delta=_param(params, "delta"), k=_param(params, "k"),
         fvs_size=int(fvs.size),
-        bound_value=fvs_upper_bound(n, p) or "",
-        acyclic_ok=bool(ok), runtime_ms=ms,
+        bound_value=fvs_upper_bound(graph.n, p) or "",
+        acyclic_ok=bool(ok), runtime_ms=_ms(t0),
     )
 
 
-def _run_planted_seed(seed: int, *, n: int, p: float, delta: float, k: int) -> dict:
-    params = ModelParams(n=n, p=p, delta=delta, k=k, seed=seed)
+def _run_generic(seed, *, source: Source, oracle: str, ymax: int, root: int) -> dict:
     t0 = time.perf_counter()
-    inst = gen_planted(params)
-    report = recover_planted_fvs(inst.digraph, k, planted=inst.planted)
-    ok = is_acyclic_directed(inst.digraph, report.recovered)
-    ms = int((time.perf_counter() - t0) * 1000)
+    graph, directed, _, params = source.load(seed)
+    if oracle == "bfs-cycle":
+        if directed:
+            raise ValueError("the bfs-cycle oracle works on undirected instances")
+        contract = bfs_cycle_oracle(graph, root=root)
+    else:
+        contract = shortest_cycle_oracle(graph)
+    ids = dict(seed=_param(params, "seed"), algorithm=f"generic-{oracle}", n=graph.n,
+               p=_param(params, "p"))
+    cfg = GenericSolverConfig(oracle=contract, max_swap_out=ymax)
+    cert = _solve(ids, solve_implicit_hitting_set, graph.n, cfg)
+    solution = cert.solution.members
+    acyclic = is_acyclic_directed if directed else is_acyclic_undirected
     return make_row(
-        seed=seed, algorithm="recover-planted", n=n, p=p, delta=delta, k=k,
-        fvs_size=len(report.recovered),
-        bound_value=k * math.floor(delta * n),
-        acyclic_ok=bool(ok),
-        exact_match=bool(report.exact_match),
-        cycles_found=report.cycles_found,
-        runtime_ms=ms,
+        **ids, fvs_size=len(solution), acyclic_ok=bool(acyclic(graph, solution)),
+        oracle_calls=cert.oracle_calls, runtime_ms=_ms(t0),
     )
 
 
-def _run_lemma_seed(seed: int, *, n: int, p: float, root: int) -> dict:
+def _planted_k(k: int | None, params: ModelParams | None) -> int:
+    k = k if k is not None else _param(params, "k")
+    if k is None:
+        raise ValueError("--k is required (or a params trailer carrying k)")
+    return k
+
+
+def _run_planted(seed, *, source: Source, k: int | None) -> dict:
+    t0 = time.perf_counter()
+    graph, directed, planted, params = source.load(seed)
+    if not directed:
+        raise ValueError("planted recovery needs a directed instance")
+    k = _planted_k(k, params)
+    delta = _param(params, "delta")
+    ids = dict(seed=_param(params, "seed"), algorithm="recover-planted", n=graph.n,
+               p=_param(params, "p"), delta=delta, k=k)
+    report = _solve(ids, recover_planted_fvs, graph, k, planted=planted)
+    return make_row(
+        **ids,
+        fvs_size=len(report.recovered),
+        bound_value=k * math.floor(delta * graph.n) if delta is not None else "",
+        acyclic_ok=bool(is_acyclic_directed(graph, report.recovered)),
+        exact_match=report.exact_match,
+        cycles_found=report.cycles_found,
+        runtime_ms=_ms(t0),
+    )
+
+
+def _run_verify(seed, *, source: Source, k: int | None, samples: int) -> dict:
+    t0 = time.perf_counter()
+    graph, directed, planted, params = source.load(seed)
+    if not directed or planted is None:
+        raise ValueError("verification needs a directed instance with a planted trailer")
+    if params is None:
+        raise ValueError("verification needs a params trailer")
+    k = _planted_k(k, params)
+    rest = np.asarray(sorted(set(range(graph.n)) - set(planted)), dtype=np.int64)
+    inst = PlantedInstance(digraph=graph, planted=planted, params=params, dag_order=rest)
+    ids = dict(seed=params.seed, algorithm="verify-planted", n=graph.n,
+               p=params.p, delta=params.delta, k=k)
+    diag = _solve(ids, planted_diagnostics, inst, samples=samples, k=k)
+    if diag.hypothesis_note:
+        print(f"warning: {diag.hypothesis_note}", file=sys.stderr)
+    return make_row(
+        **ids,
+        fvs_size=diag.greedy_size,
+        bound_value=diag.greedy_bound,
+        acyclic_ok=bool(is_acyclic_directed(graph, planted)),
+        exact_match=bool(diag.all_covered and diag.greedy_ok),
+        runtime_ms=_ms(t0),
+    )
+
+
+def _run_lemma(seed: int, *, n: int, p: float, root: int) -> dict:
     params = ModelParams(n=n, p=p, seed=seed)
     t0 = time.perf_counter()
     g = gen_gnp(params)
     result = grow_induced_bfs(g, root=root)
     report = check_concentration_bounds(result.stats, n, p)
     ok = is_acyclic_undirected(g, result.fvs)
-    ms = int((time.perf_counter() - t0) * 1000)
     return make_row(
         seed=seed, algorithm="concentration-check", n=n, p=p,
         fvs_size=int(result.fvs.size),
         bound_value=report.horizon,
         acyclic_ok=bool(ok),
         exact_match=bool(report.all_pass) if report.applicable else "",
-        runtime_ms=ms,
+        runtime_ms=_ms(t0),
     )
+
+
+def _runs(run, seeds: list, jobs: int) -> list[dict]:
+    """One row of ``run`` per seed, numbered by run_id in seed order."""
+    if jobs <= 1:
+        rows = [run(seed) for seed in seeds]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(run, seeds))  # map preserves seed order
+    for i, row in enumerate(rows):
+        row["run_id"] = i
+    return rows
 
 
 # ----------------------------------------------------------------------------
 # commands
 
 def cmd_generate(args) -> int:
-    params = ModelParams(
-        n=args.n, p=args.p,
-        delta=args.delta if args.model == "planted" else None,
-        k=args.k, seed=args.seed,
-    )
-    params.validate(args.model)
+    params = _model_params(args, args.model, seed=args.seed)
     graph, directed, planted = _generate(args.model, params)
     write_instance(args.out, Instance(graph=graph, directed=directed, planted=planted, params=params))
     return 0
 
 
-def _load_or_generate(args, allowed_models=("gnp", "dnp", "planted")):
-    """Returns (graph, directed, planted, params, seed_label) for file or model input."""
-    if args.instance is not None:
-        inst = read_instance(args.instance)
-        params = inst.params
-        seed = params.seed if params is not None else ""
-        return inst.graph, inst.directed, inst.planted, params, seed
-    if args.model is None:
-        raise ValueError("provide an instance file or --model with parameters")
-    if args.model not in allowed_models:
-        raise ValueError(f"model {args.model!r} not supported by this command")
-    if args.seed is None:
-        raise ValueError("--seed is required with --model (no wall-clock seeding)")
-    params = ModelParams(
-        n=args.n, p=args.p,
-        delta=args.delta if args.model == "planted" else None,
-        k=getattr(args, "k", None), seed=args.seed,
-    )
-    params.validate(args.model)
-    graph, directed, planted = _generate(args.model, params)
-    return graph, directed, planted, params, args.seed
+def _run_command(args, runner, models: tuple[str, ...], **options) -> int:
+    source, seeds = _source_and_seeds(args, models)
+    emit_rows(_runs(partial(runner, source=source, **options), seeds, args.jobs), args.out)
+    return 0
 
 
 def cmd_solve_fvs(args) -> int:
-    if args.instance is None and args.seeds is not None:
-        seeds = _parse_seeds(args.seeds)
-        if args.model not in ("gnp", "dnp"):
-            raise ValueError("--seeds sweeps support --model gnp or dnp")
-        fn = partial(
-            _run_fvs_seed, model=args.model, n=args.n, p=args.p,
-            delta=None, k=None, root=args.root, prune=args.prune,
-        )
-        rows = _sweep(fn, seeds, args.jobs)
-        for i, row in enumerate(rows):
-            row["run_id"] = i
-        emit_rows(rows, args.out)
-        return 0
-
-    graph, directed, planted, params, seed = _load_or_generate(args, ("gnp", "dnp"))
-    t0 = time.perf_counter()
-    if directed:
-        shadow = shadow_undirected(graph)
-        result = grow_induced_bfs(shadow, root=args.root)
-        fvs = result.fvs
-        algorithm = "grow-induced-bfs-shadow"
-        if args.prune:
-            fvs = prune_fvs(shadow, fvs)
-            algorithm += "+prune"
-        ok = is_acyclic_directed(graph, fvs)
-    else:
-        result = grow_induced_bfs(graph, root=args.root)
-        fvs = result.fvs
-        algorithm = "grow-induced-bfs"
-        if args.prune:
-            fvs = prune_fvs(graph, fvs)
-            algorithm += "+prune"
-        ok = is_acyclic_undirected(graph, fvs)
-    ms = int((time.perf_counter() - t0) * 1000)
-    p = params.p if params is not None else None
-    row = make_row(
-        run_id=0, seed=seed, algorithm=algorithm, n=graph.n,
-        p=p if p is not None else "",
-        delta=params.delta if params is not None and params.delta is not None else "",
-        k=params.k if params is not None and params.k is not None else "",
-        fvs_size=int(fvs.size),
-        bound_value=fvs_upper_bound(graph.n, p) or "",
-        acyclic_ok=bool(ok), runtime_ms=ms,
-    )
-    emit_rows([row], args.out)
-    return 0
+    return _run_command(args, _run_fvs, ("gnp", "dnp"), root=args.root, prune=args.prune)
 
 
 def cmd_solve_generic(args) -> int:
-    graph, directed, planted, params, seed = _load_or_generate(args, ("gnp", "dnp"))
-    if args.oracle == "bfs-cycle":
-        if directed:
-            raise ValueError("the bfs-cycle oracle works on undirected instances")
-        oracle = bfs_cycle_oracle(graph, root=args.root)
-    else:
-        oracle = shortest_cycle_oracle(graph)
-    cfg = GenericSolverConfig(oracle=oracle, max_swap_out=args.ymax)
-    t0 = time.perf_counter()
-    try:
-        cert = solve_implicit_hitting_set(graph.n, cfg)
-    except SolverAbort as exc:
-        print(f"solver abort: {exc}", file=sys.stderr)
-        emit_rows([make_row(run_id=0, seed=seed, algorithm=f"generic-{args.oracle}",
-                            n=graph.n, p=params.p if params else "")], args.out)
-        return 3
-    ms = int((time.perf_counter() - t0) * 1000)
-    solution = cert.solution.members
-    ok = (
-        is_acyclic_directed(graph, solution)
-        if directed
-        else is_acyclic_undirected(graph, solution)
-    )
-    row = make_row(
-        run_id=0, seed=seed, algorithm=f"generic-{args.oracle}", n=graph.n,
-        p=params.p if params is not None else "",
-        fvs_size=len(solution),
-        acyclic_ok=bool(ok),
-        oracle_calls=cert.oracle_calls,
-        runtime_ms=ms,
-    )
-    emit_rows([row], args.out)
-    return 0
+    return _run_command(args, _run_generic, ("gnp", "dnp"),
+                        oracle=args.oracle, ymax=args.ymax, root=args.root)
 
 
 def cmd_solve_planted(args) -> int:
-    if args.instance is None and args.seeds is not None:
-        if args.model != "planted" or args.delta is None or args.k is None:
-            raise ValueError("--seeds sweeps need --model planted with --delta and --k")
-        seeds = _parse_seeds(args.seeds)
-        fn = partial(_run_planted_seed, n=args.n, p=args.p, delta=args.delta, k=args.k)
-        try:
-            rows = _sweep(fn, seeds, args.jobs)
-        except CycleBudgetExceeded as exc:
-            print(f"solver abort: {exc}", file=sys.stderr)
-            emit_rows([make_row(algorithm="recover-planted", n=args.n, p=args.p)], args.out)
-            return 3
-        for i, row in enumerate(rows):
-            row["run_id"] = i
-        emit_rows(rows, args.out)
-        return 0
-
-    graph, directed, planted, params, seed = _load_or_generate(args, ("planted", "dnp"))
-    if not directed:
-        raise ValueError("planted recovery needs a directed instance")
-    k = args.k if args.k is not None else (params.k if params is not None else None)
-    if k is None:
-        raise ValueError("--k is required (or a params trailer carrying k)")
-    t0 = time.perf_counter()
-    try:
-        report = recover_planted_fvs(graph, k, planted=planted)
-    except CycleBudgetExceeded as exc:
-        print(f"solver abort: {exc}", file=sys.stderr)
-        emit_rows([make_row(run_id=0, seed=seed, algorithm="recover-planted", n=graph.n, k=k)], args.out)
-        return 3
-    ms = int((time.perf_counter() - t0) * 1000)
-    delta = params.delta if params is not None and params.delta is not None else None
-    row = make_row(
-        run_id=0, seed=seed, algorithm="recover-planted", n=graph.n,
-        p=params.p if params is not None else "",
-        delta=delta if delta is not None else "", k=k,
-        fvs_size=len(report.recovered),
-        bound_value=k * math.floor(delta * graph.n) if delta is not None else "",
-        acyclic_ok=bool(is_acyclic_directed(graph, report.recovered)),
-        exact_match=bool(report.exact_match) if report.exact_match is not None else "",
-        cycles_found=report.cycles_found,
-        runtime_ms=ms,
-    )
-    emit_rows([row], args.out)
-    return 0
+    return _run_command(args, _run_planted, ("planted", "dnp"), k=args.k)
 
 
 def cmd_verify_planted(args) -> int:
-    graph, directed, planted, params, seed = _load_or_generate(args, ("planted",))
-    if not directed or planted is None:
-        raise ValueError("verification needs a directed instance with a planted trailer")
-    if params is None:
-        raise ValueError("verification needs a params trailer")
-    k = args.k if args.k is not None else params.k
-    if k is None:
-        raise ValueError("--k is required (or a params trailer carrying k)")
-    from .models import PlantedInstance  # local import to keep CLI deps flat
-    import numpy as np
-
-    rest = np.asarray(sorted(set(range(graph.n)) - set(planted)), dtype=np.int64)
-    inst = PlantedInstance(digraph=graph, planted=planted, params=params, dag_order=rest)
-    t0 = time.perf_counter()
-    diag = planted_diagnostics(inst, samples=args.samples, k=k)
-    ms = int((time.perf_counter() - t0) * 1000)
-    if diag.hypothesis_note:
-        print(f"warning: {diag.hypothesis_note}", file=sys.stderr)
-    row = make_row(
-        run_id=0, seed=seed, algorithm="verify-planted", n=graph.n,
-        p=params.p, delta=params.delta if params.delta is not None else "", k=k,
-        fvs_size=diag.greedy_size,
-        bound_value=diag.greedy_bound,
-        acyclic_ok=bool(is_acyclic_directed(graph, planted)),
-        exact_match=bool(diag.all_covered and diag.greedy_ok),
-        runtime_ms=ms,
-    )
-    emit_rows([row], args.out)
-    return 0
+    return _run_command(args, _run_verify, ("planted",), k=args.k, samples=args.samples)
 
 
 def _lemma_rows(args) -> list[dict]:
@@ -404,11 +355,7 @@ def _lemma_rows(args) -> list[dict]:
             "concentration checks are not applicable at these parameters",
             file=sys.stderr,
         )
-    fn = partial(_run_lemma_seed, n=args.n, p=args.p, root=args.root)
-    rows = _sweep(fn, seeds, args.jobs)
-    for i, row in enumerate(rows):
-        row["run_id"] = i
-    return rows
+    return _runs(partial(_run_lemma, n=args.n, p=args.p, root=args.root), seeds, args.jobs)
 
 
 def cmd_check_lemma1(args) -> int:
@@ -423,14 +370,13 @@ def _theorem2_row(args) -> dict:
     t0 = time.perf_counter()
     g = gen_gnp(params)
     fraction = sample_acyclic_fraction(g, args.r, args.samples, args.seed)
-    ms = int((time.perf_counter() - t0) * 1000)
     # bound_value carries the measured acyclic fraction: it is the bounded quantity
     return make_row(
         run_id=0, seed=args.seed, algorithm="induced-acyclic-sampler",
         n=args.n, p=args.p,
         bound_value=fraction,
         oracle_calls=args.samples,
-        runtime_ms=ms,
+        runtime_ms=_ms(t0),
     )
 
 
@@ -446,10 +392,9 @@ def _median(values: list[float]) -> float:
 def cmd_experiment(args) -> int:
     recipe = args.recipe
     if recipe == "theorem1":
-        seeds = _parse_seeds(args.seeds)
-        fn = partial(_run_fvs_seed, model="gnp", n=args.n, p=args.p,
-                     delta=None, k=None, root=args.root, prune=False)
-        rows = _sweep(fn, seeds, args.jobs)
+        source = Source(model="gnp", params=ModelParams(n=args.n, p=args.p))
+        run = partial(_run_fvs, source=source, root=args.root, prune=False)
+        rows = _runs(run, _parse_seeds(args.seeds), args.jobs)
         bound = fvs_upper_bound(args.n, args.p)
         sizes = [row["fvs_size"] for row in rows]
         passes = sum(1 for s in sizes if bound is not None and s <= bound)
@@ -475,9 +420,9 @@ def cmd_experiment(args) -> int:
             bound_value=rows[0]["bound_value"],
         )
     elif recipe == "theorem5":
-        seeds = _parse_seeds(args.seeds)
-        fn = partial(_run_planted_seed, n=args.n, p=args.p, delta=args.delta, k=args.k)
-        rows = _sweep(fn, seeds, args.jobs)
+        params = ModelParams(n=args.n, p=args.p, delta=args.delta, k=args.k)
+        run = partial(_run_planted, source=Source(model="planted", params=params), k=args.k)
+        rows = _runs(run, _parse_seeds(args.seeds), args.jobs)
         matches = sum(1 for row in rows if row["exact_match"])
         agg = make_row(
             run_id="aggregate", algorithm="theorem5-aggregate", n=args.n, p=args.p,
@@ -488,8 +433,6 @@ def cmd_experiment(args) -> int:
         )
     else:
         raise ValueError(f"unknown recipe {recipe!r}")
-    for i, row in enumerate(rows):
-        row["run_id"] = i
     rows.append(agg)
     emit_rows(rows, args.out)
     return 0
@@ -592,6 +535,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _validate_recipe_args(args)
         return args.fn(args)
+    except RunAborted as exc:
+        print(f"solver abort: {exc}", file=sys.stderr)
+        emit_rows([exc.row], args.out)
+        return 3
     except (InstanceFormatError, GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable
 
 from .hitting import HittingSet, SubsetFamily, exact_min_hitting_set
 from .oracles import OracleContract, OracleProtocolError, OracleVerdict
@@ -88,9 +88,9 @@ def solve_implicit_hitting_set(universe_size: int, cfg: GenericSolverConfig) -> 
         return _validated(oracle.check(frozenset(query)), query)
 
     def collect(subset: tuple[int, ...]) -> None:
-        # a duplicate here means the candidate was never collection-feasible: a bug
+        # every query hits the collected subsets, so a repeat breaks the contract
         if not collected.add(subset):
-            raise RuntimeError(f"oracle repeated an already collected subset {subset}")
+            raise OracleProtocolError(f"oracle repeated an already collected subset {subset}")
         gamma.append(set(subset))
 
     def gamma_feasible(candidate: set[int]) -> bool:

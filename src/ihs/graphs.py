@@ -188,19 +188,26 @@ def is_acyclic_undirected(g: Graph, removed=()) -> bool:
     ev = nbrs[keep]
     if eu.size >= alive.size:
         return False
-    # union-find; at most |alive| - 1 unions can succeed, so this loop is short
-    parent = np.arange(g.n, dtype=np.int64)
+    # at most |alive| - 1 unions can succeed, so this loop is short
+    return union_edges(np.arange(g.n, dtype=np.int64), zip(eu.tolist(), ev.tolist()))
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
 
-    for a, b in zip(eu.tolist(), ev.tolist()):
-        ra, rb = find(a), find(b)
+def find(parent, x: int) -> int:
+    """Root of ``x`` in the union-find forest ``parent`` (any int-indexed
+    mutable sequence or mapping), compressing the path walked."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def union_edges(parent, edges) -> bool:
+    """Join the endpoints of each edge in ``parent``; False at the first edge
+    whose endpoints are already joined, that is, that closes a cycle."""
+    for a, b in edges:
+        ra, rb = find(parent, a), find(parent, b)
         if ra == rb:
             return False
         parent[rb] = ra

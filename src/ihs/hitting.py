@@ -87,6 +87,16 @@ def hits_all(h: Iterable[int], fam: SubsetFamily) -> bool:
     return all(not hs.isdisjoint(s) for s in fam.subsets)
 
 
+def absorb_unhit(subsets: Iterable[Iterable[int]]) -> list[int]:
+    """Take every subset that the elements taken so far miss, whole, in the
+    given order; returns the sorted union of the taken subsets."""
+    chosen: set[int] = set()
+    for s in subsets:
+        if chosen.isdisjoint(s):
+            chosen.update(s)
+    return sorted(chosen)
+
+
 def greedy_hitting_set(fam: SubsetFamily, order: Sequence[int] | None = None) -> HittingSet:
     """Process subsets in ``order`` (defaults to insertion order); whenever the
     current subset is unhit, take all of its elements.
@@ -94,13 +104,8 @@ def greedy_hitting_set(fam: SubsetFamily, order: Sequence[int] | None = None) ->
     The result hits every processed subset, and when every subset has at most
     k elements it is within a factor k of optimal.
     """
-    idxs = range(len(fam)) if order is None else order
-    chosen: set[int] = set()
-    for i in idxs:
-        s = fam.subsets[i]
-        if chosen.isdisjoint(s):
-            chosen.update(s)
-    return HittingSet.of(chosen)
+    subsets = fam.subsets if order is None else (fam.subsets[i] for i in order)
+    return HittingSet(tuple(absorb_unhit(subsets)))
 
 
 def _drop_supersets(masks: list[int]) -> list[int]:
@@ -145,33 +150,21 @@ def _element_order(masks: list[int], pick_mask: int) -> list[int]:
     # elements of the branching subset, most-covering first, ties by id
     counts: dict[int, int] = {}
     for e in _unmask(pick_mask):
-        counts[e] = sum(1 for m in masks if (m >> e) & 1)
+        counts[e] = sum(m >> e & 1 for m in masks)
     return sorted(counts, key=lambda e: (-counts[e], e))
-
-
-def _min_cover_size(masks: list[int], depth: int, best: int) -> int:
-    if not masks:
-        return depth
-    if depth + _disjoint_lower_bound(masks) >= best:
-        return best
-    pick = min(masks, key=lambda m: m.bit_count())
-    for e in _element_order(masks, pick):
-        rest = [m for m in masks if not (m >> e) & 1]
-        best = _min_cover_size(rest, depth + 1, best)
-    return best
 
 
 def _cover_exists(masks: list[int], budget: int) -> bool:
     if not masks:
         return True
-    if budget <= 0 or any(m == 0 for m in masks):
+    if budget <= 0 or 0 in masks:
         return False
     if _disjoint_lower_bound(masks) > budget:
         return False
-    pick = min(masks, key=lambda m: m.bit_count())
+    pick = min(masks, key=int.bit_count)
     for e in _element_order(masks, pick):
-        rest = [m for m in masks if not (m >> e) & 1]
-        if _cover_exists(rest, budget - 1):
+        bit = 1 << e
+        if _cover_exists([m for m in masks if not m & bit], budget - 1):
             return True
     return False
 
@@ -180,15 +173,17 @@ def exact_min_hitting_set(fam: SubsetFamily) -> HittingSet:
     """Minimum-cardinality hitting set; among optima, the lexicographically
     smallest sorted member list.
 
-    Branch and bound over element inclusion with a greedy upper bound and a
-    pairwise-disjoint lower bound, followed by a lexicographic reconstruction
-    at the proven optimum size.
+    The optimum size is the smallest budget between the pairwise-disjoint
+    lower bound and the greedy upper bound for which the branch and bound of
+    ``_cover_exists`` finds a cover; a lexicographic reconstruction at that
+    size follows.
     """
     masks = _drop_supersets(fam.masks())
     if not masks:
         return HittingSet(())
     ub = _greedy_cover_size(masks)
-    opt = _min_cover_size(masks, 0, ub)
+    lb = _disjoint_lower_bound(masks)
+    opt = next((b for b in range(lb, ub) if _cover_exists(masks, b)), ub)
 
     chosen: list[int] = []
     remaining = masks

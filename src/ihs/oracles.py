@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable
 
 import numpy as np
@@ -72,6 +73,61 @@ def _blocked_mask(n: int, h: Iterable[int]) -> np.ndarray:
     return mask
 
 
+def successor_lists(g: Graph | Digraph) -> tuple[list[list[int]], list[set[int]]]:
+    """Ascending successor list and successor set of every vertex (neighbors
+    of a Graph, out-neighbors of a Digraph), built once for many walks."""
+    if isinstance(g, Digraph):
+        indptr, indices = g.out_indptr, g.out_indices
+    else:
+        indptr, indices = g.indptr, g.indices
+    flat, bounds = indices.tolist(), indptr.tolist()
+    lists = [flat[bounds[v]:bounds[v + 1]] for v in range(g.n)]
+    return lists, [set(nb) for nb in lists]
+
+
+def walk_cycles(adj, succ, start: int, length: int, min_id: int = 0, allowed=None):
+    """Yield every simple path of ``length`` vertices from ``start`` whose last
+    vertex has an arc back to ``start``, in lexicographic path order.
+
+    ``adj``/``succ`` come from ``successor_lists``. Vertices after ``start``
+    have ids of at least ``min_id`` and are set in the bool mask ``allowed``
+    (None allows all). Callers that want the first hit take ``next(...)``;
+    ``start = a, min_id = a + 1`` over ascending ``a`` lists each cycle once,
+    anchored at its minimum vertex. The yielded list is the walk's own path:
+    copy it to keep it. Iterative, with one successor iterator per path vertex
+    and the closing step done inline.
+    """
+    if length < 2:
+        raise ValueError("cycle length must be at least 2")
+    # free[v]: v may still join the path
+    if allowed is None:
+        free = bytearray(b"\x01") * len(adj)
+    else:
+        free = bytearray(np.asarray(allowed, dtype=bool))
+    free[:min_id] = bytes(min_id)
+    free[start] = 0
+    path = [start]
+    stack = [iter(adj[start])]
+    while stack:
+        if len(path) == length - 1:
+            for v in stack.pop():
+                if free[v] and start in succ[v]:
+                    path.append(v)
+                    yield path
+                    path.pop()
+            free[path.pop()] = 1
+            continue
+        for v in stack[-1]:
+            if free[v]:
+                free[v] = 0
+                path.append(v)
+                stack.append(iter(adj[v]))
+                break
+        else:
+            stack.pop()
+            free[path.pop()] = 1
+
+
 def bfs_cycle_oracle(g: Graph, root: int = 0) -> OracleContract:
     """Cycle oracle in breadth-first order.
 
@@ -83,6 +139,7 @@ def bfs_cycle_oracle(g: Graph, root: int = 0) -> OracleContract:
     """
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} out of range [0, {g.n})")
+    adj = successor_lists(g)[0]
 
     def check(h: Iterable[int]) -> OracleVerdict:
         blocked = _blocked_mask(g.n, h)
@@ -97,7 +154,7 @@ def bfs_cycle_oracle(g: Graph, root: int = 0) -> OracleContract:
             queue = deque([s])
             while queue:
                 u = queue.popleft()
-                for v in g.neighbors(u).tolist():
+                for v in adj[u]:
                     if blocked[v]:
                         continue
                     if not visited[v]:
@@ -126,20 +183,21 @@ def _tree_cycle(parent: np.ndarray, depth: np.ndarray, u: int, v: int) -> list[i
     return path_u + path_v[:-1]
 
 
-def _girth_undirected(g: Graph, blocked: np.ndarray) -> int | None:
+def _girth_undirected(adj: list[list[int]], blocked: np.ndarray) -> int | None:
+    n = len(adj)
     best: int | None = None
-    for s in range(g.n):
+    for s in range(n):
         if blocked[s]:
             continue
-        parent = np.full(g.n, -1, dtype=np.int64)
-        depth = np.full(g.n, -1, dtype=np.int64)
+        parent = np.full(n, -1, dtype=np.int64)
+        depth = np.full(n, -1, dtype=np.int64)
         depth[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
             if best is not None and 2 * depth[u] >= best:
                 break
-            for v in g.neighbors(u).tolist():
+            for v in adj[u]:
                 if blocked[v]:
                     continue
                 if depth[v] < 0:
@@ -153,7 +211,7 @@ def _girth_undirected(g: Graph, blocked: np.ndarray) -> int | None:
     return best
 
 
-def _girth_directed(d: Digraph, blocked: np.ndarray) -> int | None:
+def _girth_directed(d: Digraph, adj: list[list[int]], blocked: np.ndarray) -> int | None:
     best: int | None = None
     for s in range(d.n):
         if blocked[s]:
@@ -173,46 +231,12 @@ def _girth_directed(d: Digraph, blocked: np.ndarray) -> int | None:
                 if best is None or length < best:
                     best = length
                 break
-            for v in d.out_neighbors(u).tolist():
+            for v in adj[u]:
                 if blocked[v] or dist[v] >= 0:
                     continue
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return best
-
-
-def _lex_min_cycle(adj_out, adj_check, n: int, blocked: np.ndarray, length: int, directed: bool) -> list[int] | None:
-    """First cycle of exactly ``length`` in anchor-ascending, path-lexicographic order.
-
-    The anchor is the cycle's minimum vertex, so the first hit is the cycle
-    whose canonical rotation is lexicographically smallest.
-    """
-
-    def extend(anchor: int, path: list[int], seen: set[int]) -> list[int] | None:
-        u = path[-1]
-        if len(path) == length:
-            if anchor in adj_check(u) and (directed or path[1] < path[-1]):
-                return list(path)
-            return None
-        for v in adj_out(u).tolist():
-            if v <= anchor or blocked[v] or v in seen:
-                continue
-            seen.add(v)
-            path.append(v)
-            hit = extend(anchor, path, seen)
-            path.pop()
-            seen.remove(v)
-            if hit is not None:
-                return hit
-        return None
-
-    for a in range(n):
-        if blocked[a]:
-            continue
-        hit = extend(a, [a], {a})
-        if hit is not None:
-            return hit
-    return None
 
 
 def shortest_cycle_oracle(g_or_d: Graph | Digraph, directed: bool | None = None) -> OracleContract:
@@ -229,53 +253,39 @@ def shortest_cycle_oracle(g_or_d: Graph | Digraph, directed: bool | None = None)
     if not directed and not isinstance(g_or_d, Graph):
         raise TypeError("directed=False requires a Graph")
 
+    adj, succ = successor_lists(g_or_d)
+
     def check(h: Iterable[int]) -> OracleVerdict:
         blocked = _blocked_mask(g_or_d.n, h)
         if directed:
-            length = _girth_directed(g_or_d, blocked)
-            adj_out = g_or_d.out_neighbors
-            adj_check = lambda u: set(g_or_d.out_neighbors(u).tolist())
+            length = _girth_directed(g_or_d, adj, blocked)
         else:
-            length = _girth_undirected(g_or_d, blocked)
-            adj_out = g_or_d.neighbors
-            adj_check = lambda u: set(g_or_d.neighbors(u).tolist())
+            length = _girth_undirected(adj, blocked)
         if length is None:
             return OracleVerdict.ok()
-        cyc = _lex_min_cycle(adj_out, adj_check, g_or_d.n, blocked, length, directed)
-        if cyc is None:  # girth and enumeration disagree: internal bug
-            raise OracleProtocolError("girth-length cycle not found")
-        return OracleVerdict.miss(cyc)
+        allowed = ~blocked
+        for a in np.flatnonzero(allowed).tolist():
+            for path in walk_cycles(adj, succ, a, length, a + 1, allowed):
+                if directed or path[1] < path[-1]:  # one of the two directions
+                    return OracleVerdict.miss(path)
+        # girth and enumeration disagree: internal bug
+        raise OracleProtocolError("girth-length cycle not found")
 
     return OracleContract(check=check, universe_size=g_or_d.n)
 
 
-def cycles_of_length(d: Digraph, k: int) -> list[tuple[int, ...]]:
-    """Every simple directed cycle on exactly ``k`` vertices, as sorted vertex tuples.
+def cycles_of_length(d: Digraph, k: int, limit: int | None = None) -> list[tuple[int, ...]]:
+    """Every simple directed cycle on exactly ``k`` vertices, as sorted vertex
+    tuples; with ``limit``, only the first ``limit`` of them.
 
-    Each cycle is found once, anchored at its minimum vertex, by a depth-first
-    search over arc paths visiting only larger ids. Output order: anchor
-    ascending, then path lexicographic. Cost grows with out-degree**(k-1) per
-    anchor; intended for small constant k.
+    Each cycle is found once, anchored at its minimum vertex. Output order:
+    anchor ascending, then path lexicographic. Cost grows with
+    out-degree**(k-1) per anchor; intended for small constant k.
     """
     if k < 2:
         raise ValueError("cycle length must be at least 2")
-    out_sets = [set(d.out_neighbors(v).tolist()) for v in range(d.n)]
-    result: list[tuple[int, ...]] = []
-
-    def extend(anchor: int, path: list[int], seen: set[int]) -> None:
-        u = path[-1]
-        if len(path) == k:
-            if anchor in out_sets[u]:
-                result.append(tuple(sorted(path)))
-            return
-        for v in d.out_neighbors(u).tolist():
-            if v > anchor and v not in seen:
-                seen.add(v)
-                path.append(v)
-                extend(anchor, path, seen)
-                path.pop()
-                seen.remove(v)
-
-    for a in range(d.n):
-        extend(a, [a], {a})
-    return result
+    adj, succ = successor_lists(d)
+    cycles = (
+        tuple(sorted(path)) for a in range(d.n) for path in walk_cycles(adj, succ, a, k, a + 1)
+    )
+    return list(islice(cycles, limit))

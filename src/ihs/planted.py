@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Digraph
+from .hitting import absorb_unhit as greedy_hit_cycles
 from .models import PlantedInstance
-from .oracles import cycles_of_length
+from .oracles import cycles_of_length, successor_lists, walk_cycles
 
 
 class CycleBudgetExceeded(RuntimeError):
@@ -32,53 +33,25 @@ class RecoveryReport:
     exact_match: bool | None  # None when no ground truth was supplied
 
 
-def _has_k_cycle_through(d: Digraph, v: int, allowed: np.ndarray, k: int) -> bool:
-    """Is there a simple directed cycle of exactly k vertices through v using
-    only ``allowed`` vertices? Existence only, earliest exit."""
-    seen = {v}
-
-    def walk(u: int, length: int) -> bool:
-        if length == k:
-            return bool(d.has_arc(u, v))
-        for w in d.out_neighbors(u).tolist():
-            if allowed[w] and w not in seen:
-                seen.add(w)
-                hit = walk(w, length + 1)
-                seen.discard(w)
-                if hit:
-                    return True
-        return False
-
-    return walk(v, 1)
-
-
 def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000) -> list[tuple[int, ...]]:
     """All simple cycles with at most k vertices, shortest lengths first.
 
     Within a length, cycles appear anchored at ascending minimum vertex and in
     path-lexicographic order, which fixes the greedy processing order. Raises
-    CycleBudgetExceeded when the running total passes ``max_cycles``.
+    CycleBudgetExceeded as soon as the running total passes ``max_cycles``:
+    enumeration stops at the first cycle over the cap.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     found: list[tuple[int, ...]] = []
     for length in range(2, k + 1):
-        found.extend(cycles_of_length(d, length))
+        found.extend(cycles_of_length(d, length, limit=max_cycles + 1 - len(found)))
         if len(found) > max_cycles:
             raise CycleBudgetExceeded(
                 f"more than {max_cycles} cycles of length <= {length}; "
                 "n*p is too large for this cycle length"
             )
     return found
-
-
-def greedy_hit_cycles(cycles: list[tuple[int, ...]]) -> list[int]:
-    """Absorb every unhit cycle whole, in the given order."""
-    chosen: set[int] = set()
-    for cyc in cycles:
-        if chosen.isdisjoint(cyc):
-            chosen.update(cyc)
-    return sorted(chosen)
 
 
 def recover_planted_fvs(
@@ -96,14 +69,10 @@ def recover_planted_fvs(
     cycles = collect_short_cycles(d, k, max_cycles=max_cycles)
     greedy = greedy_hit_cycles(cycles)
 
+    adj, succ = successor_lists(d)
     allowed = np.ones(d.n, dtype=bool)
     allowed[greedy] = False
-    recovered = []
-    for v in greedy:
-        allowed[v] = True
-        if _has_k_cycle_through(d, v, allowed, k):
-            recovered.append(v)
-        allowed[v] = False
+    recovered = [v for v in greedy if any(walk_cycles(adj, succ, v, k, 0, allowed))]
 
     match = None if planted is None else recovered == sorted(planted)
     return RecoveryReport(
@@ -152,18 +121,14 @@ def planted_diagnostics(
 
     others = np.asarray(sorted(set(range(d.n)) - set(planted)), dtype=np.int64)
     take = math.ceil(others.size / 10) if others.size else 0
+    adj, succ = successor_lists(d)
     coverage: list[tuple[int, int]] = []
     allowed = np.zeros(d.n, dtype=bool)
     for _ in range(samples):
         subset = rng.choice(others, size=take, replace=False) if take else others
         allowed[:] = False
         allowed[subset] = True
-        covered = 0
-        for v in planted:
-            allowed[v] = True
-            if _has_k_cycle_through(d, v, allowed, k):
-                covered += 1
-            allowed[v] = False
+        covered = sum(any(walk_cycles(adj, succ, v, k, 0, allowed)) for v in planted)
         coverage.append((covered, len(planted)))
 
     all_covered = bool(coverage) and all(c == total for c, total in coverage)

@@ -229,3 +229,82 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("run_id,")
+
+
+@pytest.mark.parametrize("extra", [[], ["--prune"]])
+def test_solve_fvs_breaks_directed_two_cycles(tmp_path, capsys, extra):
+    # the shadow sees 0<->1 as one edge; pruning the shadow would put 1 back
+    path = tmp_path / "two.txt"
+    path.write_text("ihs-graph 1 directed 4 5\n0 1\n1 0\n1 2\n2 3\n3 1\n")
+    code, rows = run_cli(capsys, "solve-fvs", str(path), *extra)
+    assert code == 0
+    assert rows[0]["acyclic_ok"] == "1"
+    assert rows[0]["fvs_size"] == "2"
+
+
+def test_experiment_theorem5_cycle_budget_abort(monkeypatch, capsys):
+    import ihs.cli as cli_mod
+
+    def explode(*args, **kwargs):
+        raise cli_mod.CycleBudgetExceeded("too many")
+
+    monkeypatch.setattr(cli_mod, "recover_planted_fvs", explode)
+    code, rows, err = run_cli_with_err(
+        capsys, "experiment", "--recipe", "theorem5", "--n", "50", "--p", "0.5",
+        "--delta", "0.1", "--k", "3", "--seeds", "0..1",
+    )
+    assert code == 3
+    assert len(rows) == 1 and rows[0]["fvs_size"] == ""
+    assert rows[0]["algorithm"] == "recover-planted"
+    assert "solver abort" in err
+
+
+def test_verify_planted_cycle_budget_abort(monkeypatch, capsys):
+    import ihs.cli as cli_mod
+
+    def explode(*args, **kwargs):
+        raise cli_mod.CycleBudgetExceeded("too many")
+
+    monkeypatch.setattr(cli_mod, "planted_diagnostics", explode)
+    code, rows = run_cli(
+        capsys, "verify-planted", "--model", "planted", "--n", "50", "--p", "0.5",
+        "--delta", "0.1", "--k", "3", "--seed", "1",
+    )
+    assert code == 3
+    assert rows[0]["algorithm"] == "verify-planted"
+    assert rows[0]["fvs_size"] == ""
+
+
+def test_solve_generic_oracle_protocol_abort(monkeypatch, capsys):
+    import ihs.cli as cli_mod
+
+    def explode(*args, **kwargs):
+        raise cli_mod.OracleProtocolError("bad verdict")
+
+    monkeypatch.setattr(cli_mod, "solve_implicit_hitting_set", explode)
+    code, rows = run_cli(
+        capsys, "solve-generic", "--model", "gnp", "--n", "12", "--p", "0.3",
+        "--seed", "1", "--oracle", "shortest-cycle",
+    )
+    assert code == 3
+    assert rows[0]["algorithm"] == "generic-shortest-cycle"
+    assert rows[0]["fvs_size"] == ""
+
+
+def test_solve_generic_repeated_subset_abort(monkeypatch, tmp_path, capsys):
+    # an oracle that misses the same subset twice, past the verdict validation
+    import ihs.cli as cli_mod
+    import ihs.generic as generic_mod
+    from ihs import OracleContract, OracleVerdict
+
+    monkeypatch.setattr(generic_mod, "_validated", lambda verdict, query: verdict)
+    def same_miss(g, root=0):
+        return OracleContract(check=lambda h: OracleVerdict.miss((0, 1, 2)), universe_size=g.n)
+
+    monkeypatch.setattr(cli_mod, "bfs_cycle_oracle", same_miss)
+    code, rows, err = run_cli_with_err(
+        capsys, "solve-generic", triangle_file(tmp_path), "--oracle", "bfs-cycle"
+    )
+    assert code == 3
+    assert rows[0]["fvs_size"] == ""
+    assert "repeated" in err

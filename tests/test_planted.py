@@ -8,6 +8,7 @@ from ihs import (
     Digraph,
     ModelParams,
     cycles_of_length,
+    gen_gnp,
     gen_planted,
     is_acyclic_directed,
     planted_diagnostics,
@@ -113,3 +114,46 @@ def test_diagnostics_flags_empty_graph():
     assert not diag.all_covered
     assert diag.hypothesis_note is not None
     assert all(covered == 0 for covered, _total in diag.coverage)
+
+
+def test_cycle_budget_stops_enumeration_at_cap(monkeypatch):
+    # a complete digraph on 10 vertices has 45 two-cycles: the first length
+    # alone passes a cap of 10, and enumeration stops at the 11th cycle
+    import ihs.planted as planted_mod
+
+    lengths = []
+
+    def counted(d, k, limit=None):
+        cycles = cycles_of_length(d, k, limit=limit)
+        lengths.append(len(cycles))
+        return cycles
+
+    monkeypatch.setattr(planted_mod, "cycles_of_length", counted)
+    d = Digraph(10, [(u, v) for u in range(10) for v in range(10) if u != v])
+    with pytest.raises(CycleBudgetExceeded):
+        planted_mod.collect_short_cycles(d, 3, max_cycles=10)
+    assert lengths == [11]
+
+
+def test_enumeration_leaves_no_garbage_cycles():
+    # the cycle walks must free their paths and results by reference counting
+    import gc
+
+    from ihs import shortest_cycle_oracle
+
+    inst = gen_planted(ModelParams(n=60, p=0.3, delta=0.1, k=3, seed=1))
+    oracle = shortest_cycle_oracle(gen_gnp(ModelParams(n=20, p=0.2, seed=1)))
+    calls = [
+        lambda: cycles_of_length(inst.digraph, 3),
+        lambda: oracle.check([]),
+        lambda: recover_planted_fvs(inst.digraph, 3),
+    ]
+    for call in calls:
+        call()
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
