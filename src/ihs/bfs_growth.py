@@ -30,6 +30,7 @@ from .graphs import (
     Graph,
     GraphError,
     _gather,
+    _induced_edges,
     find,
     is_acyclic_undirected,
     shadow_undirected,
@@ -174,11 +175,7 @@ def grow_induced_bfs(g: Graph, root: int = 0, depth: int | None = None) -> FvsRe
 
         in_unique = np.zeros(g.n, dtype=bool)
         in_unique[unique] = True
-        unb, urep = _gather(g.indptr, g.indices, unique)
-        usrc = unique[urep]
-        pick = in_unique[unb] & (unb > usrc)
-        eu = usrc[pick]
-        ev = unb[pick]
+        eu, ev = _induced_edges(g, unique, in_unique)
 
         if final_level:
             nxt = _greedy_independent_set(unique, eu, ev)

@@ -348,6 +348,7 @@ def cmd_verify_planted(args) -> int:
 
 def _lemma_rows(args) -> list[dict]:
     seeds = _parse_seeds(args.seeds)
+    ModelParams(n=args.n, p=args.p).validate("gnp")
     c = args.n * args.p
     if c - 20 * math.sqrt(c) <= 0:
         print(

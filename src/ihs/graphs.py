@@ -3,8 +3,11 @@
 Vertices are dense integers ``0..n-1``. Both containers are immutable after
 construction and store a canonical lexicographically sorted edge/arc list plus
 CSR adjacency with ascending neighbor order, so every traversal in the package
-is reproducible. Acyclicity checks are iterative; nothing here recurses on the
-graph size.
+is reproducible. Ids are int32 and every array is read-only. Construction
+works slice by slice over the pair list: on the canonical input the
+generators emit, its one m-length int64 array is the sort key of the
+transposed list. Acyclicity checks are iterative; nothing here recurses on
+the graph size.
 """
 
 from __future__ import annotations
@@ -18,68 +21,148 @@ class GraphError(ValueError):
     """Malformed graph input: bad vertex ids, self-loops, or duplicates."""
 
 
+_CHUNK = 1 << 16  # rows per slice of the construction passes: their temporaries stay in cache
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _pack(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.multiply(a, n, dtype=np.int64)
-    np.add(out, b, out=out)
+    np.add(out, b, out=out, dtype=np.int64)
     return out
 
 
-def _normalize_pairs(n: int, pairs, directed: bool) -> np.ndarray:
-    """Validate and canonicalize an edge/arc list to a lex-sorted (m, 2) array."""
-    arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs, dtype=np.int64)
+def _unpack(n: int, keys: np.ndarray) -> np.ndarray:
+    """Keys ``u * n + v`` back to an int32 (m, 2) array of pairs, in place:
+    each key's 8 bytes become its pair's two int32 ids."""
+    out = keys.view(np.int32).reshape(-1, 2)
+    for s in range(0, keys.size, _CHUNK):
+        k = keys[s:s + _CHUNK]
+        rows = k // n
+        values = k - rows * n  # both read before the slice is overwritten
+        out[s:s + k.size, 0] = rows
+        out[s:s + k.size, 1] = values
+    return out
+
+
+def _pair_array(n: int, pairs) -> np.ndarray:
+    """``pairs`` as an (m, 2) array of integers; integer arrays are not copied."""
+    arr = pairs if isinstance(pairs, np.ndarray) else np.asarray(list(pairs))
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int32)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise GraphError("edge list must be a sequence of (u, v) pairs")
-    u, v = arr[:, 0], arr[:, 1]
-    if (u < 0).any() or (v < 0).any() or (u >= n).any() or (v >= n).any():
+    if arr.dtype.kind == "f":
+        if not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
+            raise GraphError("vertex ids must be integers")
+        return np.clip(arr, -1, n).astype(np.int64)  # clipped ids stay out of range
+    if arr.dtype.kind not in "biu":
+        raise GraphError(f"vertex ids must be integers in [0, {n})")
+    return arr
+
+
+def _slice_keys(n: int, rows: np.ndarray, directed: bool) -> tuple[np.ndarray, bool]:
+    """Validated keys ``u * n + v`` of a slice of pairs, with ``u < v`` swapped
+    into place for undirected input, and whether every pair was in that order."""
+    if rows.min() < 0 or rows.max() >= n:
         raise GraphError(f"vertex id out of range [0, {n})")
+    u, v = rows[:, 0], rows[:, 1]
     if (u == v).any():
         raise GraphError("self-loops are not allowed")
-    if not directed:
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        u, v = lo, hi
-    keys = _pack(n, u, v)
-    if keys.size > 1:
-        deltas = np.diff(keys)
-        if (deltas <= 0).any():  # generator output is already canonical
-            keys.sort()
-            deltas = np.diff(keys)
-        if (deltas == 0).any():
-            raise GraphError("duplicate edges are not allowed")
-    out = np.empty((keys.size, 2), dtype=np.int32)
-    np.floor_divide(keys, n, out=out[:, 0], casting="unsafe")
-    np.remainder(keys, n, out=out[:, 1], casting="unsafe")
-    out.setflags(write=False)
-    return out
+    ordered = directed or bool((u < v).all())
+    if not ordered:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    return _pack(n, u, v), ordered
 
 
-def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR with neighbors sorted ascending per vertex."""
-    keys = _pack(n, src, dst)
+def _normalize_pairs(n: int, pairs, directed: bool) -> np.ndarray:
+    """Validate and canonicalize an edge/arc list to a lex-sorted, read-only
+    int32 (m, 2) array.
+
+    The generators emit pairs in canonical order. Such input is checked slice
+    by slice and copied to int32 once, or not at all if it already is a
+    read-only int32 array that owns its data. Any other input is sorted.
+    """
+    arr = _pair_array(n, pairs)
+    m = arr.shape[0]
+    last = -1
+    for s in range(0, m, _CHUNK):
+        keys, ordered = _slice_keys(n, arr[s:s + _CHUNK], directed)
+        if not (ordered and keys[0] > last and (keys[1:] > keys[:-1]).all()):
+            return _sorted_pairs(n, arr, directed)
+        last = keys[-1]
+    if arr.dtype == np.int32 and arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable:
+        return arr
+    return _frozen(arr.astype(np.int32, order="C"))
+
+
+def _sorted_pairs(n: int, arr: np.ndarray, directed: bool) -> np.ndarray:
+    """Pairs in any order: one sort of m int64 keys, then the duplicate check."""
+    keys = np.empty(arr.shape[0], dtype=np.int64)
+    for s in range(0, keys.size, _CHUNK):
+        keys[s:s + _CHUNK] = _slice_keys(n, arr[s:s + _CHUNK], directed)[0]
     keys.sort()
-    indices = np.remainder(keys, n).astype(np.int32, copy=False)
-    np.floor_divide(keys, n, out=keys)
-    counts = np.bincount(keys, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices.setflags(write=False)
-    indptr.setflags(write=False)
-    return indptr, indices
+    if (keys[1:] == keys[:-1]).any():
+        raise GraphError("duplicate edges are not allowed")
+    return _frozen(_unpack(n, keys))
+
+
+def _transposed(n: int, pairs: np.ndarray) -> np.ndarray:
+    """A pair list reversed to (v, u) and lex-sorted: one sort of m int64 keys."""
+    keys = np.empty(pairs.shape[0], dtype=np.int64)
+    for s in range(0, keys.size, _CHUNK):
+        part = pairs[s:s + _CHUNK]
+        keys[s:s + part.shape[0]] = _pack(n, part[:, 1], part[:, 0])
+    keys.sort()
+    return _unpack(n, keys)
+
+
+def _row_starts(n: int, heads: np.ndarray) -> np.ndarray:
+    """CSR row pointer of a sorted column of row ids, one search per slice."""
+    starts = np.full(n + 1, heads.size, dtype=np.int64)
+    for s in range(0, heads.size, _CHUNK):
+        part = heads[s:s + _CHUNK]
+        lo, hi = int(heads[s - 1]) + 1 if s else 0, int(part[-1]) + 1
+        starts[lo:hi] = s + np.searchsorted(part, np.arange(lo, hi, dtype=part.dtype))
+    return starts
+
+
+def _rows(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of a lex-sorted pair list as it stands: row u lists the v of its pairs (u, v)."""
+    return _frozen(_row_starts(n, pairs[:, 0])), _frozen(np.ascontiguousarray(pairs[:, 1]))
+
+
+def _scatter(indices: np.ndarray, shift: np.ndarray, pairs: np.ndarray) -> None:
+    """``indices[shift[u] + i] = v`` for the i-th pair (u, v)."""
+    for s in range(0, pairs.shape[0], _CHUNK):
+        part = pairs[s:s + _CHUNK]
+        indices[shift[part[:, 0]] + np.arange(s, s + part.shape[0])] = part[:, 1]
 
 
 def _gather(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated neighbor lists of ``verts``; returns (neighbors, source positions)."""
     verts = np.asarray(verts, dtype=np.int64)
-    lens = indptr[verts + 1] - indptr[verts]
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
-    rep = np.repeat(np.arange(verts.size), lens)
-    within = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-    pos = indptr[verts][rep] + within
+    starts = indptr[verts]
+    lens = indptr[verts + 1] - starts
+    rep = np.repeat(np.arange(verts.size, dtype=np.int32), lens)
+    # the j-th neighbor of verts[i] sits at starts[i] + j
+    pos = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    for s in range(0, pos.size, _CHUNK):
+        part = pos[s:s + _CHUNK]
+        part += np.arange(s, s + part.size)
     return indices[pos], rep
+
+
+def _induced_edges(g: Graph, verts: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (u, v), u < v, in lex order, from the ascending ``verts`` to
+    vertices where the mask ``inside`` holds, as two int32 arrays."""
+    nbrs, rep = _gather(g.indptr, g.indices, verts)
+    src = np.asarray(verts, dtype=np.int32)[rep]
+    pick = inside[nbrs] & (nbrs > src)
+    return src[pick], nbrs[pick]
 
 
 class Graph:
@@ -91,10 +174,15 @@ class Graph:
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         self.n = int(n)
-        self.edge_list = _normalize_pairs(self.n, edges, directed=False)
-        src = np.concatenate([self.edge_list[:, 0], self.edge_list[:, 1]])
-        dst = np.concatenate([self.edge_list[:, 1], self.edge_list[:, 0]])
-        self.indptr, self.indices = _csr(self.n, src, dst)
+        self.edge_list = edges = _normalize_pairs(self.n, edges, directed=False)
+        lower = _transposed(self.n, edges)  # (v, u) for each edge (u, v)
+        lower_starts, upper_starts = _row_starts(self.n, lower[:, 0]), _row_starts(self.n, edges[:, 0])
+        # row u: its lower neighbors, then its upper ones
+        indices = np.empty(2 * edges.shape[0], dtype=np.int32)
+        _scatter(indices, upper_starts, lower)
+        _scatter(indices, lower_starts[1:], edges)
+        self.indptr = _frozen(lower_starts + upper_starts)
+        self.indices = _frozen(indices)
 
     @property
     def num_edges(self) -> int:
@@ -136,9 +224,8 @@ class Digraph:
             raise GraphError("vertex count must be nonnegative")
         self.n = int(n)
         self.arc_list = _normalize_pairs(self.n, arcs, directed=True)
-        u, v = self.arc_list[:, 0], self.arc_list[:, 1]
-        self.out_indptr, self.out_indices = _csr(self.n, u, v)
-        self.in_indptr, self.in_indices = _csr(self.n, v, u)
+        self.out_indptr, self.out_indices = _rows(self.n, self.arc_list)
+        self.in_indptr, self.in_indices = _rows(self.n, _transposed(self.n, self.arc_list))
 
     @property
     def num_arcs(self) -> int:
@@ -181,11 +268,7 @@ def is_acyclic_undirected(g: Graph, removed=()) -> bool:
     alive = np.flatnonzero(~gone)
     if alive.size == 0:
         return True
-    nbrs, rep = _gather(g.indptr, g.indices, alive)
-    src = alive[rep]
-    keep = (~gone[nbrs]) & (nbrs > src)
-    eu = src[keep]
-    ev = nbrs[keep]
+    eu, ev = _induced_edges(g, alive, ~gone)
     if eu.size >= alive.size:
         return False
     # at most |alive| - 1 unions can succeed, so this loop is short
@@ -271,6 +354,4 @@ def shadow_undirected(d: Digraph) -> Graph:
         return Graph(d.n)
     u = np.minimum(d.arc_list[:, 0], d.arc_list[:, 1])
     v = np.maximum(d.arc_list[:, 0], d.arc_list[:, 1])
-    keys = np.unique(_pack(d.n, u, v))
-    edges = np.stack([keys // d.n, keys % d.n], axis=1)
-    return Graph(d.n, edges)
+    return Graph(d.n, _unpack(d.n, np.unique(_pack(d.n, u, v))))

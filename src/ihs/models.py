@@ -26,14 +26,38 @@ Identical ``(model, n, p, delta, seed)`` always yield identical instances.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Digraph, Graph
+from .graphs import _CHUNK as _SLICE, Digraph, Graph
 
 _SKIP_THRESHOLD = 1 << 22  # pair-count above which the skip sampler kicks in
 _CHUNK = 1 << 22
+# Peak bytes of drawing and building an instance, per expected edge or arc and
+# per vertex, a little above the measured peaks: 24-27 B per edge for G(n, p)
+# with BFS growth and its validation (n=10^5 and 5*10^5, c=500); 33-35 B per
+# arc for the digraph models, whose arcs are sorted while the caller still
+# holds them.
+_BYTES_PER_PAIR = {"gnp": 28, "dnp": 36, "planted": 36}
+_BYTES_PER_VERTEX = 64
+
+
+def available_memory() -> int | None:
+    """Bytes the system reports as available (``MemAvailable``, else free
+    physical pages), or None where neither can be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError, AttributeError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -47,6 +71,8 @@ class ModelParams:
     seed: int = 0
 
     def validate(self, model: str) -> None:
+        if model not in _BYTES_PER_PAIR:
+            raise ValueError(f"unknown model {model!r}")
         if self.n <= 0:
             raise ValueError("n must be positive")
         if not 0.0 <= self.p <= 1.0:
@@ -62,6 +88,22 @@ class ModelParams:
                 raise ValueError("planted model requires floor(delta * n) >= 1")
         if self.k is not None and self.k < 3:
             raise ValueError("k must be at least 3")
+        need = _BYTES_PER_PAIR[model] * self.expected_pairs(model) + _BYTES_PER_VERTEX * self.n
+        have = available_memory()
+        if have is not None and need > have:
+            raise ValueError(
+                f"a {model} instance with n={self.n}, p={self.p} needs about "
+                f"{need / 2**20:,.0f} MB; {have / 2**20:,.0f} MB is available"
+            )
+
+    def expected_pairs(self, model: str) -> float:
+        """Expected edge or arc count of a ``model`` instance."""
+        total = self.n * (self.n - 1) / 2
+        if model == "planted":
+            s = math.floor(self.delta * self.n)
+            cross = s * (2 * self.n - s - 1) / 2
+            return min(1.0, 2 * self.p) * cross + self.p * (total - cross)
+        return (2 if model == "dnp" else 1) * self.p * total
 
 
 @dataclass(frozen=True)
@@ -136,15 +178,33 @@ def _decode_pairs(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _pairs(n: int, t: np.ndarray) -> np.ndarray:
+    """Decoded pairs of the lexicographic indices ``t`` as an int32 (m, 2)
+    array, decoded slice by slice so the decode's int64 temporaries stay small."""
+    out = np.empty((t.size, 2), dtype=np.int32)
+    for start in range(0, t.size, _SLICE):
+        u, v = _decode_pairs(n, t[start:start + _SLICE])
+        out[start:start + u.size, 0] = u
+        out[start:start + u.size, 1] = v
+    return out
+
+
+def _orient(rng: np.random.Generator, pairs: np.ndarray) -> np.ndarray:
+    """Flip each pair unless its fair coin (one uniform per pair, in order) keeps it."""
+    flip = rng.random(pairs.shape[0]) >= 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    return pairs
+
+
 def gen_gnp(params: ModelParams, method: str = "auto") -> Graph:
     """G(n, p): each unordered pair included independently with probability p."""
     params.validate("gnp")
     n = params.n
     rng = _rng(params.seed)
     total = n * (n - 1) // 2
-    t = _bernoulli_indices(rng, total, params.p, method)
-    u, v = _decode_pairs(n, t)
-    return Graph(n, np.stack([u, v], axis=1))
+    edges = _pairs(n, _bernoulli_indices(rng, total, params.p, method))
+    edges.setflags(write=False)  # canonical and read-only: Graph keeps it as is
+    return Graph(n, edges)
 
 
 def gen_dnp(params: ModelParams, method: str = "auto") -> Digraph:
@@ -154,12 +214,8 @@ def gen_dnp(params: ModelParams, method: str = "auto") -> Digraph:
     n = params.n
     rng = _rng(params.seed)
     total = n * (n - 1) // 2
-    t = _bernoulli_indices(rng, total, 2 * params.p, method)
-    u, v = _decode_pairs(n, t)
-    coins = rng.random(t.size) < 0.5
-    src = np.where(coins, u, v)
-    dst = np.where(coins, v, u)
-    return Digraph(n, np.stack([src, dst], axis=1))
+    pairs = _pairs(n, _bernoulli_indices(rng, total, 2 * params.p, method))
+    return Digraph(n, _orient(rng, pairs))
 
 
 def gen_planted(params: ModelParams, method: str = "auto") -> PlantedInstance:
@@ -179,16 +235,11 @@ def gen_planted(params: ModelParams, method: str = "auto") -> PlantedInstance:
     cross = s * (2 * n - s - 1) // 2
     total = n * (n - 1) // 2
 
-    t_cross = _bernoulli_indices(rng, cross, min(1.0, 2 * params.p), method)
-    u, v = _decode_pairs(n, t_cross)
-    coins = rng.random(t_cross.size) < 0.5
-    src = np.where(coins, u, v)
-    dst = np.where(coins, v, u)
-
-    t_fwd = _bernoulli_indices(rng, total - cross, params.p, method) + cross
-    fu, fv = _decode_pairs(n, t_fwd)
-
-    arcs = np.stack([np.concatenate([src, fu]), np.concatenate([dst, fv])], axis=1)
+    # in stream order: cross inclusions, their coins, then forward inclusions
+    arcs = np.concatenate([
+        _orient(rng, _pairs(n, _bernoulli_indices(rng, cross, min(1.0, 2 * params.p), method))),
+        _pairs(n, _bernoulli_indices(rng, total - cross, params.p, method) + cross),
+    ])
     return PlantedInstance(
         digraph=Digraph(n, arcs),
         planted=list(range(s)),

@@ -308,3 +308,20 @@ def test_solve_generic_repeated_subset_abort(monkeypatch, tmp_path, capsys):
     assert code == 3
     assert rows[0]["fvs_size"] == ""
     assert "repeated" in err
+
+
+def test_instance_too_large_for_memory_exits_2(monkeypatch, capsys):
+    import ihs.cli as cli_mod
+    import ihs.models as models_mod
+
+    monkeypatch.setattr(models_mod, "available_memory", lambda: 1 << 20)
+    monkeypatch.setattr(cli_mod, "gen_gnp", None)  # never reached
+    code, _, err = run_cli_with_err(
+        capsys, "check-lemma1", "--n", "3000", "--p", "0.2", "--seeds", "0..0"
+    )
+    assert code == 2
+    assert "needs about" in err and "MB is available" in err
+    code, _, err = run_cli_with_err(
+        capsys, "solve-fvs", "--model", "dnp", "--n", "3000", "--p", "0.2", "--seed", "0"
+    )
+    assert code == 2 and "MB is available" in err

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ihs.graphs as graphs_mod
 from ihs import (
     Digraph,
     Graph,
@@ -150,3 +151,170 @@ def test_shadow_fvs_transfers_to_digraph(seed):
     removed = [v for v in range(20) if rng.random() < 0.5]
     if is_acyclic_undirected(shadow, removed):
         assert is_acyclic_directed(d, removed)
+
+
+# ---------------------------------------------------------------------------
+# construction: the sort-free path for canonical input against a reference
+# CSR built with np.lexsort
+
+
+def reference_csr(n, src, dst):
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order]
+
+
+def canonical_pairs(n, p, seed):
+    rng = np.random.default_rng(seed)
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < p
+    return np.stack([u[keep], v[keep]], axis=1).astype(np.int64)
+
+
+def assert_graph_matches(g, n, canon):
+    u, v = canon[:, 0], canon[:, 1]
+    indptr, indices = reference_csr(n, np.concatenate([u, v]), np.concatenate([v, u]))
+    assert g.edge_list.tolist() == canon.tolist()
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+    for arr in (g.edge_list, g.indices):
+        assert arr.dtype == np.int32 and not arr.flags.writeable
+    assert g.indptr.dtype == np.int64 and not g.indptr.flags.writeable
+
+
+def assert_digraph_matches(d, n, arcs):
+    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
+    out_ptr, out_idx = reference_csr(n, arcs[:, 0], arcs[:, 1])
+    in_ptr, in_idx = reference_csr(n, arcs[:, 1], arcs[:, 0])
+    assert d.arc_list.tolist() == arcs.tolist()
+    assert np.array_equal(d.out_indptr, out_ptr) and np.array_equal(d.out_indices, out_idx)
+    assert np.array_equal(d.in_indptr, in_ptr) and np.array_equal(d.in_indices, in_idx)
+    for arr in (d.arc_list, d.out_indices, d.in_indices):
+        assert arr.dtype == np.int32 and not arr.flags.writeable
+
+
+def input_forms(pairs, rng):
+    """The same pairs in canonical, shuffled and reversed order, as a list and
+    as int64, unsigned and int32 arrays."""
+    orders = [pairs, pairs[rng.permutation(len(pairs))], pairs[::-1]]
+    for arr in orders:
+        yield arr.tolist()
+        yield arr
+        yield arr.astype(np.uint32)
+        yield arr.astype(np.uint64)
+        yield arr.astype(np.int32)
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 1, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+def test_graph_matches_reference_csr(monkeypatch, chunk, n):
+    monkeypatch.setattr(graphs_mod, "_CHUNK", chunk)
+    rng = np.random.default_rng(n)
+    for seed in range(3):
+        canon = canonical_pairs(n, 0.3, seed)
+        for form in input_forms(canon, rng):
+            assert_graph_matches(Graph(n, form), n, canon)
+        # pairs given as (v, u) are stored as (u, v)
+        assert_graph_matches(Graph(n, canon[:, ::-1]), n, canon)
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 1, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+def test_digraph_matches_reference_csr(monkeypatch, chunk, n):
+    monkeypatch.setattr(graphs_mod, "_CHUNK", chunk)
+    rng = np.random.default_rng(100 + n)
+    for seed in range(3):
+        canon = canonical_pairs(n, 0.3, seed)
+        flip = rng.random(len(canon)) < 0.5
+        arcs = np.where(flip[:, None], canon[:, ::-1], canon)
+        for form in input_forms(arcs, rng):
+            assert_digraph_matches(Digraph(n, form), n, arcs)
+
+
+def test_isolated_vertices_have_empty_rows():
+    g = Graph(6, [(1, 4)])
+    assert g.indptr.tolist() == [0, 0, 1, 1, 1, 2, 2]
+    d = Digraph(6, [(4, 1)])
+    assert d.out_indptr.tolist() == [0, 0, 0, 0, 0, 1, 1]
+    assert d.in_indptr.tolist() == [0, 0, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("cls", [Graph, Digraph])
+def test_slice_boundaries_keep_every_check(monkeypatch, cls):
+    monkeypatch.setattr(graphs_mod, "_CHUNK", 2)
+    canon = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+    # a duplicate, a self-loop or a descending pair straddling the boundary
+    # between the slices [0, 2) and [2, 4)
+    with pytest.raises(GraphError, match="duplicate"):
+        cls(4, canon[:2] + [(0, 2)] + canon[2:])
+    with pytest.raises(GraphError, match="self-loop"):
+        cls(4, canon[:2] + [(2, 2)] + canon[2:])
+    swapped = canon[:1] + [canon[2], canon[1]] + canon[3:]
+    g = cls(4, swapped)
+    pairs = g.arc_list if cls is Digraph else g.edge_list
+    assert pairs.tolist() == [list(e) for e in canon]
+    with pytest.raises(GraphError, match="range"):
+        cls(4, canon[:3] + [(1, 4)])
+
+
+def test_undirected_pair_order_at_slice_boundary(monkeypatch):
+    monkeypatch.setattr(graphs_mod, "_CHUNK", 2)
+    g = Graph(4, [(0, 1), (0, 2), (2, 1), (1, 3)])
+    assert g.edge_list.tolist() == [[0, 1], [0, 2], [1, 2], [1, 3]]
+    with pytest.raises(GraphError, match="duplicate"):
+        Graph(4, [(0, 1), (1, 2), (2, 1), (1, 3)])
+
+
+def test_canonical_read_only_int32_input_is_kept_without_copy():
+    edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int32)
+    edges.setflags(write=False)
+    assert Graph(3, edges).edge_list is edges
+    assert Digraph(3, edges).arc_list is edges
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+def test_caller_array_mutation_does_not_reach_graph(dtype):
+    edges = np.array([[0, 1], [0, 2], [1, 2]], dtype=dtype)
+    g, d = Graph(3, edges), Digraph(3, edges)
+    edges[:] = [[1, 2], [0, 1], [0, 2]]
+    assert g.edge_list.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert g.neighbors(0).tolist() == [1, 2]
+    assert d.arc_list.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert d.in_neighbors(2).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0.5, 1)],
+        [(0, 1), (1, 2.25)],
+        np.array([[0.7, 2.2]]),
+        np.array([[0, np.nan]]),
+        np.array([[0, np.inf]]),
+        np.array([["0", "1"]]),
+    ],
+)
+@pytest.mark.parametrize("cls", [Graph, Digraph])
+def test_non_integer_ids_are_rejected(cls, pairs):
+    with pytest.raises(GraphError):
+        cls(3, pairs)
+
+
+def test_integral_floats_are_ids():
+    assert Graph(3, [(0.0, 2.0)]).edge_list.tolist() == [[0, 2]]
+    assert Digraph(3, np.array([[2.0, 1.0]])).arc_list.tolist() == [[2, 1]]
+    with pytest.raises(GraphError, match="range"):
+        Graph(3, np.array([[0.0, 1e30]]))
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 1, 5])
+def test_gather_matches_concatenated_rows(monkeypatch, chunk):
+    monkeypatch.setattr(graphs_mod, "_CHUNK", chunk)
+    g = random_graph(30, 0.2, 7)
+    rows = [g.neighbors(v).tolist() for v in range(g.n)]
+    for verts in ([], [3], [0, 5, 6, 29], list(range(30))):
+        nbrs, rep = graphs_mod._gather(g.indptr, g.indices, np.asarray(verts, dtype=np.int64))
+        assert nbrs.tolist() == [w for v in verts for w in rows[v]]
+        assert rep.tolist() == [i for i, v in enumerate(verts) for _ in rows[v]]

@@ -70,6 +70,7 @@ def test_trailer_lines():
         "ihs-graph 1 undirected 3 0\nparams delta=x\n",
         "ihs-graph 1 undirected 3 0\nparams q=1\n",
         "ihs-graph 1 undirected 3 0\nmystery 1\n",
+        "ihs-graph 1 undirected 3 1\n0.5 1\n",  # non-integer id
     ],
 )
 def test_parse_errors(text):

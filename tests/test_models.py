@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ihs.models as models_mod
 from ihs import (
     ModelParams,
     gen_dnp,
@@ -163,3 +164,39 @@ def test_planted_allows_cross_probability_above_half():
     )
     expected = math.comb(50, 2) - math.comb(45, 2)  # every cross pair present
     assert cross == expected
+
+
+# ---------------------------------------------------------------------------
+# memory guard: the estimate is compared before anything is drawn; the tests
+# shrink the available memory, so a broken guard allocates only megabytes
+
+
+def test_available_memory_is_read():
+    have = models_mod.available_memory()
+    assert have is None or have > 0
+
+
+def test_expected_pairs_per_model():
+    total = 1000 * 999 / 2
+    assert ModelParams(n=1000, p=0.01).expected_pairs("gnp") == pytest.approx(0.01 * total)
+    assert ModelParams(n=1000, p=0.01).expected_pairs("dnp") == pytest.approx(0.02 * total)
+    # 100 planted vertices: their pairs at min(1, 2p), the rest at p
+    cross = 100 * (2 * 1000 - 100 - 1) / 2
+    planted = ModelParams(n=1000, p=0.6, delta=0.1).expected_pairs("planted")
+    assert planted == pytest.approx(cross + 0.6 * (total - cross))
+
+
+@pytest.mark.parametrize("model", ["gnp", "dnp", "planted"])
+def test_memory_guard_refuses_before_drawing(monkeypatch, model):
+    params = ModelParams(n=2000, p=0.2, delta=0.1, seed=1)
+    need = models_mod._BYTES_PER_PAIR[model] * params.expected_pairs(model)
+    gen = {"gnp": gen_gnp, "dnp": gen_dnp, "planted": gen_planted}[model]
+    monkeypatch.setattr(models_mod, "available_memory", lambda: int(need / 2))
+    monkeypatch.setattr(models_mod, "_bernoulli_indices", None)  # drawing would fail
+    with pytest.raises(ValueError, match="MB is available"):
+        gen(params)
+    monkeypatch.undo()
+    monkeypatch.setattr(models_mod, "available_memory", lambda: int(2 * need))
+    gen(params)
+    monkeypatch.setattr(models_mod, "available_memory", lambda: None)
+    gen(params)
