@@ -26,11 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (
+    _CHUNK,
     Digraph,
     Graph,
     GraphError,
     _gather,
     _induced_edges,
+    _removed_mask,
     find,
     is_acyclic_undirected,
     shadow_undirected,
@@ -261,8 +263,11 @@ def prune_fvs(g: Graph, fvs) -> np.ndarray:
     valid feedback vertex set.
     """
     removed = set(int(v) for v in fvs)
+    gone = _removed_mask(g.n, removed)
     parent = np.arange(g.n, dtype=np.int64)
-    kept = ((a, b) for a, b in g.edge_list.tolist() if a not in removed and b not in removed)
+    # the edges between survivors, a slice of the edge list at a time
+    slices = (g.edge_list[s:s + _CHUNK] for s in range(0, g.num_edges, _CHUNK))
+    kept = (e for part in slices for e in part[~gone[part].any(axis=1)].tolist())
     if not union_edges(parent, kept):
         raise ValueError("input is not a feedback vertex set")
 

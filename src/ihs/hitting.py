@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class HittingSet:
@@ -87,14 +89,33 @@ def hits_all(h: Iterable[int], fam: SubsetFamily) -> bool:
     return all(not hs.isdisjoint(s) for s in fam.subsets)
 
 
-def absorb_unhit(subsets: Iterable[Iterable[int]]) -> list[int]:
-    """Take every subset that the elements taken so far miss, whole, in the
-    given order; returns the sorted union of the taken subsets."""
-    chosen: set[int] = set()
-    for s in subsets:
-        if chosen.isdisjoint(s):
-            chosen.update(s)
-    return sorted(chosen)
+_BLOCK = 1 << 12  # rows per block of the greedy scan
+
+
+def absorb_unhit(rows: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Take, whole and in row order, every row of the int array ``rows`` that
+    has no element set in the bool mask ``taken`` yet, setting its elements
+    there; returns ``taken``. A row of a set may repeat its elements, so sets
+    of mixed sizes fit one array by padding each with its last element.
+
+    Rows are scanned a block at a time: the block's unhit rows are found in
+    one pass, and after each take only the rows still unhit are checked again.
+    """
+    for s in range(0, rows.shape[0], _BLOCK):
+        block = rows[s:s + _BLOCK]
+        unhit = np.flatnonzero(~_hit(taken, block))
+        while unhit.size:
+            taken[block[unhit[0]]] = True
+            unhit = unhit[1:][~_hit(taken, block[unhit[1:]])]
+    return taken
+
+
+def _hit(taken: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether each row has an element set in ``taken``, a column at a time."""
+    hit = taken[rows[:, 0]]
+    for j in range(1, rows.shape[1]):
+        hit |= taken[rows[:, j]]
+    return hit
 
 
 def greedy_hitting_set(fam: SubsetFamily, order: Sequence[int] | None = None) -> HittingSet:
@@ -104,8 +125,11 @@ def greedy_hitting_set(fam: SubsetFamily, order: Sequence[int] | None = None) ->
     The result hits every processed subset, and when every subset has at most
     k elements it is within a factor k of optimal.
     """
-    subsets = fam.subsets if order is None else (fam.subsets[i] for i in order)
-    return HittingSet(tuple(absorb_unhit(subsets)))
+    subsets = fam.subsets if order is None else [fam.subsets[i] for i in order]
+    width = max(map(len, subsets), default=1)
+    rows = np.array([s + s[-1:] * (width - len(s)) for s in subsets], dtype=np.int64)
+    taken = absorb_unhit(rows.reshape(-1, width), np.zeros(fam.universe_size, dtype=bool))
+    return HittingSet(tuple(np.flatnonzero(taken).tolist()))
 
 
 def _drop_supersets(masks: list[int]) -> list[int]:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Digraph, Graph, GraphError
+from .graphs import _CHUNK, Digraph, Graph, GraphError
 from .models import ModelParams
 
 MAGIC = "ihs-graph"
@@ -44,14 +44,14 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def instance_to_text(inst: Instance) -> str:
+def _write(out, inst: Instance) -> None:
+    """Write ``inst`` to the text stream ``out``, its pair lines a slice at a time."""
     g = inst.graph
     pairs = g.arc_list if inst.directed else g.edge_list
-    out = io.StringIO()
     kind = "directed" if inst.directed else "undirected"
     out.write(f"{MAGIC} {VERSION} {kind} {g.n} {pairs.shape[0]}\n")
-    for u, v in pairs.tolist():
-        out.write(f"{u} {v}\n")
+    for s in range(0, pairs.shape[0], _CHUNK):
+        out.write("".join(f"{u} {v}\n" for u, v in pairs[s:s + _CHUNK].tolist()))
     if inst.planted is not None:
         ids = " ".join(str(v) for v in sorted(inst.planted))
         out.write(f"planted {len(inst.planted)}{ ' ' + ids if ids else ''}\n")
@@ -65,11 +65,17 @@ def instance_to_text(inst: Instance) -> str:
             fields.append(f"k={p.k}")
         fields.append(f"seed={p.seed}")
         out.write("params " + " ".join(fields) + "\n")
+
+
+def instance_to_text(inst: Instance) -> str:
+    out = io.StringIO()
+    _write(out, inst)
     return out.getvalue()
 
 
 def write_instance(path: str | Path, inst: Instance) -> None:
-    Path(path).write_text(instance_to_text(inst))
+    with open(path, "w") as fh:
+        _write(fh, inst)
 
 
 def instance_from_text(text: str) -> Instance:

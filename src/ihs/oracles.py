@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Digraph, Graph, GraphError
+from .graphs import Digraph, Graph, GraphError, _gather
 from .hitting import SubsetFamily
 
 
@@ -274,18 +273,50 @@ def shortest_cycle_oracle(g_or_d: Graph | Digraph, directed: bool | None = None)
     return OracleContract(check=check, universe_size=g_or_d.n)
 
 
-def cycles_of_length(d: Digraph, k: int, limit: int | None = None) -> list[tuple[int, ...]]:
-    """Every simple directed cycle on exactly ``k`` vertices, as sorted vertex
-    tuples; with ``limit``, only the first ``limit`` of them.
+def cycles_of_length(d: Digraph, k: int, limit: int | None = None) -> np.ndarray:
+    """Every simple directed cycle on exactly ``k`` vertices, as the rows of
+    an int32 ``(C, k)`` array, each row the cycle's vertex ids sorted; with
+    ``limit``, only the first ``limit`` of them.
 
-    Each cycle is found once, anchored at its minimum vertex. Output order:
-    anchor ascending, then path lexicographic. Cost grows with
-    out-degree**(k-1) per anchor; intended for small constant k.
+    Each cycle is found once, anchored at its minimum vertex. Row order:
+    anchor ascending, then path lexicographic, the order of ``walk_cycles``.
+    Per anchor ``a`` the paths grow one level at a time over the out-CSR, in
+    lexicographic order, keeping successors above ``a`` and off the path; the
+    last level keeps only successors with an arc back to ``a``. Cost grows
+    with out-degree**(k-1) per anchor; intended for small constant k.
     """
     if k < 2:
         raise ValueError("cycle length must be at least 2")
-    adj, succ = successor_lists(d)
-    cycles = (
-        tuple(sorted(path)) for a in range(d.n) for path in walk_cycles(adj, succ, a, k, a + 1)
-    )
-    return list(islice(cycles, limit))
+    indptr, indices = d.out_indptr, d.out_indices
+    closes = np.zeros(d.n, dtype=bool)  # arc back to the anchor
+    blocks: list[list[np.ndarray]] = []  # per anchor, its paths column by column
+    found = 0
+    for a in range(d.n):
+        if limit is not None and found >= limit:
+            break
+        into = d.in_neighbors(a)
+        into = into[into > a]
+        if into.size == 0:
+            continue
+        closes[into] = True
+        path = [np.full(1, a, dtype=np.int32)]
+        for level in range(1, k):
+            nbrs, rep = _gather(indptr, indices, path[-1])
+            keep = closes[nbrs] if level == k - 1 else nbrs > a
+            for col in path[1:-1]:  # the last vertex is no successor of itself
+                keep &= nbrs != col[rep]
+            rep = rep[keep]
+            path = [col[rep] for col in path] + [nbrs[keep]]
+        closes[into] = False
+        if path[0].size:
+            blocks.append(path)
+            found += path[0].size
+    if not blocks:
+        return np.empty((0, k), dtype=np.int32)
+    cols = [np.concatenate([b[j] for b in blocks])[:limit] for j in range(k)]
+    # the anchor is the row minimum: sort the rest with a compare-exchange network
+    for i in range(k - 1, 1, -1):
+        for j in range(1, i):
+            lo, hi = cols[j], cols[j + 1]
+            cols[j], cols[j + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+    return np.stack(cols, axis=1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Digraph
-from .hitting import absorb_unhit as greedy_hit_cycles
+from .hitting import absorb_unhit
 from .models import PlantedInstance
 from .oracles import cycles_of_length, successor_lists, walk_cycles
 
@@ -33,8 +33,9 @@ class RecoveryReport:
     exact_match: bool | None  # None when no ground truth was supplied
 
 
-def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000) -> list[tuple[int, ...]]:
-    """All simple cycles with at most k vertices, shortest lengths first.
+def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000) -> list[np.ndarray]:
+    """All simple cycles with at most k vertices: one int32 ``(C, length)``
+    array from ``cycles_of_length`` per length 2..k, shortest first.
 
     Within a length, cycles appear anchored at ascending minimum vertex and in
     path-lexicographic order, which fixes the greedy processing order. Raises
@@ -43,15 +44,26 @@ def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000) -> li
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    found: list[tuple[int, ...]] = []
+    found: list[np.ndarray] = []
+    total = 0
     for length in range(2, k + 1):
-        found.extend(cycles_of_length(d, length, limit=max_cycles + 1 - len(found)))
-        if len(found) > max_cycles:
+        found.append(cycles_of_length(d, length, limit=max_cycles + 1 - total))
+        total += len(found[-1])
+        if total > max_cycles:
             raise CycleBudgetExceeded(
                 f"more than {max_cycles} cycles of length <= {length}; "
                 "n*p is too large for this cycle length"
             )
     return found
+
+
+def greedy_hit_cycles(cycles: list[np.ndarray], n: int) -> list[int]:
+    """Absorb every cycle that the vertices taken so far miss, over the arrays
+    of ``collect_short_cycles`` in order; returns the sorted vertices taken."""
+    taken = np.zeros(n, dtype=bool)
+    for rows in cycles:
+        absorb_unhit(rows, taken)
+    return np.flatnonzero(taken).tolist()
 
 
 def recover_planted_fvs(
@@ -67,7 +79,7 @@ def recover_planted_fvs(
     if k < 3:
         raise ValueError("recovery needs k >= 3")
     cycles = collect_short_cycles(d, k, max_cycles=max_cycles)
-    greedy = greedy_hit_cycles(cycles)
+    greedy = greedy_hit_cycles(cycles, d.n)
 
     adj, succ = successor_lists(d)
     allowed = np.ones(d.n, dtype=bool)
@@ -78,7 +90,7 @@ def recover_planted_fvs(
     return RecoveryReport(
         recovered=recovered,
         greedy_set=greedy,
-        cycles_found=len(cycles),
+        cycles_found=sum(map(len, cycles)),
         exact_match=match,
     )
 

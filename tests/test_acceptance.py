@@ -306,7 +306,8 @@ def test_criterion_7_oracle_and_enumeration_equivalence():
                 if u != v and rng.random() < float(rng.uniform(0.1, 0.5))]
         d = Digraph(n, arcs)
         k = int(rng.choice([3, 4, 5]))
-        enum_ok += sorted(cycles_of_length(d, k)) == _brute_force_k_cycles(d, k)
+        cycles = [tuple(r) for r in cycles_of_length(d, k).tolist()]
+        enum_ok += sorted(cycles) == _brute_force_k_cycles(d, k)
 
     oracle_ok = 0
     pair_runs = 500

@@ -88,6 +88,34 @@ def test_greedy_respects_order():
     assert greedy_hitting_set(fam, order=[1, 0]).members == (3, 4, 5)
 
 
+def tuple_greedy(subsets):
+    """The greedy as a loop over tuples: take each subset the taken set misses."""
+    chosen = set()
+    for s in subsets:
+        if chosen.isdisjoint(s):
+            chosen.update(s)
+    return tuple(sorted(chosen))
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+@pytest.mark.parametrize("seed", range(20))
+def test_array_greedy_matches_tuple_loop(monkeypatch, seed, block):
+    # subsets of sizes 1..5 become rows padded with their last element; small
+    # blocks move the scan's block boundaries through the family
+    import ihs.hitting as hitting_mod
+
+    monkeypatch.setattr(hitting_mod, "_BLOCK", block)
+    rng = np.random.default_rng(20_000 + seed)
+    universe = int(rng.integers(5, 40))
+    fam = SubsetFamily(universe)
+    for _ in range(int(rng.integers(1, 80))):
+        fam.add(rng.choice(universe, size=int(rng.integers(1, min(5, universe) + 1)), replace=False).tolist())
+    assert greedy_hitting_set(fam).members == tuple_greedy(fam.subsets)
+    order = rng.permutation(len(fam)).tolist()
+    want = tuple_greedy(fam.subsets[i] for i in order)
+    assert greedy_hitting_set(fam, order=order).members == want
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_greedy_k_approximation(seed):
     # 50 random size-3 subsets over a 20 element universe

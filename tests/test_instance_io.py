@@ -6,6 +6,7 @@ from ihs import (
     Instance,
     InstanceFormatError,
     ModelParams,
+    gen_gnp,
     gen_planted,
     read_instance,
     write_instance,
@@ -38,6 +39,22 @@ def test_round_trip_planted(tmp_path):
     assert back.planted == model.planted
     assert back.params == model.params
     assert instance_to_text(back) == path.read_text()
+
+
+@pytest.mark.parametrize("kind", ["gnp", "planted", "empty"])
+def test_file_bytes_equal_text(tmp_path, kind):
+    # the gnp instance has ~79k edges, more than one slice of pair lines
+    if kind == "gnp":
+        params = ModelParams(n=1500, p=0.07, seed=3)
+        inst = Instance(graph=gen_gnp(params), directed=False, params=params)
+    elif kind == "planted":
+        model = gen_planted(ModelParams(n=60, p=0.3, delta=0.1, k=3, seed=2))
+        inst = Instance(graph=model.digraph, directed=True, planted=model.planted, params=model.params)
+    else:
+        inst = Instance(graph=Graph(0), directed=False)
+    path = tmp_path / "inst.txt"
+    write_instance(path, inst)
+    assert path.read_bytes() == instance_to_text(inst).encode()
 
 
 def test_trailer_lines():

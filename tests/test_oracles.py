@@ -15,6 +15,7 @@ from ihs import (
     is_acyclic_undirected,
     shortest_cycle_oracle,
 )
+from ihs.oracles import successor_lists, walk_cycles
 
 from test_graphs import random_digraph, random_graph
 
@@ -188,13 +189,17 @@ def brute_force_k_cycles(d: Digraph, k: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _rows(a):
+    return [tuple(r) for r in a.tolist()]
+
+
 def test_cycles_of_length_trivial():
     dag = Digraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    assert cycles_of_length(dag, 3) == []
+    assert _rows(cycles_of_length(dag, 3)) == []
     tri = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    assert cycles_of_length(tri, 3) == [(0, 1, 2)]
+    assert _rows(cycles_of_length(tri, 3)) == [(0, 1, 2)]
     anti = Digraph(2, [(0, 1), (1, 0)])
-    assert cycles_of_length(anti, 2) == [(0, 1)]
+    assert _rows(cycles_of_length(anti, 2)) == [(0, 1)]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -203,11 +208,29 @@ def test_cycles_of_length_matches_brute_force(seed, k):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 9))
     d = random_digraph(n, float(rng.uniform(0.1, 0.5)), 30_000 + seed)
-    assert sorted(cycles_of_length(d, k)) == brute_force_k_cycles(d, k)
+    assert sorted(_rows(cycles_of_length(d, k))) == brute_force_k_cycles(d, k)
+
+
+@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_cycles_of_length_in_walk_order(seed, k):
+    # rows and their order equal the anchored walks over ascending anchors,
+    # each path sorted; a limit inside an anchor's block keeps a prefix
+    rng = np.random.default_rng(seed)
+    d = random_digraph(int(rng.integers(2, 11)), float(rng.uniform(0.1, 0.6)), 40_000 + seed)
+    adj, succ = successor_lists(d)
+    walked = [tuple(sorted(path)) for a in range(d.n) for path in walk_cycles(adj, succ, a, k, a + 1)]
+    got = cycles_of_length(d, k)
+    assert got.dtype == np.int32 and got.shape == (len(walked), k)
+    assert _rows(got) == walked
+    anchors = [min(c) for c in walked]
+    inside = [i for i in range(1, len(walked)) if anchors[i] == anchors[i - 1]]
+    for limit in inside[:3] + [0, len(walked), len(walked) + 5]:
+        assert _rows(cycles_of_length(d, k, limit=limit)) == walked[:limit]
 
 
 def test_cycles_deterministic_order():
     d = Digraph(5, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1), (2, 3), (3, 0)])
-    assert cycles_of_length(d, 3) == cycles_of_length(d, 3)
-    anchors = [c[0] for c in cycles_of_length(d, 3)]
+    assert _rows(cycles_of_length(d, 3)) == _rows(cycles_of_length(d, 3))
+    anchors = [c[0] for c in _rows(cycles_of_length(d, 3))]
     assert anchors == sorted(anchors)

@@ -65,6 +65,25 @@ def test_recovery_exact_on_model_instances(seed):
     assert len(report.greedy_set) <= 3 * len(inst.planted)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_hit_cycles_matches_tuple_loop(seed):
+    # the array greedy over one array per length takes the same vertices as
+    # absorbing the cycle tuples one by one, 2-cycles first
+    import ihs.planted as planted_mod
+
+    inst = gen_planted(ModelParams(n=80, p=0.5, delta=0.1, k=4, seed=seed))
+    arcs = inst.digraph.arc_list.tolist()
+    d = Digraph(inst.digraph.n, arcs + [(v, u) for u, v in arcs[:2]])  # two 2-cycles
+    cycles = planted_mod.collect_short_cycles(d, 4)
+    assert [c.shape[1] for c in cycles] == [2, 3, 4] and len(cycles[0]) > 0
+    chosen = set()
+    for rows in cycles:
+        for cyc in rows.tolist():
+            if chosen.isdisjoint(cyc):
+                chosen.update(cyc)
+    assert planted_mod.greedy_hit_cycles(cycles, d.n) == sorted(chosen)
+
+
 def test_cycle_budget_guard():
     inst = gen_planted(ModelParams(n=120, p=0.6, delta=0.1, k=3, seed=0))
     with pytest.raises(CycleBudgetExceeded):
