@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .hitting import HittingSet, SubsetFamily, exact_min_hitting_set
+from .hitting import HittingSet, SubsetFamily, _mask, _unmask, exact_min_hitting_set
 from .oracles import OracleContract, OracleProtocolError, OracleVerdict
 
 
@@ -53,7 +53,7 @@ class SolverAbort(RuntimeError):
         self.collected = collected
 
 
-def _validated(verdict: OracleVerdict, query: set[int]) -> OracleVerdict:
+def _validated(verdict: OracleVerdict, query: set[int] | frozenset[int]) -> OracleVerdict:
     if not verdict.feasible:
         if not verdict.missed:
             raise OracleProtocolError("oracle returned an empty missed subset")
@@ -62,81 +62,94 @@ def _validated(verdict: OracleVerdict, query: set[int]) -> OracleVerdict:
     return verdict
 
 
+def _swap_proposal(current: int, outside: int, gamma: list[int], max_swap_out: int) -> int | None:
+    """The first set ``(current - Y) | X`` of the swap enumeration that hits
+    every mask in ``gamma``, as a mask; None when no swap applies.
+
+    ``current`` and ``outside`` are disjoint element masks. For each ``Y`` the
+    masks that ``current - Y`` leaves unhit are found once (only those meeting
+    ``current`` in at most ``|Y|`` elements can be), and each ``X`` is tested
+    against them alone.
+    """
+    inside = [1 << e for e in _unmask(current)]
+    out = [1 << e for e in _unmask(outside)]
+    meets = [(s, s & current) for s in gamma]
+    for y_size in range(1, min(max_swap_out, len(inside)) + 1):
+        few = [(s, t) for s, t in meets if t.bit_count() <= y_size]
+        x_sizes = range(1, min(y_size, len(out) + 1))
+        for y in combinations(inside, y_size):
+            ymask = sum(y)
+            kept = current ^ ymask
+            unhit = [s for s, t in few if not t & ~ymask]
+            if not unhit:
+                return kept
+            common = outside  # X = {x} works iff x is set here; the lowest comes first
+            for s in unhit:
+                common &= s
+            if common and x_sizes:
+                return kept | (common & -common)
+            for x_size in x_sizes[1:]:
+                for x in combinations(out, x_size):
+                    xmask = sum(x)
+                    if all(s & xmask for s in unhit):
+                        return kept | xmask
+    return None
+
+
 def solve_implicit_hitting_set(universe_size: int, cfg: GenericSolverConfig) -> SolveCertificate:
     """Run the alternating swap/relaxation loop to a certified optimum.
 
     Swap enumeration is deterministic: ``|Y|`` ascending, Y over sorted subsets
     of the current set, then ``|X|`` ascending over sorted subsets of the
-    complement, first feasible candidate accepted.
+    complement, first feasible candidate accepted. The current set and the
+    collected subsets are kept as int masks.
     """
     if universe_size <= 0:
         raise ValueError("universe must be nonempty")
     oracle = cfg.oracle
     budget = cfg.max_iterations if cfg.max_iterations is not None else 10 * universe_size + 1000
     collected = SubsetFamily(universe_size)
-    gamma: list[set[int]] = []
+    gamma: list[int] = []
     oracle_calls = 0
     subroutine_calls = 0
+    universe = (1 << universe_size) - 1
 
-    def ask(query: set[int]) -> OracleVerdict:
+    def ask(query: frozenset[int]) -> OracleVerdict:
         nonlocal oracle_calls
         oracle_calls += 1
         if oracle_calls > budget:
-            raise SolverAbort(
-                f"iteration cap {budget} exceeded", tuple(sorted(current)), collected
-            )
-        return _validated(oracle.check(frozenset(query)), query)
+            raise SolverAbort(f"iteration cap {budget} exceeded", _unmask(current), collected)
+        return _validated(oracle.check(query), query)
 
     def collect(subset: tuple[int, ...]) -> None:
         # every query hits the collected subsets, so a repeat breaks the contract
         if not collected.add(subset):
             raise OracleProtocolError(f"oracle repeated an already collected subset {subset}")
-        gamma.append(set(subset))
+        gamma.append(_mask(subset))
 
-    def gamma_feasible(candidate: set[int]) -> bool:
-        return all(not s.isdisjoint(candidate) for s in gamma)
-
-    current: set[int] = set(range(universe_size))
     while True:
-        current = set(range(universe_size))
+        current = universe
         # bounded-swap descent: keep the collected family hit at every step
         while True:
-            proposal = None
-            for y_size in range(1, cfg.max_swap_out + 1):
-                if y_size > len(current):
-                    break
-                outside = sorted(set(range(universe_size)) - current)
-                for y in combinations(sorted(current), y_size):
-                    for x_size in range(0, min(y_size, len(outside) + 1)):
-                        for x in combinations(outside, x_size):
-                            cand = (current | set(x)) - set(y)
-                            if gamma_feasible(cand):
-                                proposal = cand
-                                break
-                        if proposal is not None:
-                            break
-                    if proposal is not None:
-                        break
-                if proposal is not None:
-                    break
+            proposal = _swap_proposal(current, universe ^ current, gamma, cfg.max_swap_out)
             if proposal is None:
                 break
-            verdict = ask(proposal)
+            verdict = ask(frozenset(_unmask(proposal)))
             if verdict.feasible:
                 current = proposal
             else:
                 collect(verdict.missed)
         optimum = exact_min_hitting_set(collected)
         subroutine_calls += 1
-        if len(optimum.members) == len(current):
+        if len(optimum.members) == current.bit_count():
             return SolveCertificate(
-                solution=HittingSet.of(current),
+                solution=HittingSet(_unmask(current)),
                 collected=collected,
                 proof="size_match",
                 oracle_calls=oracle_calls,
                 subroutine_calls=subroutine_calls,
             )
-        verdict = ask(set(optimum.members))
+        verdict = ask(frozenset(optimum.members))
         if verdict.feasible:
             return SolveCertificate(
                 solution=optimum,

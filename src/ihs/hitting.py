@@ -74,12 +74,10 @@ def _mask(elements: Iterable[int]) -> int:
 
 def _unmask(m: int) -> tuple[int, ...]:
     out = []
-    e = 0
     while m:
-        if m & 1:
-            out.append(e)
-        m >>= 1
-        e += 1
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
     return tuple(out)
 
 
@@ -148,12 +146,8 @@ def _greedy_cover_size(masks: list[int]) -> int:
     while remaining:
         counts: dict[int, int] = {}
         for m in remaining:
-            mm = m
-            while mm:
-                low = mm & -mm
-                e = low.bit_length() - 1
+            for e in _unmask(m):
                 counts[e] = counts.get(e, 0) + 1
-                mm ^= low
         best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
         remaining = [m for m in remaining if not (m >> best) & 1]
         size += 1
@@ -170,25 +164,56 @@ def _disjoint_lower_bound(masks: list[int]) -> int:
     return lb
 
 
-def _element_order(masks: list[int], pick_mask: int) -> list[int]:
-    # elements of the branching subset, most-covering first, ties by id
-    counts: dict[int, int] = {}
-    for e in _unmask(pick_mask):
-        counts[e] = sum(m >> e & 1 for m in masks)
-    return sorted(counts, key=lambda e: (-counts[e], e))
-
-
 def _cover_exists(masks: list[int], budget: int) -> bool:
+    """Whether at most ``budget`` elements hit every mask: a sound and
+    complete branch and bound over int bitsets.
+
+    The masks, stably sorted by size, become the bit positions of an int, so
+    the subsets a node still has to hit are one int ``alive``. Element ``e``
+    is the column ``col[e]`` of the subsets that contain it, and taking it
+    leaves ``alive & ~col[e]``. A node branches on its lowest alive bit, a
+    smallest unhit subset, over that subset's elements by descending
+    ``(col[e] & alive).bit_count()``, ties by id. Its bound counts pairwise
+    disjoint alive subsets greedily: take the lowest alive bit ``i`` and clear
+    ``kill[i]``, the union of subset ``i``'s columns, until the count exceeds
+    the budget.
+    """
     if not masks:
         return True
     if budget <= 0 or 0 in masks:
         return False
-    if _disjoint_lower_bound(masks) > budget:
-        return False
-    pick = min(masks, key=int.bit_count)
-    for e in _element_order(masks, pick):
-        bit = 1 << e
-        if _cover_exists([m for m in masks if not m & bit], budget - 1):
+    masks = sorted(masks, key=int.bit_count)
+    elems = [_unmask(m) for m in masks]
+    col = [0] * max(masks).bit_length()
+    for i, es in enumerate(elems):
+        bit = 1 << i
+        for e in es:
+            col[e] |= bit
+    kill = []
+    for es in elems:
+        k = 0
+        for e in es:
+            k |= col[e]
+        kill.append(k)
+    return _search((1 << len(masks)) - 1, budget, col, kill, elems)
+
+
+def _search(
+    alive: int, budget: int, col: list[int], kill: list[int], elems: list[tuple[int, ...]]
+) -> bool:
+    """One node of ``_cover_exists``: can ``budget`` elements hit every subset in ``alive``?"""
+    lb = 0
+    rest = alive
+    while rest:
+        lb += 1
+        if lb > budget:
+            return False
+        rest &= ~kill[(rest & -rest).bit_length() - 1]
+    pick = elems[(alive & -alive).bit_length() - 1]
+    # stable on ascending ids, so ties keep the smaller element first
+    for e in sorted(pick, key=lambda e: -(col[e] & alive).bit_count()):
+        rest = alive & ~col[e]
+        if not rest or (budget > 1 and _search(rest, budget - 1, col, kill, elems)):
             return True
     return False
 
@@ -198,9 +223,12 @@ def exact_min_hitting_set(fam: SubsetFamily) -> HittingSet:
     smallest sorted member list.
 
     The optimum size is the smallest budget between the pairwise-disjoint
-    lower bound and the greedy upper bound for which the branch and bound of
-    ``_cover_exists`` finds a cover; a lexicographic reconstruction at that
-    size follows.
+    lower bound and the greedy upper bound for which ``_cover_exists`` finds
+    a cover; a lexicographic reconstruction at that size follows, asking
+    ``_cover_exists`` for each candidate element whether the subsets it leaves
+    unhit, cut to the elements above it, still have a cover. Each call builds
+    its own columns: subsets are bit positions of an int, each element the
+    int of the subsets containing it (see ``_cover_exists``).
     """
     masks = _drop_supersets(fam.masks())
     if not masks:
@@ -215,9 +243,10 @@ def exact_min_hitting_set(fam: SubsetFamily) -> HittingSet:
     floor_elem = 0
     while remaining:
         placed = False
-        for e in range(floor_elem, fam.universe_size):
-            if not any((m >> e) & 1 for m in remaining):
-                continue
+        present = 0
+        for m in remaining:
+            present |= m
+        for e in _unmask(present >> floor_elem << floor_elem):
             rest = [m for m in remaining if not (m >> e) & 1]
             low_bits = (1 << (e + 1)) - 1
             if _cover_exists([m & ~low_bits for m in rest], budget - 1):

@@ -141,9 +141,9 @@ def bfs_cycle_oracle(g: Graph, root: int = 0) -> OracleContract:
     adj = successor_lists(g)[0]
 
     def check(h: Iterable[int]) -> OracleVerdict:
-        blocked = _blocked_mask(g.n, h)
-        parent = np.full(g.n, -1, dtype=np.int64)
-        depth = np.zeros(g.n, dtype=np.int64)
+        blocked = _blocked_mask(g.n, h).tolist()
+        parent = [-1] * g.n
+        depth = [0] * g.n
         visited = blocked.copy()
         starts = [root] + list(range(g.n))
         for s in starts:
@@ -168,28 +168,28 @@ def bfs_cycle_oracle(g: Graph, root: int = 0) -> OracleContract:
     return OracleContract(check=check, universe_size=g.n)
 
 
-def _tree_cycle(parent: np.ndarray, depth: np.ndarray, u: int, v: int) -> list[int]:
+def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> list[int]:
     """Vertices of the cycle formed by tree paths from u and v to their lowest common ancestor."""
     path_u = [u]
     path_v = [v]
     while depth[path_u[-1]] > depth[path_v[-1]]:
-        path_u.append(int(parent[path_u[-1]]))
+        path_u.append(parent[path_u[-1]])
     while depth[path_v[-1]] > depth[path_u[-1]]:
-        path_v.append(int(parent[path_v[-1]]))
+        path_v.append(parent[path_v[-1]])
     while path_u[-1] != path_v[-1]:
-        path_u.append(int(parent[path_u[-1]]))
-        path_v.append(int(parent[path_v[-1]]))
+        path_u.append(parent[path_u[-1]])
+        path_v.append(parent[path_v[-1]])
     return path_u + path_v[:-1]
 
 
-def _girth_undirected(adj: list[list[int]], blocked: np.ndarray) -> int | None:
+def _girth_undirected(adj: list[list[int]], blocked: list[bool]) -> int | None:
     n = len(adj)
     best: int | None = None
     for s in range(n):
         if blocked[s]:
             continue
-        parent = np.full(n, -1, dtype=np.int64)
-        depth = np.full(n, -1, dtype=np.int64)
+        parent = [-1] * n
+        depth = [-1] * n
         depth[s] = 0
         queue = deque([s])
         while queue:
@@ -210,15 +210,15 @@ def _girth_undirected(adj: list[list[int]], blocked: np.ndarray) -> int | None:
     return best
 
 
-def _girth_directed(d: Digraph, adj: list[list[int]], blocked: np.ndarray) -> int | None:
+def _girth_directed(d: Digraph, adj: list[list[int]], blocked: list[bool]) -> int | None:
     best: int | None = None
     for s in range(d.n):
         if blocked[s]:
             continue
-        into_s = set(int(w) for w in d.in_neighbors(s).tolist() if not blocked[w])
+        into_s = {w for w in d.in_neighbors(s).tolist() if not blocked[w]}
         if not into_s:
             continue
-        dist = np.full(d.n, -1, dtype=np.int64)
+        dist = [-1] * d.n
         dist[s] = 0
         queue = deque([s])
         while queue:
@@ -226,7 +226,7 @@ def _girth_directed(d: Digraph, adj: list[list[int]], blocked: np.ndarray) -> in
             if best is not None and dist[u] + 1 >= best:
                 break
             if u in into_s and u != s:
-                length = int(dist[u]) + 1
+                length = dist[u] + 1
                 if best is None or length < best:
                     best = length
                 break
@@ -257,9 +257,9 @@ def shortest_cycle_oracle(g_or_d: Graph | Digraph, directed: bool | None = None)
     def check(h: Iterable[int]) -> OracleVerdict:
         blocked = _blocked_mask(g_or_d.n, h)
         if directed:
-            length = _girth_directed(g_or_d, adj, blocked)
+            length = _girth_directed(g_or_d, adj, blocked.tolist())
         else:
-            length = _girth_undirected(adj, blocked)
+            length = _girth_undirected(adj, blocked.tolist())
         if length is None:
             return OracleVerdict.ok()
         allowed = ~blocked

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from ihs import (
     GenericSolverConfig,
     Graph,
+    ModelParams,
     OracleContract,
     OracleProtocolError,
     OracleVerdict,
@@ -12,8 +15,10 @@ from ihs import (
     bfs_cycle_oracle,
     exact_min_hitting_set,
     explicit_family_oracle,
+    gen_gnp,
     hits_all,
     online_augment,
+    shortest_cycle_oracle,
     solve_implicit_hitting_set,
 )
 
@@ -126,3 +131,105 @@ def test_online_augment_feasible_with_bounded_misses(seed):
     hs, misses = online_augment(universe, explicit_family_oracle(fam))
     assert hits_all(hs.members, fam)
     assert misses <= universe
+
+
+def reference_descent(universe_size, cfg):
+    """The swap/relaxation loop over Python sets, as it was before the bitmask
+    descent: every candidate is checked against the whole collected family.
+    Returns (solution, collected subsets, proof, oracle calls)."""
+    budget = cfg.max_iterations if cfg.max_iterations is not None else 10 * universe_size + 1000
+    collected = SubsetFamily(universe_size)
+    calls = 0
+    current = set(range(universe_size))
+
+    def ask(query):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise SolverAbort("cap", tuple(sorted(current)), collected)
+        return cfg.oracle.check(frozenset(query))
+
+    while True:
+        current = set(range(universe_size))
+        while True:
+            proposal = None
+            outside = sorted(set(range(universe_size)) - current)
+            for y_size in range(1, min(cfg.max_swap_out, len(current)) + 1):
+                for y in combinations(sorted(current), y_size):
+                    for x_size in range(0, min(y_size, len(outside) + 1)):
+                        for x in combinations(outside, x_size):
+                            cand = (current | set(x)) - set(y)
+                            if all(not cand.isdisjoint(s) for s in collected):
+                                proposal = cand
+                                break
+                        if proposal is not None:
+                            break
+                    if proposal is not None:
+                        break
+                if proposal is not None:
+                    break
+            if proposal is None:
+                break
+            verdict = ask(proposal)
+            if verdict.feasible:
+                current = proposal
+            else:
+                collected.add(verdict.missed)
+        optimum = exact_min_hitting_set(collected)
+        if optimum.size == len(current):
+            return tuple(sorted(current)), list(collected), "size_match", calls
+        verdict = ask(optimum.members)
+        if verdict.feasible:
+            return optimum.members, list(collected), "feasible_optimum", calls
+        collected.add(verdict.missed)
+
+
+def recorded(contract):
+    """The contract with every query it receives appended to a list."""
+    queries = []
+
+    def check(h):
+        queries.append(tuple(sorted(h)))
+        return contract.check(h)
+
+    return OracleContract(check=check, universe_size=contract.universe_size), queries
+
+
+def assert_same_run(universe_size, contract, **kwargs):
+    ours, got = recorded(contract)
+    theirs, want = recorded(contract)
+    expected = reference_descent(universe_size, GenericSolverConfig(oracle=theirs, **kwargs))
+    cert = solve_implicit_hitting_set(universe_size, GenericSolverConfig(oracle=ours, **kwargs))
+    assert got == want
+    assert (cert.solution.members, list(cert.collected), cert.proof, cert.oracle_calls) == expected
+    return cert
+
+
+@pytest.mark.parametrize("ymax", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(50))
+def test_query_sequence_matches_set_descent_explicit(seed, ymax):
+    # at ymax=3, seeds 28, 38, 39 and 42 accept a swap that adds two elements
+    rng = np.random.default_rng(40_000 + seed)
+    universe = int(rng.integers(3, 14))
+    fam = random_family(rng, universe, int(rng.integers(1, 14)), min(4, universe))
+    assert_same_run(universe, explicit_family_oracle(fam), max_swap_out=ymax)
+
+
+@pytest.mark.parametrize("oracle", [bfs_cycle_oracle, shortest_cycle_oracle])
+def test_query_sequence_matches_set_descent_cycles(oracle):
+    g = gen_gnp(ModelParams(n=30, p=0.15, seed=1))
+    cert = assert_same_run(30, oracle(g))
+    assert cert.oracle_calls > 100
+
+
+def test_query_sequence_matches_set_descent_at_the_cap():
+    contract = bfs_cycle_oracle(gen_gnp(ModelParams(n=30, p=0.15, seed=1)))
+    ours, got = recorded(contract)
+    theirs, want = recorded(contract)
+    with pytest.raises(SolverAbort) as expected:
+        reference_descent(30, GenericSolverConfig(oracle=theirs, max_iterations=120))
+    with pytest.raises(SolverAbort) as info:
+        solve_implicit_hitting_set(30, GenericSolverConfig(oracle=ours, max_iterations=120))
+    assert got == want and len(got) == 120
+    assert info.value.best == expected.value.best
+    assert list(info.value.collected) == list(expected.value.collected)

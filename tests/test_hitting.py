@@ -1,8 +1,25 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ihs import HittingSet, SubsetFamily, exact_min_hitting_set, greedy_hitting_set, hits_all
+import ihs.generic as generic_mod
+from ihs import (
+    GenericSolverConfig,
+    HittingSet,
+    ModelParams,
+    SolverAbort,
+    SubsetFamily,
+    bfs_cycle_oracle,
+    exact_min_hitting_set,
+    gen_gnp,
+    greedy_hitting_set,
+    hits_all,
+    shortest_cycle_oracle,
+    solve_implicit_hitting_set,
+)
+from ihs.hitting import _cover_exists, _mask
 
 
 def brute_force_optima(universe: int, subsets: list[tuple[int, ...]]):
@@ -151,3 +168,184 @@ def test_hitting_set_container():
     h = HittingSet.of([3, 1, 1])
     assert h.members == (1, 3)
     assert h.size == 2
+
+
+def brute_cover_size(ids, masks):
+    """Fewest of ``ids`` that hit every (nonempty) mask, by trying every subset."""
+    for k in range(len(ids) + 1):
+        for chosen in combinations(ids, k):
+            cm = _mask(chosen)
+            if all(m & cm for m in masks):
+                return k
+
+
+@st.composite
+def mask_families(draw):
+    # element ids up to 150 and up to 90 subsets: columns and the alive set
+    # both span several machine words
+    ids = draw(st.lists(st.integers(0, 150), min_size=1, max_size=9, unique=True))
+    subset = st.lists(st.sampled_from(ids), min_size=1, max_size=4)
+    return ids, [_mask(s) for s in draw(st.lists(subset, max_size=90))]
+
+
+def wide_family(seed, n_subsets):
+    rng = np.random.default_rng(seed)
+    ids = sorted(rng.choice(np.arange(60, 140), size=8, replace=False).tolist())
+    return ids, [_mask(rng.choice(ids, size=int(rng.integers(1, 4)), replace=False).tolist())
+                 for _ in range(n_subsets)]
+
+
+@given(mask_families())
+@example(wide_family(0, 70))
+@example(wide_family(1, 130))
+@settings(max_examples=150, deadline=None)
+def test_cover_exists_matches_brute_force(family):
+    ids, masks = family
+    size = brute_cover_size(ids, masks)
+    for budget in range(len(ids) + 1):
+        assert _cover_exists(masks, budget) == (budget >= size)
+
+
+def test_cover_exists_empty_subset_is_uncoverable():
+    assert not _cover_exists([0b11, 0], 2)
+    assert _cover_exists([], 0)
+
+
+# ---------------------------------------------------------------------------
+# the exact solver as it was before the bitset branch and bound, frozen here
+# as the reference: mask lists filtered per node
+
+def _ref_unmask(m):
+    return tuple(e for e in range(m.bit_length()) if m >> e & 1)
+
+
+def _ref_drop_supersets(masks):
+    masks = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    kept = []
+    for m in masks:
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _ref_greedy_cover_size(masks):
+    remaining = list(masks)
+    size = 0
+    while remaining:
+        counts = {}
+        for m in remaining:
+            for e in _ref_unmask(m):
+                counts[e] = counts.get(e, 0) + 1
+        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        remaining = [m for m in remaining if not (m >> best) & 1]
+        size += 1
+    return size
+
+
+def _ref_disjoint_lower_bound(masks):
+    used = 0
+    lb = 0
+    for m in masks:
+        if not m & used:
+            lb += 1
+            used |= m
+    return lb
+
+
+def _ref_cover_exists(masks, budget):
+    if not masks:
+        return True
+    if budget <= 0 or 0 in masks:
+        return False
+    if _ref_disjoint_lower_bound(masks) > budget:
+        return False
+    pick = min(masks, key=int.bit_count)
+    counts = {e: sum(m >> e & 1 for m in masks) for e in _ref_unmask(pick)}
+    for e in sorted(counts, key=lambda e: (-counts[e], e)):
+        bit = 1 << e
+        if _ref_cover_exists([m for m in masks if not m & bit], budget - 1):
+            return True
+    return False
+
+
+def reference_exact(fam):
+    masks = _ref_drop_supersets(fam.masks())
+    if not masks:
+        return ()
+    ub = _ref_greedy_cover_size(masks)
+    lb = _ref_disjoint_lower_bound(masks)
+    budget = next((b for b in range(lb, ub) if _ref_cover_exists(masks, b)), ub)
+    chosen = []
+    remaining = masks
+    floor_elem = 0
+    while remaining:
+        for e in range(floor_elem, fam.universe_size):
+            if not any((m >> e) & 1 for m in remaining):
+                continue
+            rest = [m for m in remaining if not (m >> e) & 1]
+            low_bits = (1 << (e + 1)) - 1
+            if _ref_cover_exists([m & ~low_bits for m in rest], budget - 1):
+                chosen.append(e)
+                remaining = rest
+                budget -= 1
+                floor_elem = e + 1
+                break
+    return tuple(chosen)
+
+
+def collected_families(monkeypatch, oracle, n, p):
+    """Copies of every family the generic solver hands its exact subroutine on
+    G(n, p) seed 1."""
+    families = []
+
+    def recording(fam):
+        families.append(SubsetFamily(fam.universe_size, fam.subsets))
+        return exact_min_hitting_set(fam)
+
+    monkeypatch.setattr(generic_mod, "exact_min_hitting_set", recording)
+    g = gen_gnp(ModelParams(n=n, p=p, seed=1))
+    contract = bfs_cycle_oracle(g) if oracle == "bfs-cycle" else shortest_cycle_oracle(g)
+    try:
+        solve_implicit_hitting_set(n, GenericSolverConfig(oracle=contract))
+    except SolverAbort:
+        pass
+    return families
+
+
+@pytest.mark.parametrize("oracle", ["bfs-cycle", "shortest-cycle"])
+@pytest.mark.parametrize("n, p", [(30, 0.15), (40, 0.1)])
+def test_exact_matches_frozen_reference_on_solver_families(monkeypatch, oracle, n, p):
+    families = collected_families(monkeypatch, oracle, n, p)
+    assert len(families) >= 5
+    for fam in families:
+        assert exact_min_hitting_set(fam).members == reference_exact(fam)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_matches_frozen_reference_on_random_families(seed):
+    rng = np.random.default_rng(30_000 + seed)
+    universe = int(rng.integers(3, 80))
+    fam = random_family(rng, universe, int(rng.integers(1, 100)), min(4, universe))
+    assert exact_min_hitting_set(fam).members == reference_exact(fam)
+
+
+def test_exact_solver_leaves_no_garbage_cycles():
+    # each branch and bound call must free its columns by reference counting
+    import gc
+
+    rng = np.random.default_rng(5)
+    fam = random_family(rng, 30, 60, 4)
+    g = gen_gnp(ModelParams(n=24, p=0.15, seed=1))
+    calls = [
+        lambda: exact_min_hitting_set(fam),
+        lambda: solve_implicit_hitting_set(24, GenericSolverConfig(oracle=bfs_cycle_oracle(g))),
+    ]
+    for call in calls:
+        call()
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
