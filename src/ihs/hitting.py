@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,8 +41,9 @@ class SubsetFamily:
             self.add(s)
 
     def add(self, subset: Iterable[int]) -> bool:
-        """Append ``subset``; returns False when it was already present."""
-        canon = tuple(sorted(set(subset)))
+        """Append ``subset``, its elements as Python ints; returns False when
+        it was already present."""
+        canon = tuple(sorted(set(map(operator.index, subset))))
         if not canon:
             raise ValueError("empty subsets are infeasible and cannot be inserted")
         if canon[0] < 0 or canon[-1] >= self.universe_size:
@@ -140,51 +142,18 @@ def _drop_supersets(masks: list[int]) -> list[int]:
     return kept
 
 
-def _greedy_cover_size(masks: list[int]) -> int:
-    remaining = list(masks)
-    size = 0
-    while remaining:
-        counts: dict[int, int] = {}
-        for m in remaining:
-            for e in _unmask(m):
-                counts[e] = counts.get(e, 0) + 1
-        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        remaining = [m for m in remaining if not (m >> best) & 1]
-        size += 1
-    return size
+def _columns(masks: list[int]) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+    """The bitset form of ``masks`` for ``_search``: ``col``, ``kill`` and ``elems``.
 
-
-def _disjoint_lower_bound(masks: list[int]) -> int:
-    used = 0
-    lb = 0
-    for m in masks:
-        if not m & used:
-            lb += 1
-            used |= m
-    return lb
-
-
-def _cover_exists(masks: list[int], budget: int) -> bool:
-    """Whether at most ``budget`` elements hit every mask: a sound and
-    complete branch and bound over int bitsets.
-
-    The masks, stably sorted by size, become the bit positions of an int, so
-    the subsets a node still has to hit are one int ``alive``. Element ``e``
-    is the column ``col[e]`` of the subsets that contain it, and taking it
-    leaves ``alive & ~col[e]``. A node branches on its lowest alive bit, a
-    smallest unhit subset, over that subset's elements by descending
-    ``(col[e] & alive).bit_count()``, ties by id. Its bound counts pairwise
-    disjoint alive subsets greedily: take the lowest alive bit ``i`` and clear
-    ``kill[i]``, the union of subset ``i``'s columns, until the count exceeds
-    the budget.
+    The masks, stably sorted by size, become the bit positions of an int, so a
+    set of subsets is one int. ``elems[i]`` lists the elements of subset
+    ``i``, ``col[e]`` is the int of the subsets that contain element ``e``,
+    and ``kill[i]`` is the union of subset ``i``'s columns: the subsets that
+    share an element with it.
     """
-    if not masks:
-        return True
-    if budget <= 0 or 0 in masks:
-        return False
     masks = sorted(masks, key=int.bit_count)
     elems = [_unmask(m) for m in masks]
-    col = [0] * max(masks).bit_length()
+    col = [0] * max(masks, default=0).bit_length()
     for i, es in enumerate(elems):
         bit = 1 << i
         for e in es:
@@ -195,13 +164,24 @@ def _cover_exists(masks: list[int], budget: int) -> bool:
         for e in es:
             k |= col[e]
         kill.append(k)
-    return _search((1 << len(masks)) - 1, budget, col, kill, elems)
+    return col, kill, elems
 
 
 def _search(
     alive: int, budget: int, col: list[int], kill: list[int], elems: list[tuple[int, ...]]
 ) -> bool:
-    """One node of ``_cover_exists``: can ``budget`` elements hit every subset in ``alive``?"""
+    """Whether at most ``budget`` elements hit every subset in the int
+    ``alive``: a sound and complete branch and bound over ``_columns``.
+
+    Taking element ``e`` leaves ``alive & ~col[e]``; an element whose column
+    is zero is retired and never taken. The bound counts pairwise disjoint
+    alive subsets greedily, taking the lowest alive bit ``i`` and clearing
+    ``kill[i]``, until the count exceeds the budget. A node branches on its
+    lowest alive bit, a smallest unhit subset, over that subset's elements by
+    descending ``(col[e] & alive).bit_count()``, ties by id.
+    """
+    if not alive:
+        return True
     lb = 0
     rest = alive
     while rest:
@@ -210,9 +190,13 @@ def _search(
             return False
         rest &= ~kill[(rest & -rest).bit_length() - 1]
     pick = elems[(alive & -alive).bit_length() - 1]
-    # stable on ascending ids, so ties keep the smaller element first
+    # stable on ascending ids, so ties keep the smaller element first; the
+    # retired elements of ``pick`` hit nothing and sort last
     for e in sorted(pick, key=lambda e: -(col[e] & alive).bit_count()):
-        rest = alive & ~col[e]
+        c = col[e]
+        if not c:
+            break
+        rest = alive & ~c
         if not rest or (budget > 1 and _search(rest, budget - 1, col, kill, elems)):
             return True
     return False
@@ -222,40 +206,27 @@ def exact_min_hitting_set(fam: SubsetFamily) -> HittingSet:
     """Minimum-cardinality hitting set; among optima, the lexicographically
     smallest sorted member list.
 
-    The optimum size is the smallest budget between the pairwise-disjoint
-    lower bound and the greedy upper bound for which ``_cover_exists`` finds
-    a cover; a lexicographic reconstruction at that size follows, asking
-    ``_cover_exists`` for each candidate element whether the subsets it leaves
-    unhit, cut to the elements above it, still have a cover. Each call builds
-    its own columns: subsets are bit positions of an int, each element the
-    int of the subsets containing it (see ``_cover_exists``).
+    One ``_columns`` build serves the whole call. The optimum is the smallest
+    budget for which ``_search`` finds a cover; below the disjoint bound the
+    search fails inside its bound loop. The reconstruction then walks the
+    elements in ascending order, retiring each (its column set to zero)
+    before asking ``_search`` whether the subsets it leaves unhit still have a
+    cover within the remaining budget by the elements above it; when they
+    do, the element is kept.
     """
     masks = _drop_supersets(fam.masks())
-    if not masks:
-        return HittingSet(())
-    ub = _greedy_cover_size(masks)
-    lb = _disjoint_lower_bound(masks)
-    opt = next((b for b in range(lb, ub) if _cover_exists(masks, b)), ub)
+    col, kill, elems = _columns(masks)
+    alive = (1 << len(masks)) - 1
+    budget = next(b for b in range(len(masks) + 1) if _search(alive, b, col, kill, elems))
 
     chosen: list[int] = []
-    remaining = masks
-    budget = opt
-    floor_elem = 0
-    while remaining:
-        placed = False
-        present = 0
-        for m in remaining:
-            present |= m
-        for e in _unmask(present >> floor_elem << floor_elem):
-            rest = [m for m in remaining if not (m >> e) & 1]
-            low_bits = (1 << (e + 1)) - 1
-            if _cover_exists([m & ~low_bits for m in rest], budget - 1):
-                chosen.append(e)
-                remaining = rest
-                budget -= 1
-                floor_elem = e + 1
-                placed = True
-                break
-        if not placed:  # cannot happen at the proven optimum
-            raise RuntimeError("lexicographic reconstruction failed")
+    for e, c in enumerate(col):
+        col[e] = 0
+        rest = alive & ~c
+        if rest != alive and _search(rest, budget - 1, col, kill, elems):
+            chosen.append(e)
+            alive = rest
+            budget -= 1
+    if alive:  # cannot happen at the proven optimum
+        raise RuntimeError("lexicographic reconstruction failed")
     return HittingSet(tuple(chosen))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import _CHUNK, Digraph, Graph, GraphError
-from .models import ModelParams
+from .models import ModelParams, memory_shortfall
 
 MAGIC = "ihs-graph"
 VERSION = "1"
@@ -93,6 +93,12 @@ def instance_from_text(text: str) -> Instance:
         m = int(head[4])
     except ValueError as exc:
         raise InstanceFormatError(f"bad header counts: {lines[0]!r}") from exc
+    if n < 0 or m < 0:
+        raise InstanceFormatError(f"negative header counts: {lines[0]!r}")
+    # checked before anything is allocated, with the estimate of the generators
+    short = memory_shortfall("dnp" if kind == "directed" else "gnp", m, n)
+    if short:
+        raise InstanceFormatError(f"a {kind} instance with n={n}, m={m} {short}")
     if len(lines) < 1 + m:
         raise InstanceFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
 

@@ -60,6 +60,17 @@ def available_memory() -> int | None:
         return None
 
 
+def memory_shortfall(model: str, pairs: float, n: int) -> str | None:
+    """None when a ``model`` instance with ``pairs`` edges or arcs on ``n``
+    vertices fits in the available memory, else what it needs and what is
+    available."""
+    need = _BYTES_PER_PAIR[model] * pairs + _BYTES_PER_VERTEX * n
+    have = available_memory()
+    if have is not None and need > have:
+        return f"needs about {need / 2**20:,.0f} MB; {have / 2**20:,.0f} MB is available"
+    return None
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of one random instance; ``delta`` and ``k`` apply to the planted model only."""
@@ -88,13 +99,9 @@ class ModelParams:
                 raise ValueError("planted model requires floor(delta * n) >= 1")
         if self.k is not None and self.k < 3:
             raise ValueError("k must be at least 3")
-        need = _BYTES_PER_PAIR[model] * self.expected_pairs(model) + _BYTES_PER_VERTEX * self.n
-        have = available_memory()
-        if have is not None and need > have:
-            raise ValueError(
-                f"a {model} instance with n={self.n}, p={self.p} needs about "
-                f"{need / 2**20:,.0f} MB; {have / 2**20:,.0f} MB is available"
-            )
+        short = memory_shortfall(model, self.expected_pairs(model), self.n)
+        if short:
+            raise ValueError(f"a {model} instance with n={self.n}, p={self.p} {short}")
 
     def expected_pairs(self, model: str) -> float:
         """Expected edge or arc count of a ``model`` instance."""

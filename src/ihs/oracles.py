@@ -9,6 +9,7 @@ surviving id, neighbors ascending) so repeated runs return identical cycles.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -39,7 +40,7 @@ class OracleVerdict:
 
     @staticmethod
     def miss(subset: Iterable[int]) -> "OracleVerdict":
-        return OracleVerdict(tuple(sorted(set(subset))))
+        return OracleVerdict(tuple(sorted(set(map(operator.index, subset)))))
 
 
 @dataclass(frozen=True)

@@ -325,3 +325,16 @@ def test_instance_too_large_for_memory_exits_2(monkeypatch, capsys):
         capsys, "solve-fvs", "--model", "dnp", "--n", "3000", "--p", "0.2", "--seed", "0"
     )
     assert code == 2 and "MB is available" in err
+
+
+def test_instance_file_too_large_for_memory_exits_2(monkeypatch, capsys, tmp_path):
+    # the header alone sizes the instance, so it is refused before anything
+    # is allocated; the shrunk memory keeps a broken guard at a few megabytes
+    import ihs.models as models_mod
+
+    monkeypatch.setattr(models_mod, "available_memory", lambda: 1 << 20)
+    path = tmp_path / "big.txt"
+    path.write_text("ihs-graph 1 directed 100000 0\n")
+    code, _, err = run_cli_with_err(capsys, "solve-fvs", str(path))
+    assert code == 2
+    assert "needs about" in err and "MB is available" in err

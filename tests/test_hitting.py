@@ -9,17 +9,20 @@ from ihs import (
     GenericSolverConfig,
     HittingSet,
     ModelParams,
+    OracleContract,
+    OracleVerdict,
     SolverAbort,
     SubsetFamily,
     bfs_cycle_oracle,
     exact_min_hitting_set,
+    explicit_family_oracle,
     gen_gnp,
     greedy_hitting_set,
     hits_all,
     shortest_cycle_oracle,
     solve_implicit_hitting_set,
 )
-from ihs.hitting import _cover_exists, _mask
+from ihs.hitting import _columns, _mask, _search
 
 
 def brute_force_optima(universe: int, subsets: list[tuple[int, ...]]):
@@ -59,6 +62,44 @@ def test_family_rejects_empty_and_out_of_range():
     assert fam.add([1, 2])
     assert not fam.add([2, 1])  # duplicate silently ignored
     assert len(fam) == 1
+
+
+def test_numpy_ids_are_stored_as_python_ints():
+    # ids of 64 and above would wrap in an int64 shift
+    subsets = [(70, 80), (3, 90), (65, 99), (3, 70)]
+    plain = SubsetFamily(100, subsets)
+    fam = SubsetFamily(100, [np.array(s) for s in subsets])
+    assert fam.subsets == plain.subsets
+    assert all(type(e) is int for s in fam.subsets for e in s)
+    assert fam.masks() == plain.masks()
+    assert exact_min_hitting_set(fam) == exact_min_hitting_set(plain)
+    assert exact_min_hitting_set(fam).members == (3, 65, 70)
+    assert greedy_hitting_set(fam) == greedy_hitting_set(plain)
+    with pytest.raises(TypeError):
+        fam.add([1.5])
+
+
+def test_generic_solver_accepts_numpy_missed_subsets():
+    subsets = [(70, 80), (3, 90), (65, 99), (3, 70)]
+
+    def numpy_oracle(fam):
+        def check(h):
+            hs = set(h)
+            for s in fam.subsets:
+                if hs.isdisjoint(s):
+                    return OracleVerdict.miss(np.array(s, dtype=np.int64))
+            return OracleVerdict.ok()
+
+        return OracleContract(check=check, universe_size=fam.universe_size)
+
+    fam = SubsetFamily(100, subsets)
+    want = solve_implicit_hitting_set(100, GenericSolverConfig(oracle=explicit_family_oracle(fam)))
+    got = solve_implicit_hitting_set(100, GenericSolverConfig(oracle=numpy_oracle(fam)))
+    assert got.solution == want.solution
+    assert got.collected.subsets == want.collected.subsets
+    assert got.oracle_calls == want.oracle_calls
+    with pytest.raises(TypeError):
+        OracleVerdict.miss([0.5])
 
 
 def test_hits_all_cases():
@@ -179,6 +220,12 @@ def brute_cover_size(ids, masks):
                 return k
 
 
+def cover_exists(masks, budget):
+    """Whether ``budget`` elements hit every mask, by one search over fresh columns."""
+    col, kill, elems = _columns(masks)
+    return _search((1 << len(masks)) - 1, budget, col, kill, elems)
+
+
 @st.composite
 def mask_families(draw):
     # element ids up to 150 and up to 90 subsets: columns and the alive set
@@ -203,12 +250,12 @@ def test_cover_exists_matches_brute_force(family):
     ids, masks = family
     size = brute_cover_size(ids, masks)
     for budget in range(len(ids) + 1):
-        assert _cover_exists(masks, budget) == (budget >= size)
+        assert cover_exists(masks, budget) == (budget >= size)
 
 
 def test_cover_exists_empty_subset_is_uncoverable():
-    assert not _cover_exists([0b11, 0], 2)
-    assert _cover_exists([], 0)
+    assert not cover_exists([0b11, 0], 2)
+    assert cover_exists([], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +359,17 @@ def collected_families(monkeypatch, oracle, n, p):
     return families
 
 
-@pytest.mark.parametrize("oracle", ["bfs-cycle", "shortest-cycle"])
-@pytest.mark.parametrize("n, p", [(30, 0.15), (40, 0.1)])
-def test_exact_matches_frozen_reference_on_solver_families(monkeypatch, oracle, n, p):
+@pytest.mark.parametrize(
+    "n, p, oracle",
+    [
+        (n, p, oracle)
+        for n, p in ((30, 0.15), (40, 0.1))
+        for oracle in ("bfs-cycle", "shortest-cycle")
+    ]
+    # the generic-ladder rung that carries most of the exact solver's time
+    + [(60, 0.07, "bfs-cycle")],
+)
+def test_exact_matches_frozen_reference_on_solver_families(monkeypatch, n, p, oracle):
     families = collected_families(monkeypatch, oracle, n, p)
     assert len(families) >= 5
     for fam in families:

@@ -88,6 +88,8 @@ def test_trailer_lines():
         "ihs-graph 1 undirected 3 0\nparams q=1\n",
         "ihs-graph 1 undirected 3 0\nmystery 1\n",
         "ihs-graph 1 undirected 3 1\n0.5 1\n",  # non-integer id
+        "ihs-graph 1 undirected -3 0\n",  # negative vertex count
+        "ihs-graph 1 directed 3 -1\n",  # negative arc count
     ],
 )
 def test_parse_errors(text):
