@@ -3,19 +3,18 @@ vertex set, tuned for dense random graphs.
 
 The builder keeps one surviving level at a time. Expanding a level exposes its
 unexposed neighbors; only *unique* neighbors (adjacent to exactly one
-survivor of the level) are retained, and one endpoint of every edge among the
-retained vertices is deleted so the next level is independent. Each surviving
-vertex therefore has exactly one edge into the previous level and none inside
-its own, so the survivors induce a tree and everything else is a feedback
-vertex set.
+survivor of the level) are retained, and the next level is the greedy maximal
+independent set of the retained vertices in ascending id order: a vertex is
+kept iff no kept neighbor has a smaller id. Each surviving vertex therefore
+has exactly one edge into the previous level and none inside its own, so the
+survivors induce a tree and everything else is a feedback vertex set.
 
 By default levels are grown until no unique neighbor survives, which is the
-behavior that reaches near-optimal sets at practical sizes. A fixed ``depth``
-cap is also supported: growth stops one level early and the final level is an
-independent set found by a sequential greedy sweep over the last unique
-neighbor set. ``depth_cap`` evaluates the closed-form cap matched to the
-per-level concentration analysis, and ``check_concentration_bounds`` tests a
-recorded trajectory against that analysis' per-level envelopes.
+behavior that reaches near-optimal sets at practical sizes; a fixed ``depth``
+only caps how many levels are grown. ``depth_cap`` evaluates the closed-form
+cap matched to the per-level concentration analysis, and
+``check_concentration_bounds`` tests a recorded trajectory against that
+analysis' per-level envelopes.
 """
 
 from __future__ import annotations
@@ -108,46 +107,28 @@ def concentration_depth(n: int, p: float) -> int:
     return t
 
 
-def _greedy_independent_set(members: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """Sequential greedy sweep in ascending id order: keep the next surviving
-    vertex, drop its neighbors."""
-    if members.size == 0:
-        return members
-    adj: dict[int, list[int]] = {}
-    for a, b in zip(eu.tolist(), ev.tolist()):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    alive = set(members.tolist())
-    kept = []
-    for v in members.tolist():
-        if v in alive:
-            kept.append(v)
-            for w in adj.get(v, ()):
-                alive.discard(w)
-    return np.asarray(kept, dtype=np.int64)
+def _greedy_independent(unique: np.ndarray, alive: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Greedy maximal independent set of the ascending ``unique`` in id order.
 
-
-def _independent_by_edge_deletion(members: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, int]:
-    """Delete the larger endpoint of every surviving edge, scanning edges in
-    lexicographic order and skipping edges already broken. Returns the
-    independent remainder and the deletion count."""
-    dead: set[int] = set()
-    for a, b in zip(eu.tolist(), ev.tolist()):
-        if a not in dead and b not in dead:
-            dead.add(b)  # b > a by construction
-    if not dead:
-        return members, 0
-    keep = np.asarray([v for v in members.tolist() if v not in dead], dtype=np.int64)
-    return keep, len(dead)
+    ``alive`` is the member mask of ``unique`` and is consumed; ``(eu, ev)``
+    are the edges among the members, ``eu < ev``, in lex order. A vertex
+    still alive when the sweep reaches it is kept, and its upper neighbors
+    ``ev[start:end]`` die; every lower neighbor was settled before it.
+    """
+    ends = np.searchsorted(eu, unique, side="right")
+    starts = np.concatenate(([0], ends[:-1]))
+    for v, start, end in zip(unique.tolist(), starts.tolist(), ends.tolist()):
+        if start < end and alive[v]:
+            alive[ev[start:end]] = False
+    return unique[alive[unique]]
 
 
 def grow_induced_bfs(g: Graph, root: int = 0, depth: int | None = None) -> FvsResult:
     """Grow the induced BFS tree from ``root`` and return its complement.
 
-    ``depth=None`` grows until the next level would be empty. With an integer
-    ``depth``, levels below it are built by per-edge deletion and level
-    ``depth`` itself by the sequential greedy independent set over the last
-    unique-neighbor set.
+    ``depth=None`` grows until the next level would be empty; an integer
+    ``depth`` grows at most that many levels. Every level is built the same
+    way, as the greedy independent set of its unique neighbors.
     """
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} out of range [0, {g.n})")
@@ -164,7 +145,6 @@ def grow_induced_bfs(g: Graph, root: int = 0, depth: int | None = None) -> FvsRe
         current = levels[level_index]
         if current.size == 0:
             break
-        final_level = depth is not None and level_index + 1 == depth
 
         nbrs, rep = _gather(g.indptr, g.indices, current)
         counts = np.bincount(nbrs, minlength=g.n)
@@ -178,18 +158,13 @@ def grow_induced_bfs(g: Graph, root: int = 0, depth: int | None = None) -> FvsRe
         in_unique = np.zeros(g.n, dtype=bool)
         in_unique[unique] = True
         eu, ev = _induced_edges(g, unique, in_unique)
-
-        if final_level:
-            nxt = _greedy_independent_set(unique, eu, ev)
-            deletions = int(unique.size - nxt.size)
-        else:
-            nxt, deletions = _independent_by_edge_deletion(unique, eu, ev)
+        nxt = _greedy_independent(unique, in_unique, eu, ev)
 
         stats.k.append(int(newly.size))
         stats.u.append(int(stats.u[level_index] - newly.size))
         stats.r.append(int(unique.size))
         stats.m.append(int(eu.size))
-        stats.w.append(deletions)
+        stats.w.append(int(unique.size - nxt.size))
         stats.l.append(int(nxt.size))
         levels.append(nxt)
         level_index += 1

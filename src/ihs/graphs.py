@@ -254,8 +254,9 @@ class Digraph:
 
 
 def _removed_mask(n: int, removed) -> np.ndarray:
-    ids = np.asarray(sorted(removed), dtype=np.int64)
-    if ids.size and (ids[0] < 0 or ids[-1] >= n):
+    """Bool mask over ``0..n-1`` of ``removed``, an int array or any iterable of ints."""
+    ids = removed.tolist() if isinstance(removed, np.ndarray) else list(removed)
+    if ids and (min(ids) < 0 or max(ids) >= n):
         raise GraphError(f"vertex id out of range [0, {n})")
     mask = np.zeros(n, dtype=bool)
     mask[ids] = True

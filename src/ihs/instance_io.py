@@ -15,8 +15,11 @@ round-trips are byte-identical.
 from __future__ import annotations
 
 import io
+import itertools
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -78,13 +81,41 @@ def write_instance(path: str | Path, inst: Instance) -> None:
         _write(fh, inst)
 
 
-def instance_from_text(text: str) -> Instance:
-    lines = text.splitlines()
-    if not lines:
+# canonical pair lines whose ids fit in int64, parsed in one numpy call
+_PAIR_LINES = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+
+
+def _read_pairs(lines: Iterator[str], m: int) -> np.ndarray:
+    """The ``m`` edge lines after the header, a slice of lines at a time."""
+    pairs = np.empty((m, 2), dtype=np.int64)
+    for s in range(0, m, _CHUNK):
+        want = min(_CHUNK, m - s)
+        chunk = list(itertools.islice(lines, want))
+        if len(chunk) < want:
+            raise InstanceFormatError(f"expected {m} edge lines, found {s + len(chunk)}")
+        text = "".join(chunk)
+        if _PAIR_LINES.fullmatch(text):
+            pairs[s:s + want] = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+            continue
+        for i, line in enumerate(chunk, s):
+            try:
+                u, v = map(int, line.split())
+                pairs[i] = u, v
+            except (ValueError, OverflowError) as exc:
+                line = line.rstrip("\n")
+                raise InstanceFormatError(f"bad edge line {i + 2}: {line!r}") from exc
+    return pairs
+
+
+def _parse(lines: Iterator[str]) -> Instance:
+    """Read an instance from ``lines``, an iterator of text lines such as an open file."""
+    header = next(lines, None)
+    if header is None:
         raise InstanceFormatError("empty file")
-    head = lines[0].split()
+    header = header.rstrip("\n")
+    head = header.split()
     if len(head) != 5 or head[0] != MAGIC or head[1] != VERSION:
-        raise InstanceFormatError(f"bad header: {lines[0]!r}")
+        raise InstanceFormatError(f"bad header: {header!r}")
     kind = head[2]
     if kind not in ("directed", "undirected"):
         raise InstanceFormatError(f"unknown graph kind {kind!r}")
@@ -92,30 +123,19 @@ def instance_from_text(text: str) -> Instance:
         n = int(head[3])
         m = int(head[4])
     except ValueError as exc:
-        raise InstanceFormatError(f"bad header counts: {lines[0]!r}") from exc
+        raise InstanceFormatError(f"bad header counts: {header!r}") from exc
     if n < 0 or m < 0:
-        raise InstanceFormatError(f"negative header counts: {lines[0]!r}")
+        raise InstanceFormatError(f"negative header counts: {header!r}")
     # checked before anything is allocated, with the estimate of the generators
     short = memory_shortfall("dnp" if kind == "directed" else "gnp", m, n)
     if short:
         raise InstanceFormatError(f"a {kind} instance with n={n}, m={m} {short}")
-    if len(lines) < 1 + m:
-        raise InstanceFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-
-    pairs = np.empty((m, 2), dtype=np.int64)
-    for i in range(m):
-        parts = lines[1 + i].split()
-        if len(parts) != 2:
-            raise InstanceFormatError(f"bad edge line {i + 2}: {lines[1 + i]!r}")
-        try:
-            pairs[i, 0] = int(parts[0])
-            pairs[i, 1] = int(parts[1])
-        except ValueError as exc:
-            raise InstanceFormatError(f"bad edge line {i + 2}: {lines[1 + i]!r}") from exc
+    pairs = _read_pairs(lines, m)
 
     planted: list[int] | None = None
     params: ModelParams | None = None
-    for line in lines[1 + m:]:
+    for line in lines:
+        line = line.rstrip("\n")
         if not line.strip():
             continue
         parts = line.split()
@@ -133,6 +153,8 @@ def instance_from_text(text: str) -> Instance:
                 )
             if planted and (min(planted) < 0 or max(planted) >= n):
                 raise InstanceFormatError("planted id out of range")
+            if len(set(planted)) != len(planted):
+                raise InstanceFormatError("duplicate planted id")
         elif parts[0] == "params":
             if params is not None:
                 raise InstanceFormatError("duplicate params trailer")
@@ -164,5 +186,10 @@ def instance_from_text(text: str) -> Instance:
     return Instance(graph=graph, directed=kind == "directed", planted=planted, params=params)
 
 
+def instance_from_text(text: str) -> Instance:
+    return _parse(io.StringIO(text, newline=None))
+
+
 def read_instance(path: str | Path) -> Instance:
-    return instance_from_text(Path(path).read_text())
+    with open(path) as fh:
+        return _parse(fh)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Digraph, Graph, GraphError, _gather
+from .graphs import Digraph, Graph, GraphError, _gather, _removed_mask
 from .hitting import SubsetFamily
 
 
@@ -62,15 +62,6 @@ def explicit_family_oracle(fam: SubsetFamily) -> OracleContract:
         return OracleVerdict.ok()
 
     return OracleContract(check=check, universe_size=fam.universe_size)
-
-
-def _blocked_mask(n: int, h: Iterable[int]) -> np.ndarray:
-    ids = list(h)
-    if ids and (min(ids) < 0 or max(ids) >= n):
-        raise GraphError(f"vertex id out of range [0, {n})")
-    mask = np.zeros(n, dtype=bool)
-    mask[ids] = True
-    return mask
 
 
 def successor_lists(g: Graph | Digraph) -> tuple[list[list[int]], list[set[int]]]:
@@ -142,7 +133,7 @@ def bfs_cycle_oracle(g: Graph, root: int = 0) -> OracleContract:
     adj = successor_lists(g)[0]
 
     def check(h: Iterable[int]) -> OracleVerdict:
-        blocked = _blocked_mask(g.n, h).tolist()
+        blocked = _removed_mask(g.n, h).tolist()
         parent = [-1] * g.n
         depth = [0] * g.n
         visited = blocked.copy()
@@ -239,24 +230,18 @@ def _girth_directed(d: Digraph, adj: list[list[int]], blocked: list[bool]) -> in
     return best
 
 
-def shortest_cycle_oracle(g_or_d: Graph | Digraph, directed: bool | None = None) -> OracleContract:
+def shortest_cycle_oracle(g_or_d: Graph | Digraph) -> OracleContract:
     """Cycle oracle in increasing length order.
 
     ``check(h)`` returns a minimum-length cycle of the surviving (di)graph,
     ties broken by the lexicographically smallest rotation starting at the
     cycle's minimum vertex; feasible iff acyclic.
     """
-    if directed is None:
-        directed = isinstance(g_or_d, Digraph)
-    if directed and not isinstance(g_or_d, Digraph):
-        raise TypeError("directed=True requires a Digraph")
-    if not directed and not isinstance(g_or_d, Graph):
-        raise TypeError("directed=False requires a Graph")
-
+    directed = isinstance(g_or_d, Digraph)
     adj, succ = successor_lists(g_or_d)
 
     def check(h: Iterable[int]) -> OracleVerdict:
-        blocked = _blocked_mask(g_or_d.n, h)
+        blocked = _removed_mask(g_or_d.n, h)
         if directed:
             length = _girth_directed(g_or_d, adj, blocked.tolist())
         else:

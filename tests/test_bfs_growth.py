@@ -5,6 +5,7 @@ import pytest
 
 from ihs import (
     Digraph,
+    FvsResult,
     Graph,
     DepthCapUndefined,
     LevelStats,
@@ -21,6 +22,7 @@ from ihs import (
     sample_acyclic_fraction,
 )
 
+from ihs.graphs import _gather, _induced_edges
 from test_graphs import random_digraph, random_graph
 
 
@@ -189,6 +191,135 @@ def test_disconnected_graph_other_components_enter_fvs():
     assert set(res.survivors.tolist()) == {0, 1}
     assert set(res.fvs.tolist()) == {2, 3, 4, 5}
     assert is_acyclic_undirected(g, res.fvs)
+
+
+# Frozen reference: the growth as it was built from two routines, per-edge
+# deletion below the depth cap and a sequential greedy sweep at the cap.
+def _reference_greedy_independent_set(members, eu, ev):
+    if members.size == 0:
+        return members
+    adj = {}
+    for a, b in zip(eu.tolist(), ev.tolist()):
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    alive = set(members.tolist())
+    kept = []
+    for v in members.tolist():
+        if v in alive:
+            kept.append(v)
+            for w in adj.get(v, ()):
+                alive.discard(w)
+    return np.asarray(kept, dtype=np.int64)
+
+
+def _reference_independent_by_edge_deletion(members, eu, ev):
+    dead = set()
+    for a, b in zip(eu.tolist(), ev.tolist()):
+        if a not in dead and b not in dead:
+            dead.add(b)
+    if not dead:
+        return members, 0
+    keep = np.asarray([v for v in members.tolist() if v not in dead], dtype=np.int64)
+    return keep, len(dead)
+
+
+def _reference_grow(g, root=0, depth=None):
+    exposed = np.zeros(g.n, dtype=bool)
+    exposed[root] = True
+    levels = [np.asarray([root], dtype=np.int64)]
+    stats = LevelStats(l=[1], u=[g.n - 1], r=[1], m=[0], k=[1], w=[0])
+    level_index = 0
+    while depth is None or level_index < depth:
+        current = levels[level_index]
+        if current.size == 0:
+            break
+        final_level = depth is not None and level_index + 1 == depth
+        nbrs, _ = _gather(g.indptr, g.indices, current)
+        counts = np.bincount(nbrs, minlength=g.n)
+        newly = np.flatnonzero((~exposed) & (counts > 0))
+        if newly.size == 0:
+            break
+        exposed[newly] = True
+        unique = newly[counts[newly] == 1]
+        in_unique = np.zeros(g.n, dtype=bool)
+        in_unique[unique] = True
+        eu, ev = _induced_edges(g, unique, in_unique)
+        if final_level:
+            nxt = _reference_greedy_independent_set(unique, eu, ev)
+            deletions = int(unique.size - nxt.size)
+        else:
+            nxt, deletions = _reference_independent_by_edge_deletion(unique, eu, ev)
+        stats.k.append(int(newly.size))
+        stats.u.append(int(stats.u[level_index] - newly.size))
+        stats.r.append(int(unique.size))
+        stats.m.append(int(eu.size))
+        stats.w.append(deletions)
+        stats.l.append(int(nxt.size))
+        levels.append(nxt)
+        level_index += 1
+        if nxt.size == 0:
+            break
+    levels = [lv for lv in levels if lv.size]
+    survivors = np.concatenate(levels)
+    in_tree = np.zeros(g.n, dtype=bool)
+    in_tree[survivors] = True
+    return FvsResult(
+        fvs=np.flatnonzero(~in_tree), survivors=np.sort(survivors), stats=stats,
+        T_used=len(levels) - 1, levels=levels,
+    )
+
+
+def _assert_matches_reference(g, root):
+    for depth in (None, 1, 2, 3):
+        got = grow_induced_bfs(g, root=root, depth=depth)
+        want = _reference_grow(g, root=root, depth=depth)
+        assert got.fvs.tolist() == want.fvs.tolist()
+        assert [lv.tolist() for lv in got.levels] == [lv.tolist() for lv in want.levels]
+        assert got.stats == want.stats
+        assert got.T_used == want.T_used
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_growth_matches_frozen_reference_random(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 150))
+    g = random_graph(n, float(rng.uniform(0.01, 0.4)), 9000 + seed)
+    _assert_matches_reference(g, int(rng.integers(0, n)))
+
+
+def _path(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _star(n):
+    return Graph(n, [(0, i) for i in range(1, n)])
+
+
+def _clique(n):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _bipartite(left, right):
+    return Graph(len(left) + len(right), [(min(u, v), max(u, v)) for u in left for v in right])
+
+
+@pytest.mark.parametrize(
+    "g, roots",
+    [
+        (_path(30), [0, 7, 29]),
+        (_star(25), [0, 1, 24]),
+        (_clique(12), [0, 5, 11]),
+        (_bipartite(range(6), range(6, 15)), [0, 5, 14]),
+        (_bipartite(range(0, 14, 2), range(1, 14, 2)), [0, 3, 13]),  # sides interleaved
+        # a triangle, a four-cycle with a chord, an isolated vertex, a path
+        (Graph(13, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6), (3, 5),
+                    (8, 9), (9, 10), (10, 11), (11, 12)]), [0, 3, 7, 8, 12]),
+    ],
+    ids=["path", "star", "clique", "bipartite-blocks", "bipartite-interleaved", "disconnected"],
+)
+def test_growth_matches_frozen_reference_shapes(g, roots):
+    for root in roots:
+        _assert_matches_reference(g, root)
 
 
 @pytest.mark.parametrize("seed", range(10))

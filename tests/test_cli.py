@@ -1,10 +1,13 @@
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ihs
 from ihs.cli import main
 
 
@@ -223,9 +226,11 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same ihs package as this process
+    env = {**os.environ, "PYTHONPATH": str(Path(ihs.__file__).resolve().parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-m", "ihs", "solve-fvs", triangle_file(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("run_id,")

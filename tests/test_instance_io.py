@@ -90,11 +90,28 @@ def test_trailer_lines():
         "ihs-graph 1 undirected 3 1\n0.5 1\n",  # non-integer id
         "ihs-graph 1 undirected -3 0\n",  # negative vertex count
         "ihs-graph 1 directed 3 -1\n",  # negative arc count
+        "ihs-graph 1 undirected 3 0\nplanted 2 0 0\n",  # duplicate planted id
     ],
 )
-def test_parse_errors(text):
+def test_parse_errors(text, tmp_path):
     with pytest.raises(InstanceFormatError):
         instance_from_text(text)
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(InstanceFormatError):
+        read_instance(path)
+
+
+def test_loose_edge_lines_parse_like_canonical_ones():
+    inst = instance_from_text("ihs-graph 1 undirected 4 3\n0\t1\n 1  2 \r\n+2 3")
+    assert inst.graph == Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def test_bad_edge_line_past_the_first_slice_keeps_its_number():
+    lines = [f"{u} {v}\n" for u in range(400) for v in range(u + 1, 400)][:70_000]
+    lines[68_000] = "1 x\n"
+    with pytest.raises(InstanceFormatError, match="bad edge line 68002: '1 x'"):
+        instance_from_text("ihs-graph 1 undirected 400 70000\n" + "".join(lines))
 
 
 def test_params_subset_keys():

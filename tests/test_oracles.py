@@ -7,6 +7,7 @@ import pytest
 from ihs import (
     Digraph,
     Graph,
+    GraphError,
     SubsetFamily,
     bfs_cycle_oracle,
     cycles_of_length,
@@ -48,6 +49,17 @@ def test_bfs_cycle_oracle_root_removed():
     tri = Graph(4, [(1, 2), (2, 3), (1, 3)])
     oracle = bfs_cycle_oracle(tri, root=0)
     assert oracle.check((0,)).missed == (1, 2, 3)
+
+
+@pytest.mark.parametrize("bad", [[4], (-1,), frozenset({2, 9}), np.array([0, -4]), np.array([4], dtype=np.int32)])
+def test_cycle_oracles_reject_ids_out_of_range(bad):
+    tri = Graph(4, [(0, 1), (1, 2), (0, 2)])
+    for oracle in (bfs_cycle_oracle(tri), shortest_cycle_oracle(tri),
+                   shortest_cycle_oracle(Digraph(4, [(0, 1), (1, 0)]))):
+        with pytest.raises(GraphError, match="out of range"):
+            oracle.check(bad)
+    with pytest.raises(GraphError, match="out of range"):
+        is_acyclic_undirected(tri, bad)
 
 
 def test_shortest_cycle_oracle_trivial():
