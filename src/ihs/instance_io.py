@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -81,10 +80,6 @@ def write_instance(path: str | Path, inst: Instance) -> None:
         _write(fh, inst)
 
 
-# canonical pair lines whose ids fit in int64, parsed in one numpy call
-_PAIR_LINES = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)*")
-
-
 def _read_pairs(lines: Iterator[str], m: int) -> np.ndarray:
     """The ``m`` edge lines after the header, a slice of lines at a time."""
     pairs = np.empty((m, 2), dtype=np.int64)
@@ -93,10 +88,6 @@ def _read_pairs(lines: Iterator[str], m: int) -> np.ndarray:
         chunk = list(itertools.islice(lines, want))
         if len(chunk) < want:
             raise InstanceFormatError(f"expected {m} edge lines, found {s + len(chunk)}")
-        text = "".join(chunk)
-        if _PAIR_LINES.fullmatch(text):
-            pairs[s:s + want] = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
-            continue
         for i, line in enumerate(chunk, s):
             try:
                 u, v = map(int, line.split())

@@ -227,7 +227,9 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     # the child imports the same ihs package as this process
-    env = {**os.environ, "PYTHONPATH": str(Path(ihs.__file__).resolve().parent.parent)}
+    pkg_parent = str(Path(ihs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [pkg_parent, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "ihs", "solve-fvs", triangle_file(tmp_path)],
         capture_output=True, text=True, env=env,
