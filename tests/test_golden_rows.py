@@ -66,6 +66,13 @@ CASES = {
     "check-lemma1": (None, ["check-lemma1", "--n", "2000", "--p", "0.01", "--seeds", "0..1"]),
     "scan-lowerbound": (
         None, ["scan-lowerbound", "--n", "300", "--p", "0.02", "--r", "40", "--samples", "50", "--seed", "0"]),
+    "experiment lemma1 applicable": (
+        None, ["experiment", "--recipe", "lemma1", "--n", "13000", "--p", "0.03125", "--seeds", "0..0"]),
+    "experiment lemma1 n2000": (
+        None, ["experiment", "--recipe", "lemma1", "--n", "2000", "--p", "0.01", "--seeds", "0..1"]),
+    "experiment theorem2 r40": (
+        None, ["experiment", "--recipe", "theorem2", "--n", "300", "--p", "0.02", "--r", "40",
+               "--samples", "50", "--seed", "0"]),
     "experiment theorem1": (
         None, ["experiment", "--recipe", "theorem1", "--n", "500", "--p", "0.02", "--seeds", "0..2"]),
     "experiment lemma1": (
