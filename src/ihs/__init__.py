@@ -2,12 +2,10 @@
 
 from .bfs_growth import (
     ConcentrationReport,
-    DepthCapUndefined,
     FvsResult,
     LevelStats,
     check_concentration_bounds,
     concentration_depth,
-    depth_cap,
     fvs_directed,
     grow_induced_bfs,
     prune_fvs,
@@ -24,7 +22,6 @@ from .graphs import (
     Digraph,
     Graph,
     GraphError,
-    induced_subgraph,
     is_acyclic_directed,
     is_acyclic_undirected,
     shadow_undirected,

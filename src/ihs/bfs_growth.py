@@ -9,12 +9,10 @@ kept iff no kept neighbor has a smaller id. Each surviving vertex therefore
 has exactly one edge into the previous level and none inside its own, so the
 survivors induce a tree and everything else is a feedback vertex set.
 
-By default levels are grown until no unique neighbor survives, which is the
-behavior that reaches near-optimal sets at practical sizes; a fixed ``depth``
-only caps how many levels are grown. ``depth_cap`` evaluates the closed-form
-cap matched to the per-level concentration analysis, and
-``check_concentration_bounds`` tests a recorded trajectory against that
-analysis' per-level envelopes.
+Levels are grown until no unique neighbor survives, which is the behavior
+that reaches near-optimal sets at practical sizes. ``check_concentration_bounds``
+tests a recorded trajectory against the per-level envelopes of the
+concentration analysis.
 """
 
 from __future__ import annotations
@@ -71,28 +69,6 @@ class FvsResult:
     levels: list[np.ndarray]
 
 
-class DepthCapUndefined(ValueError):
-    """The closed-form depth cap is undefined for these parameters."""
-
-
-def depth_cap(n: int, p: float) -> int:
-    """Closed-form exploration depth, ceil((ln(1/16p) - ln ln(1/16p)) / ln(c + 20 sqrt(c)))
-    with c = n*p and natural logarithms.
-
-    Defined for 0 < p < 1/(16e) so the inner logarithm is positive; outside
-    that range callers fall back to a single expansion level.
-    """
-    if not 0.0 < p < 1.0 / (16.0 * math.e):
-        raise DepthCapUndefined(f"p={p} outside (0, 1/(16e)); use the one-level fallback")
-    c = n * p
-    denom = math.log(c + 20.0 * math.sqrt(c))
-    if denom <= 0.0:
-        raise DepthCapUndefined(f"c={c} too small for a positive level growth rate")
-    x = 1.0 / (16.0 * p)
-    value = (math.log(x) - math.log(math.log(x))) / denom
-    return max(1, math.ceil(value))
-
-
 def concentration_depth(n: int, p: float) -> int:
     """Largest T with 16*T*p*(c + 20 sqrt(c))**(T-1) <= 1/2; zero when even T=1 fails."""
     if p <= 0.0:
@@ -123,30 +99,21 @@ def _greedy_independent(unique: np.ndarray, alive: np.ndarray, eu: np.ndarray, e
     return unique[alive[unique]]
 
 
-def grow_induced_bfs(g: Graph, root: int = 0, depth: int | None = None) -> FvsResult:
-    """Grow the induced BFS tree from ``root`` and return its complement.
-
-    ``depth=None`` grows until the next level would be empty; an integer
-    ``depth`` grows at most that many levels. Every level is built the same
-    way, as the greedy independent set of its unique neighbors.
+def grow_induced_bfs(g: Graph, root: int = 0) -> FvsResult:
+    """Grow the induced BFS tree from ``root`` until the next level would be
+    empty, and return its complement. Every level is the greedy independent
+    set of its unique neighbors.
     """
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} out of range [0, {g.n})")
-    if depth is not None and depth < 1:
-        raise ValueError("depth must be at least 1")
 
     exposed = np.zeros(g.n, dtype=bool)
     exposed[root] = True
     levels = [np.asarray([root], dtype=np.int64)]
     stats = LevelStats(l=[1], u=[g.n - 1], r=[1], m=[0], k=[1], w=[0])
 
-    level_index = 0
-    while depth is None or level_index < depth:
-        current = levels[level_index]
-        if current.size == 0:
-            break
-
-        nbrs, rep = _gather(g.indptr, g.indices, current)
+    while True:
+        nbrs, _ = _gather(g.indptr, g.indices, levels[-1])
         counts = np.bincount(nbrs, minlength=g.n)
         fresh = (~exposed) & (counts > 0)
         newly = np.flatnonzero(fresh)
@@ -161,18 +128,16 @@ def grow_induced_bfs(g: Graph, root: int = 0, depth: int | None = None) -> FvsRe
         nxt = _greedy_independent(unique, in_unique, eu, ev)
 
         stats.k.append(int(newly.size))
-        stats.u.append(int(stats.u[level_index] - newly.size))
+        stats.u.append(int(stats.u[-1] - newly.size))
         stats.r.append(int(unique.size))
         stats.m.append(int(eu.size))
         stats.w.append(int(unique.size - nxt.size))
         stats.l.append(int(nxt.size))
-        levels.append(nxt)
-        level_index += 1
         if nxt.size == 0:
             break
+        levels.append(nxt)
 
-    levels = [lv for lv in levels if lv.size]
-    survivors = np.concatenate(levels) if levels else np.empty(0, dtype=np.int64)
+    survivors = np.concatenate(levels)
     in_tree = np.zeros(g.n, dtype=bool)
     in_tree[survivors] = True
     fvs = np.flatnonzero(~in_tree)
@@ -185,7 +150,7 @@ def grow_induced_bfs(g: Graph, root: int = 0, depth: int | None = None) -> FvsRe
     )
 
 
-def fvs_directed(d: Digraph, root: int = 0, depth: int | None = None) -> FvsResult:
+def fvs_directed(d: Digraph, root: int = 0) -> FvsResult:
     """Feedback vertex set of a digraph via its undirected shadow: any vertex
     set breaking all shadow cycles of length three or more breaks the directed
     ones too.
@@ -195,7 +160,7 @@ def fvs_directed(d: Digraph, root: int = 0, depth: int | None = None) -> FvsResu
     afterwards. The random models never produce them; this only matters for
     arbitrary file input.
     """
-    result = grow_induced_bfs(shadow_undirected(d), root=root, depth=depth)
+    result = grow_induced_bfs(shadow_undirected(d), root=root)
     fvs = break_two_cycles(d, result.fvs)
     if fvs.size == result.fvs.size:
         return result

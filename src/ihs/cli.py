@@ -21,8 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
-import numpy as np
-
 from .bfs_growth import (
     break_two_cycles,
     check_concentration_bounds,
@@ -267,8 +265,7 @@ def _run_verify(seed, *, source: Source, k: int | None, samples: int) -> dict:
     if params is None:
         raise ValueError("verification needs a params trailer")
     k = _planted_k(k, params)
-    rest = np.asarray(sorted(set(range(graph.n)) - set(planted)), dtype=np.int64)
-    inst = PlantedInstance(digraph=graph, planted=planted, params=params, dag_order=rest)
+    inst = PlantedInstance(digraph=graph, planted=planted, params=params)
     ids = dict(seed=params.seed, algorithm="verify-planted", n=graph.n,
                p=params.p, delta=params.delta, k=k)
     diag = _solve(ids, planted_diagnostics, inst, samples=samples, k=k)
@@ -359,12 +356,6 @@ def _lemma_rows(args) -> list[dict]:
     return _runs(partial(_run_lemma, n=args.n, p=args.p, root=args.root), seeds, args.jobs)
 
 
-def cmd_check_lemma1(args) -> int:
-    rows = _lemma_rows(args)
-    emit_rows(rows, args.out)
-    return 0
-
-
 def _theorem2_row(args) -> dict:
     params = ModelParams(n=args.n, p=args.p, seed=args.seed)
     params.validate("gnp")
@@ -379,11 +370,6 @@ def _theorem2_row(args) -> dict:
         oracle_calls=args.samples,
         runtime_ms=_ms(t0),
     )
-
-
-def cmd_scan_lowerbound(args) -> int:
-    emit_rows([_theorem2_row(args)], args.out)
-    return 0
 
 
 def _median(values: list[float]) -> float:
@@ -494,24 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--k", type=int)
     ver.add_argument("--samples", type=int, default=5)
     ver.set_defaults(fn=cmd_verify_planted)
-
-    lem = subs.add_parser("check-lemma1", help="per-level concentration checks of growth runs")
-    lem.add_argument("--n", type=int, required=True)
-    lem.add_argument("--p", type=float, required=True)
-    lem.add_argument("--seeds", type=str, required=True)
-    lem.add_argument("--root", type=int, default=0)
-    lem.add_argument("--jobs", type=int, default=1)
-    lem.add_argument("--out", type=str, default=None)
-    lem.set_defaults(fn=cmd_check_lemma1)
-
-    scn = subs.add_parser("scan-lowerbound", help="acyclic fraction of sampled induced subsets")
-    scn.add_argument("--n", type=int, required=True)
-    scn.add_argument("--p", type=float, required=True)
-    scn.add_argument("--r", type=int, required=True)
-    scn.add_argument("--samples", type=int, required=True)
-    scn.add_argument("--seed", type=int, required=True)
-    scn.add_argument("--out", type=str, default=None)
-    scn.set_defaults(fn=cmd_scan_lowerbound)
 
     exp = subs.add_parser("experiment", help="named experiment recipes with an aggregate row")
     exp.add_argument("--recipe", choices=["theorem1", "lemma1", "theorem2", "theorem5"], required=True)

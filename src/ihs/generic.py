@@ -41,7 +41,6 @@ class SolveCertificate:
     collected: SubsetFamily
     proof: str  # "size_match" or "feasible_optimum"
     oracle_calls: int
-    subroutine_calls: int
 
 
 class SolverAbort(RuntimeError):
@@ -106,12 +105,13 @@ def solve_implicit_hitting_set(universe_size: int, cfg: GenericSolverConfig) -> 
     """
     if universe_size <= 0:
         raise ValueError("universe must be nonempty")
+    if cfg.max_swap_out < 0:
+        raise ValueError("max_swap_out must be nonnegative")
     oracle = cfg.oracle
     budget = cfg.max_iterations if cfg.max_iterations is not None else 10 * universe_size + 1000
     collected = SubsetFamily(universe_size)
     gamma: list[int] = []
     oracle_calls = 0
-    subroutine_calls = 0
     universe = (1 << universe_size) - 1
 
     def ask(query: frozenset[int]) -> OracleVerdict:
@@ -140,14 +140,12 @@ def solve_implicit_hitting_set(universe_size: int, cfg: GenericSolverConfig) -> 
             else:
                 collect(verdict.missed)
         optimum = exact_min_hitting_set(collected)
-        subroutine_calls += 1
         if len(optimum.members) == current.bit_count():
             return SolveCertificate(
                 solution=HittingSet(_unmask(current)),
                 collected=collected,
                 proof="size_match",
                 oracle_calls=oracle_calls,
-                subroutine_calls=subroutine_calls,
             )
         verdict = ask(frozenset(optimum.members))
         if verdict.feasible:
@@ -156,7 +154,6 @@ def solve_implicit_hitting_set(universe_size: int, cfg: GenericSolverConfig) -> 
                 collected=collected,
                 proof="feasible_optimum",
                 oracle_calls=oracle_calls,
-                subroutine_calls=subroutine_calls,
             )
         collect(verdict.missed)
 

@@ -191,14 +191,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return i < nb.size and nb[i] == v
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -236,11 +228,6 @@ class Digraph:
 
     def in_neighbors(self, v: int) -> np.ndarray:
         return self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]]
-
-    def has_arc(self, u: int, v: int) -> bool:
-        nb = self.out_neighbors(u)
-        i = np.searchsorted(nb, v)
-        return i < nb.size and nb[i] == v
 
     def __eq__(self, other) -> bool:
         return (
@@ -324,25 +311,6 @@ def is_acyclic_directed(d: Digraph, removed=()) -> bool:
         cand = np.unique(out)
         frontier = cand[indeg[cand] == 0]
     return remaining == 0
-
-
-def induced_subgraph(g: Graph, keep) -> tuple[Graph, np.ndarray]:
-    """Subgraph induced on ``keep``, relabeled to 0..|keep|-1.
-
-    Returns the new graph and the relabeling map: position i holds the old id
-    of new vertex i (old ids in ascending order).
-    """
-    keep_ids = np.asarray(sorted(set(keep)), dtype=np.int64)
-    if keep_ids.size and (keep_ids[0] < 0 or keep_ids[-1] >= g.n):
-        raise GraphError(f"vertex id out of range [0, {g.n})")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[keep_ids] = True
-    new_id = np.full(g.n, -1, dtype=np.int64)
-    new_id[keep_ids] = np.arange(keep_ids.size)
-    eu, ev = g.edge_list[:, 0], g.edge_list[:, 1]
-    sel = mask[eu] & mask[ev]
-    edges = np.stack([new_id[eu[sel]], new_id[ev[sel]]], axis=1)
-    return Graph(keep_ids.size, edges), keep_ids
 
 
 def shadow_undirected(d: Digraph) -> Graph:

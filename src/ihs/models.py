@@ -5,14 +5,14 @@ Reproducibility contract
 ------------------------
 All randomness comes from ``numpy.random.Generator(PCG64(seed))``. Unordered
 pairs {u, v}, u < v, are indexed lexicographically; the pair at linear index
-``t`` is decoded arithmetically. Two sampling methods draw the per-pair
-Bernoulli inclusions:
+``t`` is decoded arithmetically. One of two samplers draws the per-pair
+Bernoulli inclusions of a block, chosen by its pair count:
 
-* ``naive``: one uniform per pair, consumed in lexicographic order (the
-  reference mode).
-* ``skip``: geometric gaps between included pairs. Same distribution as
-  ``naive`` (a Bernoulli process is a geometric renewal process) but a
-  different stream, used automatically above ``_SKIP_THRESHOLD`` pairs.
+* ``naive``, up to ``_SKIP_THRESHOLD`` pairs: one uniform per pair, consumed
+  in lexicographic order.
+* ``skip``, above it: geometric gaps between included pairs. Same
+  distribution (a Bernoulli process is a geometric renewal process) but a
+  different stream.
 
 After the inclusion draws of a block, orientation coins (one uniform per
 included pair, in pair order) are drawn where the model needs them. The
@@ -115,47 +115,42 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class PlantedInstance:
-    """A digraph with ground truth: removing ``planted`` leaves a DAG ordered by ``dag_order``."""
+    """A digraph with ground truth: removing ``planted`` leaves a DAG."""
 
     digraph: Digraph
     planted: list[int]
     params: ModelParams
-    dag_order: np.ndarray
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _bernoulli_indices(rng: np.random.Generator, count: int, prob: float, method: str) -> np.ndarray:
+def _bernoulli_indices(rng: np.random.Generator, count: int, prob: float) -> np.ndarray:
     """Indices t in [0, count) with independent inclusion probability ``prob``."""
     if count == 0 or prob <= 0.0:
         return np.empty(0, dtype=np.int64)
     if prob >= 1.0:
         return np.arange(count, dtype=np.int64)
-    if method == "auto":
-        method = "naive" if count <= _SKIP_THRESHOLD else "skip"
-    if method == "naive":
+    if count <= _SKIP_THRESHOLD:
         picked = []
         for start in range(0, count, _CHUNK):
             size = min(_CHUNK, count - start)
             hits = np.flatnonzero(rng.random(size) < prob)
             picked.append(hits.astype(np.int64) + start)
         return np.concatenate(picked)
-    if method == "skip":
-        picked = []
-        pos = -1
-        gap_chunk = max(1024, min(_CHUNK, int(count * prob * 1.1) + 64))
-        while True:
-            gaps = rng.geometric(prob, size=gap_chunk)
-            cum = np.cumsum(gaps) + pos
-            if cum[-1] >= count:
-                picked.append(cum[cum < count])
-                break
-            picked.append(cum)
-            pos = int(cum[-1])
-        return np.concatenate(picked)
-    raise ValueError(f"unknown sampling method: {method!r}")
+    picked = []
+    pos = -1
+    gap_chunk = max(1024, min(_CHUNK, int(count * prob * 1.1) + 64))
+    while True:
+        gaps = rng.geometric(prob, size=gap_chunk)
+        cum = np.cumsum(gaps) + pos
+        if cum[-1] >= count:
+            picked.append(cum[cum < count])
+            break
+        picked.append(cum)
+        pos = int(cum[-1])
+    return np.concatenate(picked)
 
 
 def _decode_pairs(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,29 +198,29 @@ def _orient(rng: np.random.Generator, pairs: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def gen_gnp(params: ModelParams, method: str = "auto") -> Graph:
+def gen_gnp(params: ModelParams) -> Graph:
     """G(n, p): each unordered pair included independently with probability p."""
     params.validate("gnp")
     n = params.n
     rng = _rng(params.seed)
     total = n * (n - 1) // 2
-    edges = _pairs(n, _bernoulli_indices(rng, total, params.p, method))
+    edges = _pairs(n, _bernoulli_indices(rng, total, params.p))
     edges.setflags(write=False)  # canonical and read-only: Graph keeps it as is
     return Graph(n, edges)
 
 
-def gen_dnp(params: ModelParams, method: str = "auto") -> Digraph:
+def gen_dnp(params: ModelParams) -> Digraph:
     """Uniformly oriented random digraph: pairs included w.p. 2p, then a fair coin
     picks the arc direction. Never produces antiparallel arcs."""
     params.validate("dnp")
     n = params.n
     rng = _rng(params.seed)
     total = n * (n - 1) // 2
-    pairs = _pairs(n, _bernoulli_indices(rng, total, 2 * params.p, method))
+    pairs = _pairs(n, _bernoulli_indices(rng, total, 2 * params.p))
     return Digraph(n, _orient(rng, pairs))
 
 
-def gen_planted(params: ModelParams, method: str = "auto") -> PlantedInstance:
+def gen_planted(params: ModelParams) -> PlantedInstance:
     """Planted model: P = {0..floor(delta*n)-1}; pairs touching P appear with
     probability min(1, 2p) and get a uniform orientation; the complement keeps
     only identity-order forward arcs, each with probability p, so V minus P is
@@ -244,12 +239,11 @@ def gen_planted(params: ModelParams, method: str = "auto") -> PlantedInstance:
 
     # in stream order: cross inclusions, their coins, then forward inclusions
     arcs = np.concatenate([
-        _orient(rng, _pairs(n, _bernoulli_indices(rng, cross, min(1.0, 2 * params.p), method))),
-        _pairs(n, _bernoulli_indices(rng, total - cross, params.p, method) + cross),
+        _orient(rng, _pairs(n, _bernoulli_indices(rng, cross, min(1.0, 2 * params.p)))),
+        _pairs(n, _bernoulli_indices(rng, total - cross, params.p) + cross),
     ])
     return PlantedInstance(
         digraph=Digraph(n, arcs),
         planted=list(range(s)),
         params=params,
-        dag_order=np.arange(s, n, dtype=np.int64),
     )

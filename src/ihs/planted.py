@@ -127,6 +127,8 @@ def planted_diagnostics(
         k = inst.params.k
     if k is None or k < 3:
         raise ValueError("diagnostics need k >= 3")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     if seed is None:
         seed = (inst.params.seed + 0x9E3779B9) % 2**64
     rng = np.random.Generator(np.random.PCG64(seed))

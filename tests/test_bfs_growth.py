@@ -7,12 +7,10 @@ from ihs import (
     Digraph,
     FvsResult,
     Graph,
-    DepthCapUndefined,
     LevelStats,
     ModelParams,
     check_concentration_bounds,
     concentration_depth,
-    depth_cap,
     fvs_directed,
     gen_gnp,
     grow_induced_bfs,
@@ -24,21 +22,6 @@ from ihs import (
 
 from ihs.graphs import _gather, _induced_edges
 from test_graphs import random_digraph, random_graph
-
-
-def test_depth_cap_values():
-    # direct evaluation of the ceiling formula
-    assert depth_cap(100_000, 1e-3) == 1
-    assert depth_cap(1_000_000, 1e-5) == 2
-
-
-def test_depth_cap_domain():
-    with pytest.raises(DepthCapUndefined):
-        depth_cap(100, 1 / (16 * math.e))
-    with pytest.raises(DepthCapUndefined):
-        depth_cap(100, 0.5)
-    with pytest.raises(DepthCapUndefined):
-        depth_cap(100, 0.0)
 
 
 def test_concentration_depth_values():
@@ -157,27 +140,8 @@ def test_determinism():
     assert a.stats.l == b.stats.l
 
 
-def test_capped_depth_modes():
-    g = random_graph(300, 0.05, 123)
-    capped = grow_induced_bfs(g, root=0, depth=1)
-    assert capped.T_used <= 1
-    assert is_acyclic_undirected(g, capped.fvs)
-    # the greedy final level is an independent set hanging off the root
-    level1 = capped.levels[1] if len(capped.levels) > 1 else np.empty(0, int)
-    members = set(level1.tolist())
-    for v in members:
-        assert not members.intersection(g.neighbors(v).tolist())
-
-    deeper = grow_induced_bfs(g, root=0, depth=3)
-    assert deeper.T_used <= 3
-    assert is_acyclic_undirected(g, deeper.fvs)
-
-    with pytest.raises(ValueError):
-        grow_induced_bfs(g, root=0, depth=0)
-
-
 def test_default_depth_runs_to_exhaustion():
-    # on a long path the default keeps everything reachable
+    # on a long path growth keeps everything reachable
     n = 50
     path = Graph(n, [(i, i + 1) for i in range(n - 1)])
     res = grow_induced_bfs(path, root=0)
@@ -193,25 +157,8 @@ def test_disconnected_graph_other_components_enter_fvs():
     assert is_acyclic_undirected(g, res.fvs)
 
 
-# Frozen reference: the growth as it was built from two routines, per-edge
-# deletion below the depth cap and a sequential greedy sweep at the cap.
-def _reference_greedy_independent_set(members, eu, ev):
-    if members.size == 0:
-        return members
-    adj = {}
-    for a, b in zip(eu.tolist(), ev.tolist()):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    alive = set(members.tolist())
-    kept = []
-    for v in members.tolist():
-        if v in alive:
-            kept.append(v)
-            for w in adj.get(v, ()):
-                alive.discard(w)
-    return np.asarray(kept, dtype=np.int64)
-
-
+# Frozen reference: the growth as it was built by per-edge deletion, which
+# deletes the larger endpoint of every edge whose endpoints both survive.
 def _reference_independent_by_edge_deletion(members, eu, ev):
     dead = set()
     for a, b in zip(eu.tolist(), ev.tolist()):
@@ -223,17 +170,16 @@ def _reference_independent_by_edge_deletion(members, eu, ev):
     return keep, len(dead)
 
 
-def _reference_grow(g, root=0, depth=None):
+def _reference_grow(g, root=0):
     exposed = np.zeros(g.n, dtype=bool)
     exposed[root] = True
     levels = [np.asarray([root], dtype=np.int64)]
     stats = LevelStats(l=[1], u=[g.n - 1], r=[1], m=[0], k=[1], w=[0])
     level_index = 0
-    while depth is None or level_index < depth:
+    while True:
         current = levels[level_index]
         if current.size == 0:
             break
-        final_level = depth is not None and level_index + 1 == depth
         nbrs, _ = _gather(g.indptr, g.indices, current)
         counts = np.bincount(nbrs, minlength=g.n)
         newly = np.flatnonzero((~exposed) & (counts > 0))
@@ -244,11 +190,7 @@ def _reference_grow(g, root=0, depth=None):
         in_unique = np.zeros(g.n, dtype=bool)
         in_unique[unique] = True
         eu, ev = _induced_edges(g, unique, in_unique)
-        if final_level:
-            nxt = _reference_greedy_independent_set(unique, eu, ev)
-            deletions = int(unique.size - nxt.size)
-        else:
-            nxt, deletions = _reference_independent_by_edge_deletion(unique, eu, ev)
+        nxt, deletions = _reference_independent_by_edge_deletion(unique, eu, ev)
         stats.k.append(int(newly.size))
         stats.u.append(int(stats.u[level_index] - newly.size))
         stats.r.append(int(unique.size))
@@ -270,13 +212,12 @@ def _reference_grow(g, root=0, depth=None):
 
 
 def _assert_matches_reference(g, root):
-    for depth in (None, 1, 2, 3):
-        got = grow_induced_bfs(g, root=root, depth=depth)
-        want = _reference_grow(g, root=root, depth=depth)
-        assert got.fvs.tolist() == want.fvs.tolist()
-        assert [lv.tolist() for lv in got.levels] == [lv.tolist() for lv in want.levels]
-        assert got.stats == want.stats
-        assert got.T_used == want.T_used
+    got = grow_induced_bfs(g, root=root)
+    want = _reference_grow(g, root=root)
+    assert got.fvs.tolist() == want.fvs.tolist()
+    assert [lv.tolist() for lv in got.levels] == [lv.tolist() for lv in want.levels]
+    assert got.stats == want.stats
+    assert got.T_used == want.T_used
 
 
 @pytest.mark.parametrize("seed", range(40))

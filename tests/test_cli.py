@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import ihs
-from ihs.cli import main
+from ihs.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv) -> tuple[int, list[dict]]:
@@ -154,8 +157,9 @@ def test_jobs_parallel_matches_serial(capsys):
 def test_check_lemma1_rows(capsys):
     # c = 500 with 16 p <= 1/2: the smallest scale where the checks apply
     code, rows = run_cli(
-        capsys, "check-lemma1", "--n", "16000", "--p", "0.03125", "--seeds", "0..1"
+        capsys, "experiment", "--recipe", "lemma1", "--n", "16000", "--p", "0.03125", "--seeds", "0..1"
     )
+    rows = rows[:-1]  # the per-seed rows; the aggregate is judged elsewhere
     assert code == 0
     assert len(rows) == 2
     assert all(row["exact_match"] in ("0", "1") for row in rows)
@@ -164,8 +168,9 @@ def test_check_lemma1_rows(capsys):
 
 def test_check_lemma1_warns_when_not_applicable(capsys):
     code, rows, err = run_cli_with_err(
-        capsys, "check-lemma1", "--n", "1000", "--p", "0.1", "--seeds", "0..0"
+        capsys, "experiment", "--recipe", "lemma1", "--n", "1000", "--p", "0.1", "--seeds", "0..0"
     )
+    rows = rows[:-1]
     assert code == 0
     assert rows[0]["exact_match"] == ""
     assert "not applicable" in err
@@ -173,9 +178,10 @@ def test_check_lemma1_warns_when_not_applicable(capsys):
 
 def test_scan_lowerbound_r1(capsys):
     code, rows = run_cli(
-        capsys, "scan-lowerbound", "--n", "200", "--p", "0.05", "--r", "1",
+        capsys, "experiment", "--recipe", "theorem2", "--n", "200", "--p", "0.05", "--r", "1",
         "--samples", "50", "--seed", "0",
     )
+    rows = rows[:-1]
     assert code == 0
     assert rows[0]["bound_value"] == "1.0"
 
@@ -317,6 +323,26 @@ def test_solve_generic_repeated_subset_abort(monkeypatch, tmp_path, capsys):
     assert "repeated" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_planted_rejects_fewer_than_one_sample(capsys, samples):
+    code, rows, err = run_cli_with_err(
+        capsys, "verify-planted", "--model", "planted", "--n", "100", "--p", "0.6",
+        "--delta", "0.1", "--k", "3", "--seed", "1", "--samples", samples,
+    )
+    assert code == 2
+    assert rows == []
+    assert "sample" in err and "recovery regime" not in err
+
+
+def test_solve_generic_rejects_negative_ymax(tmp_path, capsys):
+    code, rows, err = run_cli_with_err(
+        capsys, "solve-generic", triangle_file(tmp_path), "--oracle", "bfs-cycle", "--ymax", "-1"
+    )
+    assert code == 2
+    assert rows == []
+    assert "max_swap_out" in err
+
+
 def test_instance_too_large_for_memory_exits_2(monkeypatch, capsys):
     import ihs.cli as cli_mod
     import ihs.models as models_mod
@@ -324,7 +350,7 @@ def test_instance_too_large_for_memory_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(models_mod, "available_memory", lambda: 1 << 20)
     monkeypatch.setattr(cli_mod, "gen_gnp", None)  # never reached
     code, _, err = run_cli_with_err(
-        capsys, "check-lemma1", "--n", "3000", "--p", "0.2", "--seeds", "0..0"
+        capsys, "experiment", "--recipe", "lemma1", "--n", "3000", "--p", "0.2", "--seeds", "0..0"
     )
     assert code == 2
     assert "needs about" in err and "MB is available" in err
@@ -345,3 +371,20 @@ def test_instance_file_too_large_for_memory_exits_2(monkeypatch, capsys, tmp_pat
     code, _, err = run_cli_with_err(capsys, "solve-fvs", str(path))
     assert code == 2
     assert "needs about" in err and "MB is available" in err
+
+
+def test_readme_names_only_live_commands_and_scripts():
+    text = README.read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines() if line.startswith("ihs ")]
+    assert len(commands) >= 6
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(argv)}")
+    scripts = re.findall(r"scripts/[\w./-]+", text)
+    assert scripts
+    for path in scripts:
+        assert (README.parent / path).is_file(), path

@@ -102,6 +102,12 @@ def test_rejects_bad_oracle():
         solve_implicit_hitting_set(3, GenericSolverConfig(oracle=oracle))
 
 
+def test_rejects_negative_swap_width():
+    fam = SubsetFamily(3, [(0, 1)])
+    with pytest.raises(ValueError, match="max_swap_out"):
+        solve_family(fam, 3, max_swap_out=-1)
+
+
 def test_online_augment_traces():
     fam = SubsetFamily(5, [(1, 2), (2, 3)])
     hs, misses = online_augment(5, explicit_family_oracle(fam))

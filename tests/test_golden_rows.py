@@ -62,10 +62,6 @@ CASES = {
         None, ["verify-planted", "--model", "planted", *PLANTED_100, "--seed", "1", "--samples", "2"]),
     "verify-planted file": (
         ["--model", "planted", *PLANTED_100, "--seed", "3"], ["verify-planted", FILE, "--samples", "2"]),
-    "check-lemma1 applicable": (None, ["check-lemma1", "--n", "13000", "--p", "0.03125", "--seeds", "0..0"]),
-    "check-lemma1": (None, ["check-lemma1", "--n", "2000", "--p", "0.01", "--seeds", "0..1"]),
-    "scan-lowerbound": (
-        None, ["scan-lowerbound", "--n", "300", "--p", "0.02", "--r", "40", "--samples", "50", "--seed", "0"]),
     "experiment lemma1 applicable": (
         None, ["experiment", "--recipe", "lemma1", "--n", "13000", "--p", "0.03125", "--seeds", "0..0"]),
     "experiment lemma1 n2000": (

@@ -86,7 +86,14 @@ def test_dnp_shadow_edge_count_mean():
     assert abs(np.mean(counts) - mean) < 3 * sigma / math.sqrt(runs)
 
 
-def test_skip_sampler_distribution_matches_naive():
+def gnp_sampled_by(monkeypatch, method, params):
+    """``gen_gnp`` with the naive or the skip sampler forced by moving the
+    pair count at which the skip sampler takes over."""
+    monkeypatch.setattr(models_mod, "_SKIP_THRESHOLD", math.inf if method == "naive" else 0)
+    return gen_gnp(params)
+
+
+def test_skip_sampler_distribution_matches_naive(monkeypatch):
     # same distribution, different stream: compare edge-count statistics of the
     # two modes at a size where both run
     n, p, runs = 300, 0.05, 200
@@ -94,10 +101,10 @@ def test_skip_sampler_distribution_matches_naive():
     mean = pairs * p
     sigma = math.sqrt(mean * (1 - p))
     naive = np.array([
-        gen_gnp(ModelParams(n=n, p=p, seed=s), method="naive").num_edges for s in range(runs)
+        gnp_sampled_by(monkeypatch, "naive", ModelParams(n=n, p=p, seed=s)).num_edges for s in range(runs)
     ])
     skip = np.array([
-        gen_gnp(ModelParams(n=n, p=p, seed=s), method="skip").num_edges for s in range(runs)
+        gnp_sampled_by(monkeypatch, "skip", ModelParams(n=n, p=p, seed=s)).num_edges for s in range(runs)
     ])
     assert abs(naive.mean() - mean) < 5 * sigma / math.sqrt(runs)
     assert abs(skip.mean() - mean) < 5 * sigma / math.sqrt(runs)
@@ -105,13 +112,13 @@ def test_skip_sampler_distribution_matches_naive():
     assert abs(naive.mean() - skip.mean()) < 5 * sigma * math.sqrt(2 / runs)
 
 
-def test_skip_sampler_per_pair_frequencies():
+def test_skip_sampler_per_pair_frequencies(monkeypatch):
     # pooled per-pair inclusion frequency should concentrate around p for both modes
     n, p, runs = 40, 0.2, 400
     for method in ("naive", "skip"):
         freq = np.zeros((n, n))
         for s in range(runs):
-            g = gen_gnp(ModelParams(n=n, p=p, seed=s), method=method)
+            g = gnp_sampled_by(monkeypatch, method, ModelParams(n=n, p=p, seed=s))
             for u, v in g.edge_list.tolist():
                 freq[u, v] += 1
         upper = freq[np.triu_indices(n, k=1)] / runs
@@ -124,7 +131,6 @@ def test_planted_structure_and_determinism():
     params = ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=11)
     inst = gen_planted(params)
     assert inst.planted == list(range(40))
-    assert inst.dag_order.tolist() == list(range(40, 400))
     assert is_acyclic_directed(inst.digraph, inst.planted)
     again = gen_planted(params)
     assert inst.digraph == again.digraph
@@ -147,7 +153,6 @@ def test_planted_boundaries():
     # delta = 1: every pair drawn with probability min(1, 2p), no DAG part
     inst = gen_planted(ModelParams(n=30, p=0.5, delta=1.0, seed=5))
     assert inst.planted == list(range(30))
-    assert inst.dag_order.size == 0
     assert inst.digraph.num_arcs == math.comb(30, 2)
 
     empty = gen_planted(ModelParams(n=30, p=0.0, delta=0.2, seed=5))

@@ -135,6 +135,13 @@ def test_diagnostics_flags_empty_graph():
     assert all(covered == 0 for covered, _total in diag.coverage)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_diagnostics_reject_fewer_than_one_sample(samples):
+    inst = gen_planted(ModelParams(n=100, p=0.6, delta=0.1, k=3, seed=1))
+    with pytest.raises(ValueError, match="sample"):
+        planted_diagnostics(inst, samples=samples)
+
+
 def test_cycle_budget_stops_enumeration_at_cap(monkeypatch):
     # a complete digraph on 10 vertices has 45 two-cycles: the first length
     # alone passes a cap of 10, and enumeration stops at the 11th cycle
