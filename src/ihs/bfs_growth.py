@@ -237,7 +237,6 @@ class LevelCheck:
     u_ok: bool
     l_ok: bool
     r_ok: bool | None
-    values: dict[str, float]
 
     @property
     def all_ok(self) -> bool:
@@ -309,21 +308,7 @@ def check_concentration_bounds(stats: LevelStats, n: int, p: float) -> Concentra
         r_ok: bool | None = None
         if t + 1 < len(stats.r):
             r_ok = r_lo <= stats.r[t + 1] <= r_hi
-        checks.append(
-            LevelCheck(
-                t=t,
-                u_ok=bool(u_ok),
-                l_ok=bool(l_ok),
-                r_ok=r_ok,
-                values={
-                    "u_lo": u_lo, "u": float(stats.u[t]), "u_hi": u_hi,
-                    "l_lo": l_lo, "l": float(stats.l[t]), "l_hi": l_hi,
-                    "r_lo": r_lo,
-                    "r": float(stats.r[t + 1]) if t + 1 < len(stats.r) else float("nan"),
-                    "r_hi": r_hi,
-                },
-            )
-        )
+        checks.append(LevelCheck(t=t, u_ok=bool(u_ok), l_ok=bool(l_ok), r_ok=r_ok))
     return ConcentrationReport(True, "", horizon, checks)
 
 

@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Callable
 
 from .bfs_growth import (
     break_two_cycles,
@@ -148,31 +149,15 @@ class Source:
 
 
 def _model_params(args, model: str, seed: int = 0) -> ModelParams:
-    params = ModelParams(
-        n=args.n, p=args.p,
-        delta=args.delta if model == "planted" else None,
-        k=getattr(args, "k", None), seed=seed,
-    )
+    if args.delta is not None and model != "planted":
+        raise ValueError("--delta applies to the planted model only")
+    params = ModelParams(n=args.n, p=args.p, delta=args.delta, k=getattr(args, "k", None), seed=seed)
     params.validate(model)
     return params
 
 
-def _source_and_seeds(args, models: tuple[str, ...]) -> tuple[Source, list]:
-    """A command's instance source and the seeds to run it at: the file once,
-    every seed of ``--seeds``, or ``--seed``."""
-    if args.instance is not None:
-        return Source(path=args.instance), [None]
-    if args.model is None:
-        raise ValueError("provide an instance file or --model with parameters")
-    if args.model not in models:
-        raise ValueError(f"model {args.model!r} not supported by this command")
-    if args.seeds is not None:
-        seeds = _parse_seeds(args.seeds)
-    elif args.seed is not None:
-        seeds = [args.seed]
-    else:
-        raise ValueError("--seed is required with --model (no wall-clock seeding)")
-    return Source(model=args.model, params=_model_params(args, args.model)), seeds
+def _seeds(args) -> list[int]:
+    return _parse_seeds(args.seeds) if args.seeds is not None else [args.seed]
 
 
 def _param(params: ModelParams | None, name: str):
@@ -281,26 +266,35 @@ def _run_verify(seed, *, source: Source, k: int | None, samples: int) -> dict:
     )
 
 
-def _run_lemma(seed: int, *, n: int, p: float, root: int) -> dict:
-    params = ModelParams(n=n, p=p, seed=seed)
+def _run_lemma(seed: int, *, source: Source, root: int) -> dict:
     t0 = time.perf_counter()
-    g = gen_gnp(params)
+    g, _, _, params = source.load(seed)
     result = grow_induced_bfs(g, root=root)
-    report = check_concentration_bounds(result.stats, n, p)
-    ok = is_acyclic_undirected(g, result.fvs)
+    report = check_concentration_bounds(result.stats, g.n, params.p)
     return make_row(
-        seed=seed, algorithm="concentration-check", n=n, p=p,
-        fvs_size=int(result.fvs.size),
-        bound_value=report.horizon,
-        acyclic_ok=bool(ok),
-        exact_match=bool(report.all_pass) if report.applicable else "",
-        runtime_ms=_ms(t0),
+        seed=seed, algorithm="concentration-check", n=g.n, p=params.p,
+        fvs_size=int(result.fvs.size), bound_value=report.horizon,
+        acyclic_ok=bool(is_acyclic_undirected(g, result.fvs)),
+        exact_match=bool(report.all_pass) if report.applicable else "", runtime_ms=_ms(t0),
+    )
+
+
+def _run_theorem2(seed: int, *, source: Source, r: int, samples: int) -> dict:
+    t0 = time.perf_counter()
+    g, _, _, params = source.load(seed)
+    fraction = sample_acyclic_fraction(g, r, samples, seed)
+    # bound_value carries the measured acyclic fraction: it is the bounded quantity
+    return make_row(
+        seed=seed, algorithm="induced-acyclic-sampler", n=g.n, p=params.p,
+        bound_value=fraction, oracle_calls=samples, runtime_ms=_ms(t0),
     )
 
 
 def _runs(run, seeds: list, jobs: int) -> list[dict]:
     """One row of ``run`` per seed, numbered by run_id in seed order."""
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {jobs}")
+    if jobs == 1:
         rows = [run(seed) for seed in seeds]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -321,7 +315,13 @@ def cmd_generate(args) -> int:
 
 
 def _run_command(args, runner, models: tuple[str, ...], **options) -> int:
-    source, seeds = _source_and_seeds(args, models)
+    """Rows of ``runner`` on the instance file once, or on ``--model`` at each seed."""
+    if args.instance is not None:
+        source, seeds = Source(path=args.instance), [None]
+    elif args.model not in models:
+        raise ValueError(f"model {args.model!r} not supported by this command")
+    else:
+        source, seeds = Source(model=args.model, params=_model_params(args, args.model)), _seeds(args)
     emit_rows(_runs(partial(runner, source=source, **options), seeds, args.jobs), args.out)
     return 0
 
@@ -343,86 +343,101 @@ def cmd_verify_planted(args) -> int:
     return _run_command(args, _run_verify, ("planted",), k=args.k, samples=args.samples)
 
 
-def _lemma_rows(args) -> list[dict]:
-    seeds = _parse_seeds(args.seeds)
-    ModelParams(n=args.n, p=args.p).validate("gnp")
+# ----------------------------------------------------------------------------
+# experiment recipes: per-seed rows of a runner, then cells of an aggregate row
+
+def _median_size(rows: list[dict]) -> float:
+    return float(statistics.median(row["fvs_size"] for row in rows))
+
+
+def _theorem1_cells(args, rows: list[dict]) -> dict:
+    bound = fvs_upper_bound(args.n, args.p)
+    passes = sum(1 for row in rows if bound is not None and row["fvs_size"] <= bound)
+    return dict(fvs_size=_median_size(rows), bound_value=bound or "", exact_match=passes / len(rows))
+
+
+def _lemma1_cells(args, rows: list[dict]) -> dict:
     c = args.n * args.p
     if c - 20 * math.sqrt(c) <= 0:
-        print(
-            f"warning: c - 20 sqrt(c) = {c - 20 * math.sqrt(c):.1f} <= 0; "
-            "concentration checks are not applicable at these parameters",
-            file=sys.stderr,
-        )
-    return _runs(partial(_run_lemma, n=args.n, p=args.p, root=args.root), seeds, args.jobs)
+        print(f"warning: c - 20 sqrt(c) = {c - 20 * math.sqrt(c):.1f} <= 0; concentration "
+              "checks are not applicable at these parameters", file=sys.stderr)
+    applicable = [row for row in rows if row["exact_match"] != ""]
+    passes = sum(1 for row in applicable if row["exact_match"])
+    return dict(fvs_size=_median_size(rows), bound_value=concentration_depth(args.n, args.p),
+                exact_match=passes / len(applicable) if applicable else "")
 
 
-def _theorem2_row(args) -> dict:
-    params = ModelParams(n=args.n, p=args.p, seed=args.seed)
-    params.validate("gnp")
-    t0 = time.perf_counter()
-    g = gen_gnp(params)
-    fraction = sample_acyclic_fraction(g, args.r, args.samples, args.seed)
-    # bound_value carries the measured acyclic fraction: it is the bounded quantity
-    return make_row(
-        run_id=0, seed=args.seed, algorithm="induced-acyclic-sampler",
-        n=args.n, p=args.p,
-        bound_value=fraction,
-        oracle_calls=args.samples,
-        runtime_ms=_ms(t0),
-    )
+def _theorem5_cells(args, rows: list[dict]) -> dict:
+    return dict(delta=args.delta, k=args.k, fvs_size=_median_size(rows),
+                bound_value=args.k * math.floor(args.delta * args.n),
+                exact_match=sum(1 for row in rows if row["exact_match"]) / len(rows))
 
 
-def _median(values: list[float]) -> float:
-    return float(statistics.median(values)) if values else float("nan")
+@dataclass(frozen=True)
+class Recipe:
+    """A paper experiment: its model, the runner of one seed, the options of
+    ``RECIPE_OPTIONS`` it reads (all required but root) and its aggregate cells."""
+
+    model: str
+    runner: Callable[..., dict]
+    reads: tuple[str, ...]
+    cells: Callable[[argparse.Namespace, list[dict]], dict]
+
+
+RECIPES = {
+    "theorem1": Recipe("gnp", partial(_run_fvs, prune=False), ("seeds", "root"), _theorem1_cells),
+    "lemma1": Recipe("gnp", _run_lemma, ("seeds", "root"), _lemma1_cells),
+    "theorem2": Recipe("gnp", _run_theorem2, ("r", "samples", "seed"),
+                       lambda args, rows: dict(bound_value=rows[0]["bound_value"])),
+    "theorem5": Recipe("planted", _run_planted, ("delta", "k", "seeds"), _theorem5_cells),
+}
+RECIPE_OPTIONS = ("delta", "k", "r", "samples", "seed", "seeds", "root")
+# an instance file carries its own graph and params
+FILE_REFUSES = ("model", "n", "p", "delta", "seed", "seeds")
 
 
 def cmd_experiment(args) -> int:
-    recipe = args.recipe
-    if recipe == "theorem1":
-        source = Source(model="gnp", params=ModelParams(n=args.n, p=args.p))
-        run = partial(_run_fvs, source=source, root=args.root, prune=False)
-        rows = _runs(run, _parse_seeds(args.seeds), args.jobs)
-        bound = fvs_upper_bound(args.n, args.p)
-        sizes = [row["fvs_size"] for row in rows]
-        passes = sum(1 for s in sizes if bound is not None and s <= bound)
-        agg = make_row(
-            run_id="aggregate", algorithm="theorem1-aggregate", n=args.n, p=args.p,
-            fvs_size=_median(sizes), bound_value=bound or "",
-            exact_match=passes / len(rows) if rows else "",
-        )
-    elif recipe == "lemma1":
-        rows = _lemma_rows(args)
-        applicable = [row for row in rows if row["exact_match"] != ""]
-        passes = sum(1 for row in applicable if row["exact_match"])
-        agg = make_row(
-            run_id="aggregate", algorithm="lemma1-aggregate", n=args.n, p=args.p,
-            fvs_size=_median([row["fvs_size"] for row in rows]),
-            bound_value=concentration_depth(args.n, args.p),
-            exact_match=passes / len(applicable) if applicable else "",
-        )
-    elif recipe == "theorem2":
-        rows = [_theorem2_row(args)]
-        agg = make_row(
-            run_id="aggregate", algorithm="theorem2-aggregate", n=args.n, p=args.p,
-            bound_value=rows[0]["bound_value"],
-        )
-    elif recipe == "theorem5":
-        params = ModelParams(n=args.n, p=args.p, delta=args.delta, k=args.k)
-        run = partial(_run_planted, source=Source(model="planted", params=params), k=args.k)
-        rows = _runs(run, _parse_seeds(args.seeds), args.jobs)
-        matches = sum(1 for row in rows if row["exact_match"])
-        agg = make_row(
-            run_id="aggregate", algorithm="theorem5-aggregate", n=args.n, p=args.p,
-            delta=args.delta, k=args.k,
-            fvs_size=_median([row["fvs_size"] for row in rows]),
-            bound_value=args.k * math.floor(args.delta * args.n),
-            exact_match=matches / len(rows) if rows else "",
-        )
-    else:
-        raise ValueError(f"unknown recipe {recipe!r}")
-    rows.append(agg)
+    recipe = RECIPES[args.recipe]
+    source = Source(model=recipe.model, params=_model_params(args, recipe.model))
+    options = {name: getattr(args, name) for name in recipe.reads if name in ("k", "r", "samples")}
+    if "root" in recipe.reads:  # growth starts at vertex 0 unless --root says otherwise
+        options["root"] = args.root or 0
+    rows = _runs(partial(recipe.runner, source=source, **options), _seeds(args), args.jobs)
+    rows.append(make_row(run_id="aggregate", algorithm=f"{args.recipe}-aggregate",
+                         n=args.n, p=args.p, **recipe.cells(args, rows)))
     emit_rows(rows, args.out)
     return 0
+
+
+def _flags(names: list[str]) -> str:
+    flags = [f"--{name}" for name in names]
+    return " and ".join(filter(None, [", ".join(flags[:-1]), flags[-1]]))
+
+
+def check_options(args) -> None:
+    """Refuse an option the command does not read, or a recipe without one it
+    needs. Nothing is drawn or read here; a refusal is an input error."""
+    def given(names) -> list[str]:
+        return [name for name in names if getattr(args, name, None) is not None]
+
+    if args.command == "experiment":
+        recipe = RECIPES[args.recipe]
+        unread = given(name for name in RECIPE_OPTIONS if name not in recipe.reads)
+        if unread:
+            raise ValueError(f"recipe {args.recipe} does not read {_flags(unread)}")
+        missing = [name for name in recipe.reads if name != "root" and getattr(args, name) is None]
+        if missing:
+            note = "" if given(("seed", "seeds")) else " (no wall-clock seeding)"
+            raise ValueError(f"recipe {args.recipe} requires {_flags(missing)}{note}")
+    elif hasattr(args, "instance"):  # the solve and verify commands
+        if args.instance is not None and given(FILE_REFUSES):
+            raise ValueError(f"an instance file takes no {_flags(given(FILE_REFUSES))}")
+        if args.instance is None and args.model is None:
+            raise ValueError("provide an instance file or --model with parameters")
+        if args.instance is None and not given(("seed", "seeds")):
+            raise ValueError("--seed is required with --model (no wall-clock seeding)")
+    if len(given(("seed", "seeds"))) == 2:
+        raise ValueError("give --seed or --seeds, not both")
 
 
 # ----------------------------------------------------------------------------
@@ -482,16 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(fn=cmd_verify_planted)
 
     exp = subs.add_parser("experiment", help="named experiment recipes with an aggregate row")
-    exp.add_argument("--recipe", choices=["theorem1", "lemma1", "theorem2", "theorem5"], required=True)
+    exp.add_argument("--recipe", choices=list(RECIPES), required=True)
     exp.add_argument("--n", type=int, required=True)
     exp.add_argument("--p", type=float, required=True)
     exp.add_argument("--delta", type=float)
-    exp.add_argument("--k", type=int)
-    exp.add_argument("--r", type=int)
-    exp.add_argument("--samples", type=int)
-    exp.add_argument("--seed", type=int)
+    for name in ("k", "r", "samples", "seed", "root"):
+        exp.add_argument(f"--{name}", type=int)
     exp.add_argument("--seeds", type=str)
-    exp.add_argument("--root", type=int, default=0)
     exp.add_argument("--jobs", type=int, default=1)
     exp.add_argument("--out", type=str, default=None)
     exp.set_defaults(fn=cmd_experiment)
@@ -502,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _validate_recipe_args(args)
+        check_options(args)
         return args.fn(args)
     except RunAborted as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
@@ -511,19 +523,6 @@ def main(argv: list[str] | None = None) -> int:
     except (InstanceFormatError, GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _validate_recipe_args(args) -> None:
-    if getattr(args, "command", None) != "experiment":
-        return
-    recipe = args.recipe
-    if recipe in ("theorem1", "lemma1", "theorem5") and args.seeds is None:
-        raise ValueError(f"recipe {recipe} requires --seeds (no wall-clock seeding)")
-    if recipe == "theorem2":
-        if args.seed is None or args.r is None or args.samples is None:
-            raise ValueError("recipe theorem2 requires --r, --samples and --seed")
-    if recipe == "theorem5" and (args.delta is None or args.k is None):
-        raise ValueError("recipe theorem5 requires --delta and --k")
 
 
 if __name__ == "__main__":

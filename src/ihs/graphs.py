@@ -291,18 +291,14 @@ def is_acyclic_directed(d: Digraph, removed=()) -> bool:
     alive = np.flatnonzero(~gone)
     if alive.size == 0:
         return True
-    nbrs, rep = _gather(d.out_indptr, d.out_indices, alive)
-    src = alive[rep]
-    keep = ~gone[nbrs]
-    au = src[keep]
-    av = nbrs[keep]
-    indeg = np.bincount(av, minlength=d.n)
+    nbrs, _ = _gather(d.out_indptr, d.out_indices, alive)
+    indeg = np.bincount(nbrs[~gone[nbrs]], minlength=d.n)
     remaining = int(alive.size)
     frontier = alive[indeg[alive] == 0]
     while frontier.size:
         remaining -= int(frontier.size)
         gone[frontier] = True
-        out, rep2 = _gather(d.out_indptr, d.out_indices, frontier)
+        out, _ = _gather(d.out_indptr, d.out_indices, frontier)
         out = out[~gone[out]]
         if out.size == 0:
             break

@@ -153,13 +153,13 @@ def planted_diagnostics(
             "edge probability is likely below the recovery regime for this k"
         )
 
-    report = recover_planted_fvs(d, k, planted=planted)
+    greedy_size = len(greedy_hit_cycles(collect_short_cycles(d, k), d.n))
     bound = k * len(planted)
     return PlantedDiagnostics(
         coverage=coverage,
         all_covered=all_covered,
         hypothesis_note=note,
-        greedy_size=len(report.greedy_set),
+        greedy_size=greedy_size,
         greedy_bound=bound,
-        greedy_ok=len(report.greedy_set) <= bound,
+        greedy_ok=greedy_size <= bound,
     )

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import os
 import re
@@ -9,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import ihs
+import ihs.cli as cli
+import ihs.models as models
 from ihs.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+REPRODUCE = README.parent / "scripts" / "reproduce_experiments.py"
 
 
 def run_cli(capsys, *argv) -> tuple[int, list[dict]]:
@@ -349,6 +353,7 @@ def test_instance_too_large_for_memory_exits_2(monkeypatch, capsys):
 
     monkeypatch.setattr(models_mod, "available_memory", lambda: 1 << 20)
     monkeypatch.setattr(cli_mod, "gen_gnp", None)  # never reached
+    monkeypatch.setattr(cli_mod, "gen_planted", None)
     code, _, err = run_cli_with_err(
         capsys, "experiment", "--recipe", "lemma1", "--n", "3000", "--p", "0.2", "--seeds", "0..0"
     )
@@ -358,6 +363,12 @@ def test_instance_too_large_for_memory_exits_2(monkeypatch, capsys):
         capsys, "solve-fvs", "--model", "dnp", "--n", "3000", "--p", "0.2", "--seed", "0"
     )
     assert code == 2 and "MB is available" in err
+    for recipe in (["theorem1"], ["theorem5", "--delta", "0.1", "--k", "3"]):
+        code, rows, err = run_cli_with_err(
+            capsys, "experiment", "--recipe", *recipe, "--n", "3000", "--p", "0.2", "--seeds", "0..0"
+        )
+        assert code == 2 and rows == []
+        assert "needs about" in err and "MB is available" in err
 
 
 def test_instance_file_too_large_for_memory_exits_2(monkeypatch, capsys, tmp_path):
@@ -373,7 +384,74 @@ def test_instance_file_too_large_for_memory_exits_2(monkeypatch, capsys, tmp_pat
     assert "needs about" in err and "MB is available" in err
 
 
-def test_readme_names_only_live_commands_and_scripts():
+FILE = "{file}"  # replaced by an instance file the test writes
+GNP = ["--model", "gnp", "--n", "30", "--p", "0.1"]
+THEOREM1 = ["experiment", "--recipe", "theorem1", "--n", "50", "--p", "0.1", "--seeds", "0..1"]
+THEOREM2 = ["experiment", "--recipe", "theorem2", "--n", "50", "--p", "0.05", "--r", "5",
+            "--samples", "5", "--seed", "0"]
+THEOREM5 = ["experiment", "--recipe", "theorem5", "--n", "60", "--p", "0.3", "--delta", "0.1",
+            "--k", "3", "--seeds", "0..0"]
+
+# commands whose options the command does not read, or cannot run together
+REFUSED = {
+    "theorem2 --seeds": [*THEOREM2, "--seeds", "0..9"],
+    "theorem1 --delta --k": [*THEOREM1, "--delta", "0.3", "--k", "9"],
+    "experiment --jobs 0": [*THEOREM1, "--jobs", "0"],
+    "file --model --n --seed": ["solve-fvs", FILE, "--model", "dnp", "--n", "99", "--seed", "5"],
+    "file --model": ["solve-fvs", FILE, "--model", "gnp"],
+    "file --n": ["solve-generic", FILE, "--oracle", "bfs-cycle", "--n", "99"],
+    "file --seed": ["solve-fvs", FILE, "--seed", "5"],
+    "gnp --delta": ["solve-fvs", *GNP, "--seed", "0", "--delta", "0.3"],
+    "dnp --delta": ["solve-generic", "--model", "dnp", "--n", "20", "--p", "0.1", "--seed", "0",
+                    "--oracle", "shortest-cycle", "--delta", "0.3"],
+    "solve-planted dnp --delta": ["solve-planted", "--model", "dnp", "--n", "30", "--p", "0.1",
+                                  "--k", "3", "--seed", "0", "--delta", "0.3"],
+    "generate gnp --delta": ["generate", *GNP, "--seed", "0", "--delta", "0.3", "--out", FILE],
+    "--seed --seeds": ["solve-fvs", *GNP, "--seed", "0", "--seeds", "0..9"],
+    "--jobs 0": ["solve-fvs", *GNP, "--seeds", "0..1", "--jobs", "0"],
+    "--jobs -1": ["solve-fvs", *GNP, "--seeds", "0..1", "--jobs", "-1"],
+    "theorem2 --root": [*THEOREM2, "--root", "7"],
+    "theorem5 --root": [*THEOREM5, "--root", "7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_options_exit_2(tmp_path, capsys, name):
+    path = triangle_file(tmp_path)
+    code, rows, err = run_cli_with_err(capsys, *[path if a == FILE else a for a in REFUSED[name]])
+    assert code == 2
+    assert rows == []
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def refusal(argv: list[str]) -> str | None:
+    """The input error ``argv`` draws from its options alone, else None. No
+    instance is drawn or read."""
+    args = build_parser().parse_args(argv)
+    model = cli.RECIPES[args.recipe].model if args.command == "experiment" else args.model
+    try:
+        cli.check_options(args)
+        if model is not None and getattr(args, "instance", None) is None:
+            cli._model_params(args, model)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def reproduce_argvs(monkeypatch, tmp_path, *flags) -> list[list[str]]:
+    """The ``ihs`` argv lists the reproduction script hands to the CLI, recorded
+    instead of run."""
+    spec = importlib.util.spec_from_file_location("reproduce_experiments", REPRODUCE)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    recorded: list[list[str]] = []
+    monkeypatch.setattr(script, "cli_main", lambda argv: recorded.append(argv) or 0)
+    monkeypatch.setattr(sys, "argv", [str(REPRODUCE), "--outdir", str(tmp_path), *flags])
+    assert script.main() == 0
+    return recorded
+
+
+def test_readme_names_only_live_commands_and_scripts(monkeypatch, tmp_path):
     text = README.read_text()
     block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     commands = [line.split("#", 1)[0].split() for line in block.splitlines() if line.startswith("ihs ")]
@@ -388,3 +466,14 @@ def test_readme_names_only_live_commands_and_scripts():
     assert scripts
     for path in scripts:
         assert (README.parent / path).is_file(), path
+
+    # no README command and no reproduction run carries an option its command
+    # refuses; the memory guard is off, as it depends on the machine
+    monkeypatch.setattr(models, "available_memory", lambda: None)
+    runs = [argv[1:] for argv in commands]
+    for flags in ((), ("--full",)):
+        runs += reproduce_argvs(monkeypatch, tmp_path, *flags)
+    assert len(runs) == len(commands) + 8
+    for argv in runs:
+        assert refusal(argv) is None, (argv, refusal(argv))
+    assert refusal([*THEOREM5, "--root", "7"]) is not None
