@@ -113,8 +113,8 @@ def grow_induced_bfs(g: Graph, root: int = 0) -> FvsResult:
     stats = LevelStats(l=[1], u=[g.n - 1], r=[1], m=[0], k=[1], w=[0])
 
     while True:
-        nbrs, _ = _gather(g.indptr, g.indices, levels[-1])
-        counts = np.bincount(nbrs, minlength=g.n)
+        counts = np.bincount(_gather(g.low_indptr, g.low_indices, levels[-1])[0], minlength=g.n)
+        counts += np.bincount(_gather(g.up_indptr, g.up_indices, levels[-1])[0], minlength=g.n)
         fresh = (~exposed) & (counts > 0)
         newly = np.flatnonzero(fresh)
         if newly.size == 0:
@@ -211,17 +211,23 @@ def prune_fvs(g: Graph, fvs) -> np.ndarray:
     if not union_edges(parent, kept):
         raise ValueError("input is not a feedback vertex set")
 
+    halves = [(g.low_indices, g.low_indptr.tolist()), (g.up_indices, g.up_indptr.tolist())]
     for v in sorted(removed):
         roots = set()
         ok = True
-        for w in g.neighbors(v).tolist():
-            if w in removed and w != v:
-                continue
-            rw = find(parent, w)
-            if rw in roots:
-                ok = False
+        # lower neighbors, then upper ones; a repeated root mostly ends the
+        # scan early, so a half is listed only once it is reached
+        for indices, bounds in halves:
+            for w in indices[bounds[v]:bounds[v + 1]].tolist():
+                if w in removed:
+                    continue
+                rw = find(parent, w)
+                if rw in roots:
+                    ok = False
+                    break
+                roots.add(rw)
+            if not ok:
                 break
-            roots.add(rw)
         if ok:
             removed.discard(v)
             for rw in roots:  # v was removed until now, so it is its own root

@@ -1,13 +1,15 @@
 """Vertex-indexed graph containers and acyclicity primitives.
 
 Vertices are dense integers ``0..n-1``. Both containers are immutable after
-construction and store a canonical lexicographically sorted edge/arc list plus
-CSR adjacency with ascending neighbor order, so every traversal in the package
-is reproducible. Ids are int32 and every array is read-only. Construction
-works slice by slice over the pair list: on the canonical input the
-generators emit, its one m-length int64 array is the sort key of the
-transposed list. Acyclicity checks are iterative; nothing here recurses on
-the graph size.
+construction and store a canonical lexicographically sorted edge/arc list
+plus two CSRs with ascending rows, both built by ``_rows``: the rows of that
+list and the rows of its transpose. For a Graph these are the upper and the
+lower neighbors of each vertex, for a Digraph its out- and in-neighbors, so
+every traversal in the package is reproducible. Ids are int32 and every array
+is read-only. Construction works slice by slice over the pair list: on the
+canonical input the generators emit, its one m-length int64 array is the sort
+key of the transpose. Acyclicity checks are iterative; nothing here recurses
+on the graph size.
 """
 
 from __future__ import annotations
@@ -135,13 +137,6 @@ def _rows(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(_row_starts(n, pairs[:, 0])), _frozen(np.ascontiguousarray(pairs[:, 1]))
 
 
-def _scatter(indices: np.ndarray, shift: np.ndarray, pairs: np.ndarray) -> None:
-    """``indices[shift[u] + i] = v`` for the i-th pair (u, v)."""
-    for s in range(0, pairs.shape[0], _CHUNK):
-        part = pairs[s:s + _CHUNK]
-        indices[shift[part[:, 0]] + np.arange(s, s + part.shape[0])] = part[:, 1]
-
-
 def _gather(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated neighbor lists of ``verts``; returns (neighbors, source positions)."""
     verts = np.asarray(verts, dtype=np.int64)
@@ -158,38 +153,38 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray) -> tuple
 
 def _induced_edges(g: Graph, verts: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edges (u, v), u < v, in lex order, from the ascending ``verts`` to
-    vertices where the mask ``inside`` holds, as two int32 arrays."""
-    nbrs, rep = _gather(g.indptr, g.indices, verts)
-    src = np.asarray(verts, dtype=np.int32)[rep]
-    pick = inside[nbrs] & (nbrs > src)
-    return src[pick], nbrs[pick]
+    upper neighbors where the mask ``inside`` holds, as two int32 arrays."""
+    nbrs, rep = _gather(g.up_indptr, g.up_indices, verts)
+    pick = inside[nbrs]
+    return np.asarray(verts, dtype=np.int32)[rep[pick]], nbrs[pick]
 
 
 class Graph:
-    """Undirected simple graph: canonical edge list with u < v, sorted CSR adjacency."""
+    """Undirected simple graph: canonical edge list with u < v, and the sorted
+    CSR of its rows (row u: the upper neighbors of u) and of its transpose
+    (row u: the lower neighbors of u)."""
 
-    __slots__ = ("n", "edge_list", "indptr", "indices")
+    __slots__ = ("n", "edge_list", "low_indptr", "low_indices", "up_indptr", "up_indices")
 
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         self.n = int(n)
-        self.edge_list = edges = _normalize_pairs(self.n, edges, directed=False)
-        lower = _transposed(self.n, edges)  # (v, u) for each edge (u, v)
-        lower_starts, upper_starts = _row_starts(self.n, lower[:, 0]), _row_starts(self.n, edges[:, 0])
-        # row u: its lower neighbors, then its upper ones
-        indices = np.empty(2 * edges.shape[0], dtype=np.int32)
-        _scatter(indices, upper_starts, lower)
-        _scatter(indices, lower_starts[1:], edges)
-        self.indptr = _frozen(lower_starts + upper_starts)
-        self.indices = _frozen(indices)
+        self.edge_list = _normalize_pairs(self.n, edges, directed=False)
+        # the transpose first: its m-length sort keys are freed before the upper indices exist
+        self.low_indptr, self.low_indices = _rows(self.n, _transposed(self.n, self.edge_list))
+        self.up_indptr, self.up_indices = _rows(self.n, self.edge_list)
 
     @property
     def num_edges(self) -> int:
         return self.edge_list.shape[0]
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+        """Ascending: the lower neighbors of ``v``, then the upper ones."""
+        return np.concatenate((
+            self.low_indices[self.low_indptr[v]:self.low_indptr[v + 1]],
+            self.up_indices[self.up_indptr[v]:self.up_indptr[v + 1]],
+        ))
 
     def __eq__(self, other) -> bool:
         return (

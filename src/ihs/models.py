@@ -5,8 +5,8 @@ Reproducibility contract
 ------------------------
 All randomness comes from ``numpy.random.Generator(PCG64(seed))``. Unordered
 pairs {u, v}, u < v, are indexed lexicographically; the pair at linear index
-``t`` is decoded arithmetically. One of two samplers draws the per-pair
-Bernoulli inclusions of a block, chosen by its pair count:
+``t`` is decoded in exact integer arithmetic. One of two samplers draws the
+per-pair Bernoulli inclusions of a block, chosen by its pair count:
 
 * ``naive``, up to ``_SKIP_THRESHOLD`` pairs: one uniform per pair, consumed
   in lexicographic order.
@@ -36,7 +36,7 @@ from .graphs import _CHUNK as _SLICE, Digraph, Graph
 _SKIP_THRESHOLD = 1 << 22  # pair-count above which the skip sampler kicks in
 _CHUNK = 1 << 22
 # Peak bytes of drawing and building an instance, per expected edge or arc and
-# per vertex, a little above the measured peaks: 24-27 B per edge for G(n, p)
+# per vertex, above the measured peaks: 21-24 B per edge for G(n, p)
 # with BFS growth and its validation (n=10^5 and 5*10^5, c=500); 33-35 B per
 # arc for the digraph models, whose arcs are sorted while the caller still
 # holds them.
@@ -153,41 +153,21 @@ def _bernoulli_indices(rng: np.random.Generator, count: int, prob: float) -> np.
     return np.concatenate(picked)
 
 
-def _decode_pairs(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographic pair index -> (u, v) with u < v."""
-
-    def offset(u: np.ndarray) -> np.ndarray:
-        return u * (2 * n - u - 1) // 2
-
-    nf = float(n)
-    u = np.floor(nf - 0.5 - np.sqrt((nf - 0.5) ** 2 - 2.0 * t)).astype(np.int64)
-    np.clip(u, 0, n - 2, out=u)
-    o = offset(u)
-    # float decode can be off by one at block boundaries
-    while True:
-        bad = o > t
-        if not bad.any():
-            break
-        u[bad] -= 1
-        o[bad] = offset(u[bad])
-    while True:
-        bad = offset(u + 1) <= t
-        if not bad.any():
-            break
-        u[bad] += 1
-        o[bad] = offset(u[bad])
-    v = t - o + u + 1
-    return u, v
-
-
 def _pairs(n: int, t: np.ndarray) -> np.ndarray:
-    """Decoded pairs of the lexicographic indices ``t`` as an int32 (m, 2)
-    array, decoded slice by slice so the decode's int64 temporaries stay small."""
+    """Pairs (u, v), u < v, of the lexicographic indices ``t`` as an int32
+    (m, 2) array. ``t`` must be ascending, as every sampled block is: one
+    search of each slice for the row offsets u(2n-u-1)/2 splits it into runs
+    of one row u, so the decode is exact integer arithmetic."""
+    rows = np.arange(n, dtype=np.int64)
+    offsets = rows * (2 * n - rows - 1) // 2  # index of the pair (u, u + 1); n(n-1)/2 past the end
     out = np.empty((t.size, 2), dtype=np.int32)
     for start in range(0, t.size, _SLICE):
-        u, v = _decode_pairs(n, t[start:start + _SLICE])
-        out[start:start + u.size, 0] = u
-        out[start:start + u.size, 1] = v
+        part = t[start:start + _SLICE]
+        first, last = np.searchsorted(offsets, part[[0, -1]], side="right") - 1
+        runs = np.diff(np.searchsorted(part, offsets[first:last + 2]))
+        u = np.repeat(rows[first:last + 1], runs)
+        out[start:start + part.size, 0] = u
+        out[start:start + part.size, 1] = part - offsets[u] + u + 1
     return out
 
 

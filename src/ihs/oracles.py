@@ -68,12 +68,16 @@ def successor_lists(g: Graph | Digraph) -> tuple[list[list[int]], list[set[int]]
     """Ascending successor list and successor set of every vertex (neighbors
     of a Graph, out-neighbors of a Digraph), built once for many walks."""
     if isinstance(g, Digraph):
-        indptr, indices = g.out_indptr, g.out_indices
-    else:
-        indptr, indices = g.indptr, g.indices
-    flat, bounds = indices.tolist(), indptr.tolist()
-    lists = [flat[bounds[v]:bounds[v + 1]] for v in range(g.n)]
+        lists = _row_lists(g.out_indptr, g.out_indices)
+    else:  # lower neighbors, then upper ones: still ascending
+        low, up = _row_lists(g.low_indptr, g.low_indices), _row_lists(g.up_indptr, g.up_indices)
+        lists = [a + b for a, b in zip(low, up)]
     return lists, [set(nb) for nb in lists]
+
+
+def _row_lists(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    flat, bounds = indices.tolist(), indptr.tolist()
+    return [flat[bounds[v]:bounds[v + 1]] for v in range(len(bounds) - 1)]
 
 
 def walk_cycles(adj, succ, start: int, length: int, min_id: int = 0, allowed=None):

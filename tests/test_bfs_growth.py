@@ -20,7 +20,6 @@ from ihs import (
     sample_acyclic_fraction,
 )
 
-from ihs.graphs import _gather, _induced_edges
 from test_graphs import random_digraph, random_graph
 
 
@@ -171,6 +170,12 @@ def _reference_independent_by_edge_deletion(members, eu, ev):
 
 
 def _reference_grow(g, root=0):
+    # exposures and the unique set's edges by brute force over the edge list
+    edges = g.edge_list.tolist()
+    adj = [[] for _ in range(g.n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
     exposed = np.zeros(g.n, dtype=bool)
     exposed[root] = True
     levels = [np.asarray([root], dtype=np.int64)]
@@ -180,8 +185,10 @@ def _reference_grow(g, root=0):
         current = levels[level_index]
         if current.size == 0:
             break
-        nbrs, _ = _gather(g.indptr, g.indices, current)
-        counts = np.bincount(nbrs, minlength=g.n)
+        counts = np.zeros(g.n, dtype=np.int64)
+        for x in current.tolist():
+            for w in adj[x]:
+                counts[w] += 1
         newly = np.flatnonzero((~exposed) & (counts > 0))
         if newly.size == 0:
             break
@@ -189,7 +196,9 @@ def _reference_grow(g, root=0):
         unique = newly[counts[newly] == 1]
         in_unique = np.zeros(g.n, dtype=bool)
         in_unique[unique] = True
-        eu, ev = _induced_edges(g, unique, in_unique)
+        inside = [(a, b) for a, b in edges if in_unique[a] and in_unique[b]]
+        eu = np.asarray([a for a, _ in inside], dtype=np.int64)
+        ev = np.asarray([b for _, b in inside], dtype=np.int64)
         nxt, deletions = _reference_independent_by_edge_deletion(unique, eu, ev)
         stats.k.append(int(newly.size))
         stats.u.append(int(stats.u[level_index] - newly.size))

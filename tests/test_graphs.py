@@ -142,12 +142,18 @@ def canonical_pairs(n, p, seed):
 
 def assert_graph_matches(g, n, canon):
     u, v = canon[:, 0], canon[:, 1]
+    up_ptr, up_idx = reference_csr(n, u, v)
+    low_ptr, low_idx = reference_csr(n, v, u)
     indptr, indices = reference_csr(n, np.concatenate([u, v]), np.concatenate([v, u]))
     assert g.edge_list.tolist() == canon.tolist()
-    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
-    for arr in (g.edge_list, g.indices):
+    assert np.array_equal(g.up_indptr, up_ptr) and np.array_equal(g.up_indices, up_idx)
+    assert np.array_equal(g.low_indptr, low_ptr) and np.array_equal(g.low_indices, low_idx)
+    for x in range(n):
+        assert g.neighbors(x).tolist() == indices[indptr[x]:indptr[x + 1]].tolist()
+    for arr in (g.edge_list, g.up_indices, g.low_indices):
         assert arr.dtype == np.int32 and not arr.flags.writeable
-    assert g.indptr.dtype == np.int64 and not g.indptr.flags.writeable
+    for arr in (g.up_indptr, g.low_indptr):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
 def assert_digraph_matches(d, n, arcs):
@@ -201,7 +207,8 @@ def test_digraph_matches_reference_csr(monkeypatch, chunk, n):
 
 def test_isolated_vertices_have_empty_rows():
     g = Graph(6, [(1, 4)])
-    assert g.indptr.tolist() == [0, 0, 1, 1, 1, 2, 2]
+    assert g.up_indptr.tolist() == [0, 0, 1, 1, 1, 1, 1]
+    assert g.low_indptr.tolist() == [0, 0, 0, 0, 0, 1, 1]
     d = Digraph(6, [(4, 1)])
     assert d.out_indptr.tolist() == [0, 0, 0, 0, 0, 1, 1]
     assert d.in_indptr.tolist() == [0, 0, 1, 1, 1, 1, 1]
@@ -279,8 +286,9 @@ def test_integral_floats_are_ids():
 def test_gather_matches_concatenated_rows(monkeypatch, chunk):
     monkeypatch.setattr(graphs_mod, "_CHUNK", chunk)
     g = random_graph(30, 0.2, 7)
-    rows = [g.neighbors(v).tolist() for v in range(g.n)]
-    for verts in ([], [3], [0, 5, 6, 29], list(range(30))):
-        nbrs, rep = graphs_mod._gather(g.indptr, g.indices, np.asarray(verts, dtype=np.int64))
-        assert nbrs.tolist() == [w for v in verts for w in rows[v]]
-        assert rep.tolist() == [i for i, v in enumerate(verts) for _ in rows[v]]
+    for indptr, indices in ((g.low_indptr, g.low_indices), (g.up_indptr, g.up_indices)):
+        rows = [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(g.n)]
+        for verts in ([], [3], [0, 5, 6, 29], list(range(30))):
+            nbrs, rep = graphs_mod._gather(indptr, indices, np.asarray(verts, dtype=np.int64))
+            assert nbrs.tolist() == [w for v in verts for w in rows[v]]
+            assert rep.tolist() == [i for i, v in enumerate(verts) for _ in rows[v]]

@@ -127,6 +127,21 @@ def test_skip_sampler_per_pair_frequencies(monkeypatch):
         assert abs(upper.mean() - p) < 0.01
 
 
+@pytest.mark.parametrize("slice_size", [1, 3, 7, 65536])
+def test_pair_decode_is_exact(monkeypatch, slice_size):
+    monkeypatch.setattr(models_mod, "_SLICE", slice_size)
+    rng = np.random.default_rng(slice_size)
+    for n in range(2, 70):
+        u, v = np.triu_indices(n, 1)
+        got = models_mod._pairs(n, np.arange(n * (n - 1) // 2, dtype=np.int64))
+        assert got.dtype == np.int32
+        assert np.array_equal(got[:, 0], u) and np.array_equal(got[:, 1], v)
+        # an ascending subset, as a sampler draws it
+        t = np.flatnonzero(rng.random(u.size) < 0.3).astype(np.int64)
+        got = models_mod._pairs(n, t)
+        assert np.array_equal(got[:, 0], u[t]) and np.array_equal(got[:, 1], v[t])
+
+
 def test_planted_structure_and_determinism():
     params = ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=11)
     inst = gen_planted(params)
