@@ -8,6 +8,9 @@ collected so far; each oracle rejection contributes the missed subset to the
 collection. When no swap applies, it solves the explicit minimum hitting set
 over the collection: matching sizes or a feasible explicit optimum certify
 global optimality, otherwise the collection grows and the climb restarts.
+Every round hands the exact solver the same growing ``SubsetFamily``, so the
+solver starts from the optimum and the failed reconstruction steps it proved
+in earlier rounds instead of proving them again.
 """
 
 from __future__ import annotations

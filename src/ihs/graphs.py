@@ -211,8 +211,9 @@ class Digraph:
             raise GraphError("vertex count must be nonnegative")
         self.n = int(n)
         self.arc_list = _normalize_pairs(self.n, arcs, directed=True)
-        self.out_indptr, self.out_indices = _rows(self.n, self.arc_list)
+        # the transpose first: its m-length sort keys are freed before the out-indices exist
         self.in_indptr, self.in_indices = _rows(self.n, _transposed(self.n, self.arc_list))
+        self.out_indptr, self.out_indices = _rows(self.n, self.arc_list)
 
     @property
     def num_arcs(self) -> int:
@@ -281,27 +282,35 @@ def union_edges(parent, edges) -> bool:
 
 
 def is_acyclic_directed(d: Digraph, removed=()) -> bool:
-    """True iff the sub-digraph induced on V minus ``removed`` has a topological order."""
+    """True iff the sub-digraph induced on V minus ``removed`` has a topological order.
+
+    One ``_gather`` of the alive rows gives the alive arcs; Kahn's algorithm
+    then pops sources off one stack over their CSR, visiting each arc once.
+    """
     gone = _removed_mask(d.n, removed)
     alive = np.flatnonzero(~gone)
     if alive.size == 0:
         return True
-    nbrs, _ = _gather(d.out_indptr, d.out_indices, alive)
-    indeg = np.bincount(nbrs[~gone[nbrs]], minlength=d.n)
-    remaining = int(alive.size)
-    frontier = alive[indeg[alive] == 0]
-    while frontier.size:
-        remaining -= int(frontier.size)
-        gone[frontier] = True
-        out, _ = _gather(d.out_indptr, d.out_indices, frontier)
-        out = out[~gone[out]]
-        if out.size == 0:
-            break
-        dec = np.bincount(out, minlength=d.n)
-        indeg -= dec
-        cand = np.unique(out)
-        frontier = cand[indeg[cand] == 0]
-    return remaining == 0
+    nbrs, rep = _gather(d.out_indptr, d.out_indices, alive)
+    keep = ~gone[nbrs]
+    heads = nbrs[keep]
+    indeg = np.bincount(heads, minlength=d.n)
+    # the sub-CSR of the alive arcs: row v is heads[ptr[v]:ptr[v + 1]]; memoryviews
+    # read both as Python ints without a list of them
+    ptr = np.zeros(d.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(alive[rep[keep]], minlength=d.n), out=ptr[1:])
+    heads, ptr = memoryview(heads), memoryview(ptr)
+    stack = alive[indeg[alive] == 0].tolist()
+    indeg = indeg.tolist()
+    left = alive.size
+    while stack:
+        v = stack.pop()
+        left -= 1
+        for w in heads[ptr[v]:ptr[v + 1]]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                stack.append(w)
+    return left == 0
 
 
 def shadow_undirected(d: Digraph) -> Graph:

@@ -1,4 +1,8 @@
-"""Explicit hitting set machinery: subset families, feasibility, exact and greedy solvers."""
+"""Explicit hitting set machinery: subset families, feasibility, exact and greedy solvers.
+
+The exact solver keeps on a ``SubsetFamily`` what it proved about it, so
+repeated calls on one growing family do not prove it again.
+"""
 
 from __future__ import annotations
 
@@ -29,6 +33,11 @@ class SubsetFamily:
 
     Duplicate insertions are silently ignored; an empty subset is rejected
     because it would make every instance infeasible.
+
+    ``add`` is the only mutator, so each later state of a family contains
+    each earlier one. ``exact_min_hitting_set`` keeps on the family the last
+    optimum ``_bound`` and ``_refuted``, the reconstruction steps that found no
+    cover at that optimum; both stay true as the family grows.
     """
 
     def __init__(self, universe_size: int, subsets: Iterable[Iterable[int]] = ()):
@@ -37,6 +46,8 @@ class SubsetFamily:
         self.universe_size = universe_size
         self.subsets: list[tuple[int, ...]] = []
         self._seen: set[tuple[int, ...]] = set()
+        self._bound = 0
+        self._refuted: set[tuple[tuple[int, ...], int]] = set()
         for s in subsets:
             self.add(s)
 
@@ -213,20 +224,36 @@ def exact_min_hitting_set(fam: SubsetFamily) -> HittingSet:
     before asking ``_search`` whether the subsets it leaves unhit still have a
     cover within the remaining budget by the elements above it; when they
     do, the element is kept.
+
+    Repeated calls on one growing family reuse what earlier calls proved. The
+    family only grows, so a cover of its residual after a kept prefix and an
+    element would also cover the residual of every earlier state. Hence the
+    budget scan starts at the last optimum, and while the optimum stays put a
+    ``(prefix, element)`` step that found no cover before is skipped without a
+    search (its element is still retired). The stored steps are dropped when
+    the optimum rises. The answer is the one a fresh family would get.
     """
     masks = _drop_supersets(fam.masks())
     col, kill, elems = _columns(masks)
     alive = (1 << len(masks)) - 1
-    budget = next(b for b in range(len(masks) + 1) if _search(alive, b, col, kill, elems))
+    budget = next(b for b in range(fam._bound, len(masks) + 1) if _search(alive, b, col, kill, elems))
+    if budget > fam._bound:
+        fam._bound = budget
+        fam._refuted.clear()
+    refuted = fam._refuted
 
-    chosen: list[int] = []
+    chosen: tuple[int, ...] = ()
     for e, c in enumerate(col):
         col[e] = 0
         rest = alive & ~c
-        if rest != alive and _search(rest, budget - 1, col, kill, elems):
-            chosen.append(e)
+        if rest == alive or (chosen, e) in refuted:
+            continue
+        if _search(rest, budget - 1, col, kill, elems):
+            chosen += (e,)
             alive = rest
             budget -= 1
+        else:
+            refuted.add((chosen, e))
     if alive:  # cannot happen at the proven optimum
         raise RuntimeError("lexicographic reconstruction failed")
-    return HittingSet(tuple(chosen))
+    return HittingSet(chosen)

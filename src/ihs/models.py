@@ -37,9 +37,9 @@ _SKIP_THRESHOLD = 1 << 22  # pair-count above which the skip sampler kicks in
 _CHUNK = 1 << 22
 # Peak bytes of drawing and building an instance, per expected edge or arc and
 # per vertex, above the measured peaks: 21-24 B per edge for G(n, p)
-# with BFS growth and its validation (n=10^5 and 5*10^5, c=500); 33-35 B per
-# arc for the digraph models, whose arcs are sorted while the caller still
-# holds them.
+# with BFS growth and its validation (n=10^5 and 5*10^5, c=500); 30.5 B per
+# arc for D(n, p) (n=10^5, p=0.0025) and 33.9 B for the planted model
+# (n=2*10^4, p=0.05), whose arcs are sorted while the caller still holds them.
 _BYTES_PER_PAIR = {"gnp": 28, "dnp": 36, "planted": 36}
 _BYTES_PER_VERTEX = 64
 

@@ -62,6 +62,17 @@ def test_acyclic_directed_trivial_cases():
     assert is_acyclic_directed(tri, [0])
 
 
+def test_acyclic_directed_long_path_and_cycle():
+    # one path through every vertex: far deeper than any recursion limit
+    n = 200_000
+    order = np.random.default_rng(0).permutation(n)
+    path = np.column_stack((order[:-1], order[1:]))
+    assert is_acyclic_directed(Digraph(n, path))
+    ring = Digraph(n, np.vstack((path, [[order[-1], order[0]]])))
+    assert not is_acyclic_directed(ring)
+    assert is_acyclic_directed(ring, [int(order[n // 2])])
+
+
 def test_removed_out_of_range():
     g = Graph(4, [(0, 1)])
     with pytest.raises(GraphError):

@@ -342,12 +342,13 @@ def reference_exact(fam):
 
 def collected_families(monkeypatch, oracle, n, p):
     """Copies of every family the generic solver hands its exact subroutine on
-    G(n, p) seed 1."""
+    G(n, p) seed 1, each with the answer the solver got on its growing family."""
     families = []
 
     def recording(fam):
-        families.append(SubsetFamily(fam.universe_size, fam.subsets))
-        return exact_min_hitting_set(fam)
+        answer = exact_min_hitting_set(fam)
+        families.append((SubsetFamily(fam.universe_size, fam.subsets), answer))
+        return answer
 
     monkeypatch.setattr(generic_mod, "exact_min_hitting_set", recording)
     g = gen_gnp(ModelParams(n=n, p=p, seed=1))
@@ -372,8 +373,10 @@ def collected_families(monkeypatch, oracle, n, p):
 def test_exact_matches_frozen_reference_on_solver_families(monkeypatch, n, p, oracle):
     families = collected_families(monkeypatch, oracle, n, p)
     assert len(families) >= 5
-    for fam in families:
-        assert exact_min_hitting_set(fam).members == reference_exact(fam)
+    for fam, carried in families:
+        want = reference_exact(fam)
+        assert carried.members == want
+        assert exact_min_hitting_set(fam).members == want
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -382,6 +385,52 @@ def test_exact_matches_frozen_reference_on_random_families(seed):
     universe = int(rng.integers(3, 80))
     fam = random_family(rng, universe, int(rng.integers(1, 100)), min(4, universe))
     assert exact_min_hitting_set(fam).members == reference_exact(fam)
+
+
+def carried_answers(universe, subsets):
+    """Solve one family after each ``add``, checking each answer against a
+    fresh copy's; returns the optima."""
+    fam = SubsetFamily(universe)
+    sizes = []
+    for s in subsets:
+        fam.add(s)
+        got = exact_min_hitting_set(fam)
+        assert got == exact_min_hitting_set(SubsetFamily(universe, fam.subsets))
+        sizes.append(got.size)
+    return sizes
+
+
+# the fifth subset makes the first one a superset of it
+SUPERSET_CASE = (8, [(0, 1, 2, 3), (4, 5), (2, 6), (3, 7), (0, 1), (5, 6, 7), (1, 4)])
+# the optimum stays at 3 for five calls, then rises to 4 and on to 5
+RISING_CASE = (
+    9,
+    [(0, 1, 2), (3, 4, 5), (0, 3), (1, 4), (2, 5, 8), (6, 7, 8), (0, 6), (4, 7), (1, 8),
+     (2, 3, 6), (5, 7), (1, 6, 8)],
+)
+
+
+@st.composite
+def growing_families(draw):
+    universe = draw(st.integers(1, 12))
+    subset = st.sets(st.integers(0, universe - 1), min_size=1, max_size=4)
+    return universe, draw(st.lists(subset, min_size=1, max_size=15))
+
+
+@given(growing_families())
+@example(SUPERSET_CASE)
+@example(RISING_CASE)
+@settings(max_examples=200, deadline=None)
+def test_carried_answers_match_fresh_solves(case):
+    carried_answers(*case)
+
+
+def test_pinned_growth_cases_cover_supersets_and_rising_optima():
+    universe, subsets = SUPERSET_CASE
+    assert set(subsets[4]) < set(subsets[0])
+    carried_answers(universe, subsets)
+    sizes = carried_answers(*RISING_CASE)
+    assert sizes[4:] == [3, 3, 3, 3, 3, 4, 5, 5]
 
 
 def test_exact_solver_leaves_no_garbage_cycles():
