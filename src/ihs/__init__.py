@@ -12,7 +12,6 @@ from .bfs_growth import (
     sample_acyclic_fraction,
 )
 from .generic import (
-    GenericSolverConfig,
     SolveCertificate,
     SolverAbort,
     online_augment,
@@ -31,7 +30,6 @@ from .hitting import (
     SubsetFamily,
     exact_min_hitting_set,
     greedy_hitting_set,
-    hits_all,
 )
 from .instance_io import Instance, InstanceFormatError, read_instance, write_instance
 from .models import ModelParams, PlantedInstance, gen_dnp, gen_gnp, gen_planted

@@ -31,7 +31,7 @@ from .bfs_growth import (
     prune_fvs,
     sample_acyclic_fraction,
 )
-from .generic import GenericSolverConfig, SolverAbort, solve_implicit_hitting_set
+from .generic import SolverAbort, solve_implicit_hitting_set
 from .graphs import GraphError, is_acyclic_directed, is_acyclic_undirected, shadow_undirected
 from .instance_io import Instance, InstanceFormatError, read_instance, write_instance
 from .models import ModelParams, PlantedInstance, gen_dnp, gen_gnp, gen_planted
@@ -204,8 +204,7 @@ def _run_generic(seed, *, source: Source, oracle: str, ymax: int, root: int) -> 
         contract = shortest_cycle_oracle(graph)
     ids = dict(seed=_param(params, "seed"), algorithm=f"generic-{oracle}", n=graph.n,
                p=_param(params, "p"))
-    cfg = GenericSolverConfig(oracle=contract, max_swap_out=ymax)
-    cert = _solve(ids, solve_implicit_hitting_set, graph.n, cfg)
+    cert = _solve(ids, solve_implicit_hitting_set, contract, max_swap_out=ymax)
     solution = cert.solution.members
     acyclic = is_acyclic_directed if directed else is_acyclic_undirected
     return make_row(

@@ -1,16 +1,18 @@
 """Oracle-driven exact solver for implicit hitting set instances, plus the
 online augmenting heuristic.
 
-The exact solver alternates two moves. Starting from the full universe it
-improves the current feasible set through bounded swaps (remove ``|Y|``
-elements, add ``|X| < |Y|``) that keep the set feasible for every subset
-collected so far; each oracle rejection contributes the missed subset to the
-collection. When no swap applies, it solves the explicit minimum hitting set
-over the collection: matching sizes or a feasible explicit optimum certify
-global optimality, otherwise the collection grows and the climb restarts.
-Every round hands the exact solver the same growing ``SubsetFamily``, so the
-solver starts from the optimum and the failed reconstruction steps it proved
-in earlier rounds instead of proving them again.
+The exact solver takes the oracle as its only input and alternates two
+moves. Starting from the full universe it improves the current feasible set
+through bounded swaps (remove ``|Y|`` elements, add ``|X| < |Y|``) that keep
+the set feasible for every subset collected so far; each oracle rejection
+contributes the missed subset to the collection, one ``SubsetFamily`` that
+holds each subset as a tuple and as an int mask. When no swap applies, it
+solves the explicit minimum hitting set over the collection: matching sizes
+or a feasible explicit optimum certify global optimality, otherwise the
+collection grows and the climb restarts. Every round hands the exact solver
+the same growing ``SubsetFamily``, so the solver starts from the optimum and
+the failed reconstruction steps it proved in earlier rounds instead of
+proving them again.
 """
 
 from __future__ import annotations
@@ -19,23 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .hitting import HittingSet, SubsetFamily, _mask, _unmask, exact_min_hitting_set
+from .hitting import HittingSet, SubsetFamily, _unmask, exact_min_hitting_set
 from .oracles import OracleContract, OracleProtocolError, OracleVerdict
-
-
-@dataclass
-class GenericSolverConfig:
-    """Solver knobs: the oracle, the swap width bound, and a safety cap.
-
-    ``max_swap_out`` bounds ``|Y|``; the default of 2 keeps every swap scan
-    polynomial. Any value yields a correct optimum on termination because the
-    certificate does not depend on the neighborhood size. ``max_iterations``
-    defaults to ``10 * universe_size + 1000`` and counts oracle queries.
-    """
-
-    oracle: OracleContract
-    max_swap_out: int = 2
-    max_iterations: int | None = None
 
 
 @dataclass
@@ -55,18 +42,23 @@ class SolverAbort(RuntimeError):
         self.collected = collected
 
 
-def _validated(verdict: OracleVerdict, query: set[int] | frozenset[int]) -> OracleVerdict:
+def _validated(
+    verdict: OracleVerdict, query: set[int] | frozenset[int], universe_size: int
+) -> OracleVerdict:
     if not verdict.feasible:
         if not verdict.missed:
             raise OracleProtocolError("oracle returned an empty missed subset")
+        # a verdict built directly need not be sorted
+        if min(verdict.missed) < 0 or max(verdict.missed) >= universe_size:
+            raise OracleProtocolError(f"oracle returned an element outside [0, {universe_size})")
         if not query.isdisjoint(verdict.missed):
             raise OracleProtocolError("oracle returned a subset intersecting the query")
     return verdict
 
 
-def _swap_proposal(current: int, outside: int, gamma: list[int], max_swap_out: int) -> int | None:
+def _swap_proposal(current: int, outside: int, masks: list[int], max_swap_out: int) -> int | None:
     """The first set ``(current - Y) | X`` of the swap enumeration that hits
-    every mask in ``gamma``, as a mask; None when no swap applies.
+    every subset mask in ``masks``, as a mask; None when no swap applies.
 
     ``current`` and ``outside`` are disjoint element masks. For each ``Y`` the
     masks that ``current - Y`` leaves unhit are found once (only those meeting
@@ -75,7 +67,7 @@ def _swap_proposal(current: int, outside: int, gamma: list[int], max_swap_out: i
     """
     inside = [1 << e for e in _unmask(current)]
     out = [1 << e for e in _unmask(outside)]
-    meets = [(s, s & current) for s in gamma]
+    meets = [(s, s & current) for s in masks]
     for y_size in range(1, min(max_swap_out, len(inside)) + 1):
         few = [(s, t) for s, t in meets if t.bit_count() <= y_size]
         x_sizes = range(1, min(y_size, len(out) + 1))
@@ -98,22 +90,30 @@ def _swap_proposal(current: int, outside: int, gamma: list[int], max_swap_out: i
     return None
 
 
-def solve_implicit_hitting_set(universe_size: int, cfg: GenericSolverConfig) -> SolveCertificate:
-    """Run the alternating swap/relaxation loop to a certified optimum.
+def solve_implicit_hitting_set(
+    oracle: OracleContract, max_swap_out: int = 2, max_iterations: int | None = None
+) -> SolveCertificate:
+    """Run the alternating swap/relaxation loop over ``oracle.universe_size``
+    elements to a certified optimum.
+
+    ``max_swap_out`` bounds ``|Y|``; the default of 2 keeps every swap scan
+    polynomial. Any value yields a correct optimum on termination because the
+    certificate does not depend on the neighborhood size. ``max_iterations``
+    is a safety cap on oracle queries, ``10 * universe_size + 1000`` by
+    default; past it the solve raises ``SolverAbort``.
 
     Swap enumeration is deterministic: ``|Y|`` ascending, Y over sorted subsets
     of the current set, then ``|X|`` ascending over sorted subsets of the
     complement, first feasible candidate accepted. The current set and the
     collected subsets are kept as int masks.
     """
+    universe_size = oracle.universe_size
     if universe_size <= 0:
         raise ValueError("universe must be nonempty")
-    if cfg.max_swap_out < 0:
+    if max_swap_out < 0:
         raise ValueError("max_swap_out must be nonnegative")
-    oracle = cfg.oracle
-    budget = cfg.max_iterations if cfg.max_iterations is not None else 10 * universe_size + 1000
+    budget = max_iterations if max_iterations is not None else 10 * universe_size + 1000
     collected = SubsetFamily(universe_size)
-    gamma: list[int] = []
     oracle_calls = 0
     universe = (1 << universe_size) - 1
 
@@ -122,19 +122,18 @@ def solve_implicit_hitting_set(universe_size: int, cfg: GenericSolverConfig) -> 
         oracle_calls += 1
         if oracle_calls > budget:
             raise SolverAbort(f"iteration cap {budget} exceeded", _unmask(current), collected)
-        return _validated(oracle.check(query), query)
+        return _validated(oracle.check(query), query, universe_size)
 
     def collect(subset: tuple[int, ...]) -> None:
         # every query hits the collected subsets, so a repeat breaks the contract
         if not collected.add(subset):
             raise OracleProtocolError(f"oracle repeated an already collected subset {subset}")
-        gamma.append(_mask(subset))
 
     while True:
         current = universe
         # bounded-swap descent: keep the collected family hit at every step
         while True:
-            proposal = _swap_proposal(current, universe ^ current, gamma, cfg.max_swap_out)
+            proposal = _swap_proposal(current, universe ^ current, collected.masks, max_swap_out)
             if proposal is None:
                 break
             verdict = ask(frozenset(_unmask(proposal)))
@@ -162,7 +161,6 @@ def solve_implicit_hitting_set(universe_size: int, cfg: GenericSolverConfig) -> 
 
 
 def online_augment(
-    universe_size: int,
     oracle: OracleContract,
     pick: Callable[[tuple[int, ...], frozenset[int]], int] | None = None,
 ) -> tuple[HittingSet, int]:
@@ -175,7 +173,7 @@ def online_augment(
     chosen: set[int] = set()
     misses = 0
     while True:
-        verdict = _validated(oracle.check(frozenset(chosen)), chosen)
+        verdict = _validated(oracle.check(frozenset(chosen)), chosen, oracle.universe_size)
         if verdict.feasible:
             return HittingSet.of(chosen), misses
         misses += 1
@@ -184,5 +182,3 @@ def online_augment(
         if element not in verdict.missed:
             raise OracleProtocolError("pick rule chose an element outside the missed subset")
         chosen.add(element)
-        if len(chosen) > universe_size:
-            raise OracleProtocolError("augmenting exceeded the universe; oracle is inconsistent")

@@ -1,4 +1,4 @@
-"""Explicit hitting set machinery: subset families, feasibility, exact and greedy solvers.
+"""Explicit hitting set machinery: subset families, exact and greedy solvers.
 
 The exact solver keeps on a ``SubsetFamily`` what it proved about it, so
 repeated calls on one growing family do not prove it again.
@@ -32,7 +32,9 @@ class SubsetFamily:
     """A growing, duplicate-free list of nonempty subsets of ``0..universe_size-1``.
 
     Duplicate insertions are silently ignored; an empty subset is rejected
-    because it would make every instance infeasible.
+    because it would make every instance infeasible. ``subsets`` holds each
+    subset as a sorted tuple and ``masks`` the same subset as an int with bit
+    ``e`` set for element ``e``, both in insertion order.
 
     ``add`` is the only mutator, so each later state of a family contains
     each earlier one. ``exact_min_hitting_set`` keeps on the family the last
@@ -45,6 +47,7 @@ class SubsetFamily:
             raise ValueError("universe size must be nonnegative")
         self.universe_size = universe_size
         self.subsets: list[tuple[int, ...]] = []
+        self.masks: list[int] = []
         self._seen: set[tuple[int, ...]] = set()
         self._bound = 0
         self._refuted: set[tuple[tuple[int, ...], int]] = set()
@@ -63,6 +66,7 @@ class SubsetFamily:
             return False
         self._seen.add(canon)
         self.subsets.append(canon)
+        self.masks.append(_mask(canon))
         return True
 
     def __len__(self) -> int:
@@ -73,9 +77,6 @@ class SubsetFamily:
 
     def __contains__(self, subset) -> bool:
         return tuple(sorted(set(subset))) in self._seen
-
-    def masks(self) -> list[int]:
-        return [_mask(s) for s in self.subsets]
 
 
 def _mask(elements: Iterable[int]) -> int:
@@ -92,12 +93,6 @@ def _unmask(m: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         m ^= low
     return tuple(out)
-
-
-def hits_all(h: Iterable[int], fam: SubsetFamily) -> bool:
-    """True iff ``h`` intersects every subset in the family (vacuously true when empty)."""
-    hs = set(h)
-    return all(not hs.isdisjoint(s) for s in fam.subsets)
 
 
 _BLOCK = 1 << 12  # rows per block of the greedy scan
@@ -233,7 +228,7 @@ def exact_min_hitting_set(fam: SubsetFamily) -> HittingSet:
     search (its element is still retired). The stored steps are dropped when
     the optimum rises. The answer is the one a fresh family would get.
     """
-    masks = _drop_supersets(fam.masks())
+    masks = _drop_supersets(fam.masks)
     col, kill, elems = _columns(masks)
     alive = (1 << len(masks)) - 1
     budget = next(b for b in range(fam._bound, len(masks) + 1) if _search(alive, b, col, kill, elems))

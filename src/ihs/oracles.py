@@ -254,9 +254,10 @@ def shortest_cycle_oracle(g_or_d: Graph | Digraph) -> OracleContract:
             return OracleVerdict.ok()
         allowed = ~blocked
         for a in np.flatnonzero(allowed).tolist():
-            for path in walk_cycles(adj, succ, a, length, a + 1, allowed):
-                if directed or path[1] < path[-1]:  # one of the two directions
-                    return OracleVerdict.miss(path)
+            # an undirected path's reverse has its other end second: the first runs the smaller way
+            path = next(walk_cycles(adj, succ, a, length, a + 1, allowed), None)
+            if path is not None:
+                return OracleVerdict.miss(path)
         # girth and enumeration disagree: internal bug
         raise OracleProtocolError("girth-length cycle not found")
 

@@ -17,7 +17,6 @@ import pytest
 
 from ihs import (
     Digraph,
-    GenericSolverConfig,
     Graph,
     ModelParams,
     SubsetFamily,
@@ -144,16 +143,16 @@ def test_criterion_1_fvs_validity():
     # the oracle-driven exact solver and the online mode on small instances
     small = [g for g in hand_graphs if 1 < g.n <= 12]
     for idx, g in enumerate(small):
-        cert = solve_implicit_hitting_set(g.n, GenericSolverConfig(oracle=bfs_cycle_oracle(g, 0)))
+        cert = solve_implicit_hitting_set(bfs_cycle_oracle(g, 0))
         if not is_acyclic_undirected(g, cert.solution.members):
             failures.append(("generic", idx))
         instances += 1
-        hs, _ = online_augment(g.n, bfs_cycle_oracle(g, 0))
+        hs, _ = online_augment(bfs_cycle_oracle(g, 0))
         if not is_acyclic_undirected(g, hs.members):
             failures.append(("online", idx))
         instances += 1
     for idx, d in enumerate(dd for dd in hand_digraphs if 1 < dd.n <= 12):
-        cert = solve_implicit_hitting_set(d.n, GenericSolverConfig(oracle=shortest_cycle_oracle(d)))
+        cert = solve_implicit_hitting_set(shortest_cycle_oracle(d))
         if not is_acyclic_directed(d, cert.solution.members):
             failures.append(("generic-directed", idx))
         instances += 1
@@ -270,9 +269,7 @@ def test_criterion_6_generic_solver_optimality():
         for _ in range(int(rng.integers(1, 13))):
             size = int(rng.integers(1, min(4, universe) + 1))
             fam.add(rng.choice(universe, size=size, replace=False).tolist())
-        cert = solve_implicit_hitting_set(
-            universe, GenericSolverConfig(oracle=explicit_family_oracle(fam))
-        )
+        cert = solve_implicit_hitting_set(explicit_family_oracle(fam))
         ok = cert.solution.size == _brute_force_min_size(universe, fam.subsets)
         # certificate re-validation
         ok &= explicit_family_oracle(fam).check(cert.solution.members).feasible

@@ -235,14 +235,18 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert len(content) == 2
 
 
-def test_module_entry_point(tmp_path):
-    # the child imports the same ihs package as this process
+def child_env() -> dict:
+    """The environment of a child interpreter that imports the same ihs
+    package as this process."""
     pkg_parent = str(Path(ihs.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [pkg_parent, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ihs", "solve-fvs", triangle_file(tmp_path)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("run_id,")
@@ -314,7 +318,7 @@ def test_solve_generic_repeated_subset_abort(monkeypatch, tmp_path, capsys):
     import ihs.generic as generic_mod
     from ihs import OracleContract, OracleVerdict
 
-    monkeypatch.setattr(generic_mod, "_validated", lambda verdict, query: verdict)
+    monkeypatch.setattr(generic_mod, "_validated", lambda verdict, query, universe_size: verdict)
     def same_miss(g, root=0):
         return OracleContract(check=lambda h: OracleVerdict.miss((0, 1, 2)), universe_size=g.n)
 
@@ -325,6 +329,22 @@ def test_solve_generic_repeated_subset_abort(monkeypatch, tmp_path, capsys):
     assert code == 3
     assert rows[0]["fvs_size"] == ""
     assert "repeated" in err
+
+
+def test_solve_generic_out_of_universe_abort(monkeypatch, tmp_path, capsys):
+    # a missed vertex id equal to the vertex count breaks the oracle contract
+    from ihs import OracleContract, OracleVerdict
+
+    def outside(g, root=0):
+        return OracleContract(check=lambda h: OracleVerdict.miss((g.n,)), universe_size=g.n)
+
+    monkeypatch.setattr(cli, "bfs_cycle_oracle", outside)
+    code, rows, err = run_cli_with_err(
+        capsys, "solve-generic", triangle_file(tmp_path), "--oracle", "bfs-cycle"
+    )
+    assert code == 3
+    assert rows[0]["fvs_size"] == ""
+    assert "outside" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])
@@ -384,7 +404,9 @@ def test_instance_file_too_large_for_memory_exits_2(monkeypatch, capsys, tmp_pat
     assert "needs about" in err and "MB is available" in err
 
 
-FILE = "{file}"  # replaced by an instance file the test writes
+# replaced by instance files the tests write: the undirected triangle, a
+# directed triangle, and the directed triangle with a planted trailer only
+FILE, DIRECTED, PLANTED = "{file}", "{directed}", "{planted}"
 GNP = ["--model", "gnp", "--n", "30", "--p", "0.1"]
 THEOREM1 = ["experiment", "--recipe", "theorem1", "--n", "50", "--p", "0.1", "--seeds", "0..1"]
 THEOREM2 = ["experiment", "--recipe", "theorem2", "--n", "50", "--p", "0.05", "--r", "5",
@@ -414,11 +436,34 @@ REFUSED = {
     "theorem5 --root": [*THEOREM5, "--root", "7"],
 }
 
+# commands whose option values or instance the command cannot run on
+UNRUNNABLE = {
+    "--seeds 5..3": ["solve-fvs", *GNP, "--seeds", "5..3"],
+    "bfs-cycle dnp": ["solve-generic", "--model", "dnp", "--n", "20", "--p", "0.1", "--seed", "0",
+                      "--oracle", "bfs-cycle"],
+    "bfs-cycle directed file": ["solve-generic", DIRECTED, "--oracle", "bfs-cycle"],
+    "solve-planted dnp no --k": ["solve-planted", "--model", "dnp", "--n", "30", "--p", "0.1",
+                                 "--seed", "0"],
+    "solve-planted undirected file": ["solve-planted", FILE],
+    "verify-planted no planted trailer": ["verify-planted", FILE],
+    "verify-planted no params trailer": ["verify-planted", PLANTED],
+}
 
-@pytest.mark.parametrize("name", sorted(REFUSED))
-def test_refused_options_exit_2(tmp_path, capsys, name):
-    path = triangle_file(tmp_path)
-    code, rows, err = run_cli_with_err(capsys, *[path if a == FILE else a for a in REFUSED[name]])
+
+def instance_files(tmp_path) -> dict[str, str]:
+    """The file behind each placeholder of ``REFUSED`` and ``UNRUNNABLE``."""
+    directed = tmp_path / "directed.txt"
+    directed.write_text("ihs-graph 1 directed 3 3\n0 1\n1 2\n2 0\n")
+    planted = tmp_path / "planted.txt"
+    planted.write_text("ihs-graph 1 directed 3 3\n0 1\n1 2\n2 0\nplanted 1 0\n")
+    return {FILE: triangle_file(tmp_path), DIRECTED: str(directed), PLANTED: str(planted)}
+
+
+@pytest.mark.parametrize("argv", [*REFUSED.values(), *UNRUNNABLE.values()],
+                         ids=[*REFUSED, *UNRUNNABLE])
+def test_refused_options_exit_2(tmp_path, capsys, argv):
+    files = instance_files(tmp_path)
+    code, rows, err = run_cli_with_err(capsys, *[files.get(a, a) for a in argv])
     assert code == 2
     assert rows == []
     assert err.startswith("error:") and "Traceback" not in err
@@ -477,3 +522,11 @@ def test_readme_names_only_live_commands_and_scripts(monkeypatch, tmp_path):
     for argv in runs:
         assert refusal(argv) is None, (argv, refusal(argv))
     assert refusal([*THEOREM5, "--root", "7"]) is not None
+
+
+def test_readme_library_example_runs():
+    block = README.read_text().split("\n## Library example\n", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "optimal FVS size" in proc.stdout

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ihs import (
-    GenericSolverConfig,
     Graph,
     ModelParams,
     OracleContract,
@@ -16,7 +15,6 @@ from ihs import (
     exact_min_hitting_set,
     explicit_family_oracle,
     gen_gnp,
-    hits_all,
     online_augment,
     shortest_cycle_oracle,
     solve_implicit_hitting_set,
@@ -25,25 +23,24 @@ from ihs import (
 from test_hitting import brute_force_optima, random_family
 
 
-def solve_family(fam: SubsetFamily, universe: int, **kwargs):
-    cfg = GenericSolverConfig(oracle=explicit_family_oracle(fam), **kwargs)
-    return solve_implicit_hitting_set(universe, cfg)
+def solve_family(fam: SubsetFamily, **kwargs):
+    return solve_implicit_hitting_set(explicit_family_oracle(fam), **kwargs)
 
 
 def test_empty_family_returns_empty_set():
-    cert = solve_family(SubsetFamily(4), 4)
+    cert = solve_family(SubsetFamily(4))
     assert cert.solution.members == ()
     assert cert.proof == "size_match"
 
 
 def test_small_explicit_family():
-    cert = solve_family(SubsetFamily(5, [(1, 2), (2, 3)]), 5)
+    cert = solve_family(SubsetFamily(5, [(1, 2), (2, 3)]))
     assert cert.solution.members == (2,)
 
 
 def test_triangle_with_bfs_oracle():
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    cert = solve_implicit_hitting_set(3, GenericSolverConfig(oracle=bfs_cycle_oracle(tri, 0)))
+    cert = solve_implicit_hitting_set(bfs_cycle_oracle(tri, 0))
     assert cert.solution.size == 1
     assert bfs_cycle_oracle(tri, 0).check(cert.solution.members).feasible
 
@@ -53,7 +50,7 @@ def test_optimum_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     universe = int(rng.integers(2, 15))
     fam = random_family(rng, universe, int(rng.integers(1, 13)), min(4, universe))
-    cert = solve_family(fam, universe)
+    cert = solve_family(fam)
     best, _ = brute_force_optima(universe, fam.subsets)
     assert cert.solution.size == best
     # certificate re-validation
@@ -70,7 +67,7 @@ def test_any_swap_width_is_optimal(ymax):
     for _ in range(20):
         universe = int(rng.integers(2, 10))
         fam = random_family(rng, universe, int(rng.integers(1, 8)), min(3, universe))
-        cert = solve_family(fam, universe, max_swap_out=ymax)
+        cert = solve_family(fam, max_swap_out=ymax)
         best, _ = brute_force_optima(universe, fam.subsets)
         assert cert.solution.size == best
 
@@ -78,8 +75,8 @@ def test_any_swap_width_is_optimal(ymax):
 def test_determinism():
     rng = np.random.default_rng(7)
     fam = random_family(rng, 10, 8, 3)
-    a = solve_family(fam, 10)
-    b = solve_family(fam, 10)
+    a = solve_family(fam)
+    b = solve_family(fam)
     assert a.solution.members == b.solution.members
     assert a.oracle_calls == b.oracle_calls
     assert list(a.collected) == list(b.collected)
@@ -87,9 +84,8 @@ def test_determinism():
 
 def test_iteration_cap_aborts():
     fam = SubsetFamily(8, [(i, (i + 1) % 8, (i + 2) % 8) for i in range(8)])
-    cfg = GenericSolverConfig(oracle=explicit_family_oracle(fam), max_iterations=1)
     with pytest.raises(SolverAbort) as info:
-        solve_implicit_hitting_set(8, cfg)
+        solve_family(fam, max_iterations=1)
     assert info.value.collected is not None
 
 
@@ -99,32 +95,41 @@ def test_rejects_bad_oracle():
 
     oracle = OracleContract(check=bad_check, universe_size=3)
     with pytest.raises(OracleProtocolError):
-        solve_implicit_hitting_set(3, GenericSolverConfig(oracle=oracle))
+        solve_implicit_hitting_set(oracle)
+
+
+# (5, 0) is built directly and unsorted, so its last element is in range
+@pytest.mark.parametrize("missed", [(5,), (5, 0), (-1, 2)])
+@pytest.mark.parametrize("entry", [solve_implicit_hitting_set, online_augment])
+def test_rejects_a_missed_element_outside_the_universe(entry, missed):
+    oracle = OracleContract(check=lambda h: OracleVerdict(missed), universe_size=5)
+    with pytest.raises(OracleProtocolError, match="outside"):
+        entry(oracle)
 
 
 def test_rejects_negative_swap_width():
     fam = SubsetFamily(3, [(0, 1)])
     with pytest.raises(ValueError, match="max_swap_out"):
-        solve_family(fam, 3, max_swap_out=-1)
+        solve_family(fam, max_swap_out=-1)
 
 
 def test_online_augment_traces():
     fam = SubsetFamily(5, [(1, 2), (2, 3)])
-    hs, misses = online_augment(5, explicit_family_oracle(fam))
+    hs, misses = online_augment(explicit_family_oracle(fam))
     assert hs.members == (1, 2)  # adds 1, then 2
     assert misses == 2
 
-    hs2, misses2 = online_augment(5, explicit_family_oracle(SubsetFamily(5)))
+    hs2, misses2 = online_augment(explicit_family_oracle(SubsetFamily(5)))
     assert hs2.members == () and misses2 == 0
 
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    hs3, misses3 = online_augment(3, bfs_cycle_oracle(tri, 0))
+    hs3, misses3 = online_augment(bfs_cycle_oracle(tri, 0))
     assert hs3.members == (0,) and misses3 == 1
 
 
 def test_online_augment_custom_pick():
     fam = SubsetFamily(5, [(1, 2), (2, 3)])
-    hs, misses = online_augment(5, explicit_family_oracle(fam), pick=lambda s, _h: max(s))
+    hs, misses = online_augment(explicit_family_oracle(fam), pick=lambda s, _h: max(s))
     assert hs.members == (2,)  # max of {1,2} already hits both
     assert misses == 1
 
@@ -134,16 +139,17 @@ def test_online_augment_feasible_with_bounded_misses(seed):
     rng = np.random.default_rng(seed)
     universe = int(rng.integers(2, 12))
     fam = random_family(rng, universe, int(rng.integers(1, 10)), min(4, universe))
-    hs, misses = online_augment(universe, explicit_family_oracle(fam))
-    assert hits_all(hs.members, fam)
+    hs, misses = online_augment(explicit_family_oracle(fam))
+    assert explicit_family_oracle(fam).check(hs.members).feasible
     assert misses <= universe
 
 
-def reference_descent(universe_size, cfg):
+def reference_descent(oracle, max_swap_out=2, max_iterations=None):
     """The swap/relaxation loop over Python sets, as it was before the bitmask
     descent: every candidate is checked against the whole collected family.
     Returns (solution, collected subsets, proof, oracle calls)."""
-    budget = cfg.max_iterations if cfg.max_iterations is not None else 10 * universe_size + 1000
+    universe_size = oracle.universe_size
+    budget = max_iterations if max_iterations is not None else 10 * universe_size + 1000
     collected = SubsetFamily(universe_size)
     calls = 0
     current = set(range(universe_size))
@@ -153,14 +159,14 @@ def reference_descent(universe_size, cfg):
         calls += 1
         if calls > budget:
             raise SolverAbort("cap", tuple(sorted(current)), collected)
-        return cfg.oracle.check(frozenset(query))
+        return oracle.check(frozenset(query))
 
     while True:
         current = set(range(universe_size))
         while True:
             proposal = None
             outside = sorted(set(range(universe_size)) - current)
-            for y_size in range(1, min(cfg.max_swap_out, len(current)) + 1):
+            for y_size in range(1, min(max_swap_out, len(current)) + 1):
                 for y in combinations(sorted(current), y_size):
                     for x_size in range(0, min(y_size, len(outside) + 1)):
                         for x in combinations(outside, x_size):
@@ -201,11 +207,11 @@ def recorded(contract):
     return OracleContract(check=check, universe_size=contract.universe_size), queries
 
 
-def assert_same_run(universe_size, contract, **kwargs):
+def assert_same_run(contract, **kwargs):
     ours, got = recorded(contract)
     theirs, want = recorded(contract)
-    expected = reference_descent(universe_size, GenericSolverConfig(oracle=theirs, **kwargs))
-    cert = solve_implicit_hitting_set(universe_size, GenericSolverConfig(oracle=ours, **kwargs))
+    expected = reference_descent(theirs, **kwargs)
+    cert = solve_implicit_hitting_set(ours, **kwargs)
     assert got == want
     assert (cert.solution.members, list(cert.collected), cert.proof, cert.oracle_calls) == expected
     return cert
@@ -218,13 +224,13 @@ def test_query_sequence_matches_set_descent_explicit(seed, ymax):
     rng = np.random.default_rng(40_000 + seed)
     universe = int(rng.integers(3, 14))
     fam = random_family(rng, universe, int(rng.integers(1, 14)), min(4, universe))
-    assert_same_run(universe, explicit_family_oracle(fam), max_swap_out=ymax)
+    assert_same_run(explicit_family_oracle(fam), max_swap_out=ymax)
 
 
 @pytest.mark.parametrize("oracle", [bfs_cycle_oracle, shortest_cycle_oracle])
 def test_query_sequence_matches_set_descent_cycles(oracle):
     g = gen_gnp(ModelParams(n=30, p=0.15, seed=1))
-    cert = assert_same_run(30, oracle(g))
+    cert = assert_same_run(oracle(g))
     assert cert.oracle_calls > 100
 
 
@@ -233,9 +239,9 @@ def test_query_sequence_matches_set_descent_at_the_cap():
     ours, got = recorded(contract)
     theirs, want = recorded(contract)
     with pytest.raises(SolverAbort) as expected:
-        reference_descent(30, GenericSolverConfig(oracle=theirs, max_iterations=120))
+        reference_descent(theirs, max_iterations=120)
     with pytest.raises(SolverAbort) as info:
-        solve_implicit_hitting_set(30, GenericSolverConfig(oracle=ours, max_iterations=120))
+        solve_implicit_hitting_set(ours, max_iterations=120)
     assert got == want and len(got) == 120
     assert info.value.best == expected.value.best
     assert list(info.value.collected) == list(expected.value.collected)

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import ihs.generic as generic_mod
 from ihs import (
-    GenericSolverConfig,
     HittingSet,
     ModelParams,
     OracleContract,
@@ -18,7 +17,6 @@ from ihs import (
     explicit_family_oracle,
     gen_gnp,
     greedy_hitting_set,
-    hits_all,
     shortest_cycle_oracle,
     solve_implicit_hitting_set,
 )
@@ -71,7 +69,7 @@ def test_numpy_ids_are_stored_as_python_ints():
     fam = SubsetFamily(100, [np.array(s) for s in subsets])
     assert fam.subsets == plain.subsets
     assert all(type(e) is int for s in fam.subsets for e in s)
-    assert fam.masks() == plain.masks()
+    assert fam.masks == plain.masks
     assert exact_min_hitting_set(fam) == exact_min_hitting_set(plain)
     assert exact_min_hitting_set(fam).members == (3, 65, 70)
     assert greedy_hitting_set(fam) == greedy_hitting_set(plain)
@@ -93,19 +91,13 @@ def test_generic_solver_accepts_numpy_missed_subsets():
         return OracleContract(check=check, universe_size=fam.universe_size)
 
     fam = SubsetFamily(100, subsets)
-    want = solve_implicit_hitting_set(100, GenericSolverConfig(oracle=explicit_family_oracle(fam)))
-    got = solve_implicit_hitting_set(100, GenericSolverConfig(oracle=numpy_oracle(fam)))
+    want = solve_implicit_hitting_set(explicit_family_oracle(fam))
+    got = solve_implicit_hitting_set(numpy_oracle(fam))
     assert got.solution == want.solution
     assert got.collected.subsets == want.collected.subsets
     assert got.oracle_calls == want.oracle_calls
     with pytest.raises(TypeError):
         OracleVerdict.miss([0.5])
-
-
-def test_hits_all_cases():
-    assert hits_all([], SubsetFamily(4))
-    assert hits_all([2], SubsetFamily(4, [(1, 2), (2, 3)]))
-    assert not hits_all([1], SubsetFamily(4, [(1,), (3,)]))
 
 
 def test_exact_trivial_cases():
@@ -130,7 +122,7 @@ def test_exact_matches_brute_force(seed):
     fam = random_family(rng, universe, int(rng.integers(1, 9)), min(4, universe))
     best, optima = brute_force_optima(universe, fam.subsets)
     got = exact_min_hitting_set(fam)
-    assert hits_all(got.members, fam)
+    assert explicit_family_oracle(fam).check(got.members).feasible
     assert got.size == best
     assert got.members == min(optima)
 
@@ -183,7 +175,7 @@ def test_greedy_k_approximation(seed):
         fam.add(rng.choice(20, size=3, replace=False).tolist())
     greedy = greedy_hitting_set(fam)
     exact = exact_min_hitting_set(fam)
-    assert hits_all(greedy.members, fam)
+    assert explicit_family_oracle(fam).check(greedy.members).feasible
     assert greedy.size <= 3 * exact.size
 
 
@@ -195,8 +187,8 @@ def test_solver_properties(seed):
     fam = random_family(rng, universe, int(rng.integers(1, 7)), min(4, universe))
     exact = exact_min_hitting_set(fam)
     greedy = greedy_hitting_set(fam)
-    assert hits_all(exact.members, fam)
-    assert hits_all(greedy.members, fam)
+    assert explicit_family_oracle(fam).check(exact.members).feasible
+    assert explicit_family_oracle(fam).check(greedy.members).feasible
     assert exact.size <= greedy.size
     max_size = max(len(s) for s in fam.subsets)
     assert greedy.size <= max_size * exact.size
@@ -316,7 +308,7 @@ def _ref_cover_exists(masks, budget):
 
 
 def reference_exact(fam):
-    masks = _ref_drop_supersets(fam.masks())
+    masks = _ref_drop_supersets(fam.masks)
     if not masks:
         return ()
     ub = _ref_greedy_cover_size(masks)
@@ -354,7 +346,7 @@ def collected_families(monkeypatch, oracle, n, p):
     g = gen_gnp(ModelParams(n=n, p=p, seed=1))
     contract = bfs_cycle_oracle(g) if oracle == "bfs-cycle" else shortest_cycle_oracle(g)
     try:
-        solve_implicit_hitting_set(n, GenericSolverConfig(oracle=contract))
+        solve_implicit_hitting_set(contract)
     except SolverAbort:
         pass
     return families
@@ -442,7 +434,7 @@ def test_exact_solver_leaves_no_garbage_cycles():
     g = gen_gnp(ModelParams(n=24, p=0.15, seed=1))
     calls = [
         lambda: exact_min_hitting_set(fam),
-        lambda: solve_implicit_hitting_set(24, GenericSolverConfig(oracle=bfs_cycle_oracle(g))),
+        lambda: solve_implicit_hitting_set(bfs_cycle_oracle(g)),
     ]
     for call in calls:
         call()
