@@ -219,9 +219,6 @@ class Digraph:
     def num_arcs(self) -> int:
         return self.arc_list.shape[0]
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[v]:self.out_indptr[v + 1]]
-
     def in_neighbors(self, v: int) -> np.ndarray:
         return self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]]
 

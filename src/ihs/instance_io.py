@@ -166,7 +166,7 @@ def _parse(lines: Iterator[str]) -> Instance:
                     seed=int(kv.get("seed", "0")),
                 )
             except ValueError as exc:
-                raise InstanceFormatError(f"bad params trailer: {line!r}") from exc
+                raise InstanceFormatError(f"bad params trailer {line!r}: {exc}") from exc
         else:
             raise InstanceFormatError(f"unexpected trailer line: {line!r}")
 

@@ -73,7 +73,10 @@ def memory_shortfall(model: str, pairs: float, n: int) -> str | None:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameters of one random instance; ``delta`` and ``k`` apply to the planted model only."""
+    """Parameters of one random instance; ``delta`` and ``k`` apply to the planted model only.
+
+    Construction checks the ranges every model shares; ``validate`` adds one model's rules.
+    """
 
     n: int
     p: float
@@ -81,24 +84,28 @@ class ModelParams:
     k: int | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p <= 1.0:  # NaN fails every comparison
+            raise ValueError("p must lie in [0, 1]")
+        if self.delta is not None and not 0.0 < self.delta <= 1.0:
+            raise ValueError("delta must lie in (0, 1]")
+        if self.k is not None and self.k < 3:
+            raise ValueError("k must be at least 3")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be a 64-bit unsigned integer")
+
     def validate(self, model: str) -> None:
         if model not in _BYTES_PER_PAIR:
             raise ValueError(f"unknown model {model!r}")
         if self.n <= 0:
             raise ValueError("n must be positive")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
         if model == "dnp" and 2 * self.p > 1.0:
             raise ValueError("oriented model requires 2p <= 1")
         if model == "planted":
-            if self.delta is None or not 0.0 < self.delta <= 1.0:
+            if self.delta is None:
                 raise ValueError("planted model requires delta in (0, 1]")
             if math.floor(self.delta * self.n) < 1:
                 raise ValueError("planted model requires floor(delta * n) >= 1")
-        if self.k is not None and self.k < 3:
-            raise ValueError("k must be at least 3")
         short = memory_shortfall(model, self.expected_pairs(model), self.n)
         if short:
             raise ValueError(f"a {model} instance with n={self.n}, p={self.p} {short}")

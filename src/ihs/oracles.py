@@ -5,6 +5,10 @@ Cycle oracles treat a (di)graph as an implicit family whose subsets are the
 vertex sets of simple cycles; a verdict of feasible means the candidate is a
 feedback vertex set. Traversal orders are pinned (components by smallest
 surviving id, neighbors ascending) so repeated runs return identical cycles.
+
+The shortest-cycle oracle decides feasibility by union-find or Kahn's
+algorithm, then tries the lengths ascending with ``walk_cycles``, the one
+cycle walker: every path shorter than the girth is walked once per length.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Digraph, Graph, GraphError, _gather, _removed_mask
+from .graphs import Digraph, Graph, GraphError, _gather, _removed_mask, is_acyclic_directed, union_edges
 from .hitting import SubsetFamily
 
 
@@ -178,88 +182,39 @@ def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> list[int
     return path_u + path_v[:-1]
 
 
-def _girth_undirected(adj: list[list[int]], blocked: list[bool]) -> int | None:
-    n = len(adj)
-    best: int | None = None
-    for s in range(n):
-        if blocked[s]:
-            continue
-        parent = [-1] * n
-        depth = [-1] * n
-        depth[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * depth[u] >= best:
-                break
-            for v in adj[u]:
-                if blocked[v]:
-                    continue
-                if depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif v != parent[u] and u < v:
-                    cyc = _tree_cycle(parent, depth, u, v)
-                    if best is None or len(cyc) < best:
-                        best = len(cyc)
-    return best
-
-
-def _girth_directed(d: Digraph, adj: list[list[int]], blocked: list[bool]) -> int | None:
-    best: int | None = None
-    for s in range(d.n):
-        if blocked[s]:
-            continue
-        into_s = {w for w in d.in_neighbors(s).tolist() if not blocked[w]}
-        if not into_s:
-            continue
-        dist = [-1] * d.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if best is not None and dist[u] + 1 >= best:
-                break
-            if u in into_s and u != s:
-                length = dist[u] + 1
-                if best is None or length < best:
-                    best = length
-                break
-            for v in adj[u]:
-                if blocked[v] or dist[v] >= 0:
-                    continue
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return best
-
-
 def shortest_cycle_oracle(g_or_d: Graph | Digraph) -> OracleContract:
     """Cycle oracle in increasing length order.
 
-    ``check(h)`` returns a minimum-length cycle of the surviving (di)graph,
-    ties broken by the lexicographically smallest rotation starting at the
-    cycle's minimum vertex; feasible iff acyclic.
+    ``check(h)`` is feasible iff the surviving (di)graph is acyclic, by
+    ``union_edges`` on a Graph or ``is_acyclic_directed`` on a Digraph. Else it
+    returns the first path ``walk_cycles`` yields over the lengths from 3 (2 on
+    a Digraph) up, then the surviving anchors ascending: a minimum-length
+    cycle, ties broken by smallest minimum vertex, then lexicographically first
+    path. Every path shorter than the girth is walked once per length.
     """
     directed = isinstance(g_or_d, Digraph)
     adj, succ = successor_lists(g_or_d)
 
     def check(h: Iterable[int]) -> OracleVerdict:
         blocked = _removed_mask(g_or_d.n, h)
-        if directed:
-            length = _girth_directed(g_or_d, adj, blocked.tolist())
-        else:
-            length = _girth_undirected(adj, blocked.tolist())
-        if length is None:
-            return OracleVerdict.ok()
         allowed = ~blocked
-        for a in np.flatnonzero(allowed).tolist():
-            # an undirected path's reverse has its other end second: the first runs the smaller way
-            path = next(walk_cycles(adj, succ, a, length, a + 1, allowed), None)
-            if path is not None:
-                return OracleVerdict.miss(path)
-        # girth and enumeration disagree: internal bug
-        raise OracleProtocolError("girth-length cycle not found")
+        alive = np.flatnonzero(allowed).tolist()
+        if directed:
+            acyclic = is_acyclic_directed(g_or_d, np.flatnonzero(blocked))
+        else:
+            gone = blocked.tolist()
+            edges = ((u, v) for u in alive for v in adj[u] if v > u and not gone[v])
+            acyclic = union_edges(list(range(g_or_d.n)), edges)
+        if acyclic:
+            return OracleVerdict.ok()
+        for length in range(2 if directed else 3, len(alive) + 1):
+            for a in alive:
+                # an undirected path's reverse has its other end second: the first runs the smaller way
+                path = next(walk_cycles(adj, succ, a, length, a + 1, allowed), None)
+                if path is not None:
+                    return OracleVerdict.miss(path)
+        # acyclicity check and enumeration disagree: internal bug
+        raise OracleProtocolError("cyclic remainder but no cycle found")
 
     return OracleContract(check=check, universe_size=g_or_d.n)
 

@@ -358,6 +358,15 @@ def test_verify_planted_rejects_fewer_than_one_sample(capsys, samples):
     assert "sample" in err and "recovery regime" not in err
 
 
+def test_params_trailer_out_of_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "tri.txt"
+    path.write_text("ihs-graph 1 undirected 3 3\n0 1\n0 2\n1 2\nparams p=nan seed=0\n")
+    code, rows, err = run_cli_with_err(capsys, "solve-fvs", str(path))
+    assert code == 2
+    assert rows == []
+    assert err.startswith("error:") and "p must lie in [0, 1]" in err
+
+
 def test_solve_generic_rejects_negative_ymax(tmp_path, capsys):
     code, rows, err = run_cli_with_err(
         capsys, "solve-generic", triangle_file(tmp_path), "--oracle", "bfs-cycle", "--ymax", "-1"

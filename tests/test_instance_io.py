@@ -91,6 +91,17 @@ def test_trailer_lines():
         "ihs-graph 1 undirected -3 0\n",  # negative vertex count
         "ihs-graph 1 directed 3 -1\n",  # negative arc count
         "ihs-graph 1 undirected 3 0\nplanted 2 0 0\n",  # duplicate planted id
+        # params outside the ranges every model shares
+        "ihs-graph 1 undirected 3 0\nparams p=nan seed=0\n",
+        "ihs-graph 1 undirected 3 0\nparams p=7.5\n",
+        "ihs-graph 1 undirected 3 0\nparams p=-0.1\n",
+        "ihs-graph 1 undirected 3 0\nparams p=inf\n",
+        "ihs-graph 1 undirected 3 0\nparams seed=-3\n",
+        "ihs-graph 1 undirected 3 0\nparams seed=18446744073709551616\n",
+        "ihs-graph 1 directed 3 0\nparams delta=nan p=0.1\n",
+        "ihs-graph 1 directed 3 0\nparams delta=0.0 p=0.1\n",
+        "ihs-graph 1 directed 3 0\nparams delta=1.5 p=0.1\n",
+        "ihs-graph 1 directed 3 0\nparams p=0.1 k=2\n",
     ],
 )
 def test_parse_errors(text, tmp_path):
@@ -112,6 +123,13 @@ def test_bad_edge_line_past_the_first_slice_keeps_its_number():
     lines[68_000] = "1 x\n"
     with pytest.raises(InstanceFormatError, match="bad edge line 68002: '1 x'"):
         instance_from_text("ihs-graph 1 undirected 400 70000\n" + "".join(lines))
+
+
+def test_params_trailer_may_exceed_the_oriented_model_bound():
+    # 2p <= 1 binds only generated oriented digraphs: a hand-written file may exceed it
+    text = "ihs-graph 1 directed 3 0\nparams delta=1.0 p=0.75 k=3 seed=18446744073709551615\n"
+    inst = instance_from_text(text)
+    assert inst.params == ModelParams(n=3, p=0.75, delta=1.0, k=3, seed=2**64 - 1)
 
 
 def test_params_subset_keys():

@@ -8,6 +8,7 @@ from ihs import (
     Digraph,
     Graph,
     GraphError,
+    OracleProtocolError,
     SubsetFamily,
     bfs_cycle_oracle,
     cycles_of_length,
@@ -128,6 +129,45 @@ def test_shortest_cycle_matches_brute_girth_directed(seed):
     else:
         assert len(verdict.missed) == expected
         assert not blocked.intersection(verdict.missed)
+
+
+def first_shortest_cycle(g: Graph | Digraph, blocked: set[int]) -> tuple[int, ...] | None:
+    """The shortest cycle, ties broken by the smallest minimum vertex and then
+    by the lexicographically first path from it, as its sorted vertex set."""
+    directed = isinstance(g, Digraph)
+    h = nx.DiGraph() if directed else nx.Graph()
+    h.add_nodes_from(v for v in range(g.n) if v not in blocked)
+    pairs = g.arc_list if directed else g.edge_list
+    h.add_edges_from((u, v) for u, v in pairs.tolist() if u not in blocked and v not in blocked)
+    for bound in range(2, h.number_of_nodes() + 1):
+        paths = []
+        for cyc in nx.simple_cycles(h, length_bound=bound):
+            i = cyc.index(min(cyc))
+            path = cyc[i:] + cyc[:i]
+            paths.append(path if directed else min(path, path[:1] + path[:0:-1]))
+        if paths:
+            return tuple(sorted(min(paths)))
+    return None
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_shortest_cycle_verdict_is_the_first_shortest_cycle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 14))
+    blocked = {v for v in range(n) if rng.random() < 0.15}
+    # random_digraph draws both orientations of a pair independently: antiparallel arcs occur
+    for g in (random_graph(n, float(rng.uniform(0.15, 0.5)), 1_000 + seed),
+              random_digraph(n, float(rng.uniform(0.05, 0.3)), 2_000 + seed)):
+        assert shortest_cycle_oracle(g).check(blocked).missed == first_shortest_cycle(g, blocked)
+
+
+def test_shortest_cycle_oracle_raises_when_no_cycle_is_walked(monkeypatch):
+    import ihs.oracles
+
+    monkeypatch.setattr(ihs.oracles, "walk_cycles", lambda *args: iter(()))
+    for g in (Graph(3, [(0, 1), (1, 2), (0, 2)]), Digraph(3, [(0, 1), (1, 2), (2, 0)])):
+        with pytest.raises(OracleProtocolError):
+            shortest_cycle_oracle(g).check(())
 
 
 def test_directed_missed_subset_is_a_single_cycle():
