@@ -9,6 +9,12 @@ kept iff no kept neighbor has a smaller id. Each surviving vertex therefore
 has exactly one edge into the previous level and none inside its own, so the
 survivors induce a tree and everything else is a feedback vertex set.
 
+A level's neighbors are counted from the upper CSR alone: its upper neighbors
+are its own rows, its lower neighbors the tails of the edges whose head is in
+the level. Those edges are scanned in slices, only over rows below the
+level's largest id, and the edges of exposed tails are dropped once they are
+most of the list, so a Graph never builds its lower CSR here.
+
 Levels are grown until no unique neighbor survives, which is the behavior
 that reaches near-optimal sets at practical sizes. ``check_concentration_bounds``
 tests a recorded trajectory against the per-level envelopes of the
@@ -99,10 +105,39 @@ def _greedy_independent(unique: np.ndarray, alive: np.ndarray, eu: np.ndarray, e
     return unique[alive[unique]]
 
 
+def _lower_neighbors(ptr: np.ndarray, tails: np.ndarray, heads: np.ndarray, in_level: np.ndarray, top: int) -> np.ndarray:
+    """Tails of the edges in the CSR ``(ptr, heads)`` whose head is in the mask
+    ``in_level``, one per edge; ``tails[i]`` is the row of ``heads[i]``. Only
+    rows below ``top``, the level's largest id, can hold such an edge, and they
+    are scanned a slice at a time, so no index array of the whole scan exists."""
+    end = int(ptr[top])
+    parts = [np.empty(0, dtype=np.int32)]
+    for s in range(0, end, _CHUNK):
+        e = min(s + _CHUNK, end)
+        parts.append(tails[s:e][in_level[heads[s:e]]])
+    return np.concatenate(parts)
+
+
+def _rows_of(ptr: np.ndarray, heads: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR ``(ptr, heads)`` cut to the rows in the mask ``keep``, every
+    other row left empty: its row pointer, each edge's row and its heads."""
+    verts = np.flatnonzero(keep)
+    nbrs, rep = _gather(ptr, heads, verts)
+    lens = np.diff(ptr)
+    lens[~keep] = 0
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=kept[1:])
+    return kept, verts.astype(np.int32)[rep], nbrs
+
+
 def grow_induced_bfs(g: Graph, root: int = 0) -> FvsResult:
     """Grow the induced BFS tree from ``root`` until the next level would be
     empty, and return its complement. Every level is the greedy independent
     set of its unique neighbors.
+
+    Lower neighbors come from the edges ``(ptr, tails, heads)``: the upper
+    CSR at first, then, once fewer than half of them have an unexposed tail,
+    only those, gathered again. An exposed vertex's count is never read.
     """
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} out of range [0, {g.n})")
@@ -111,10 +146,15 @@ def grow_induced_bfs(g: Graph, root: int = 0) -> FvsResult:
     exposed[root] = True
     levels = [np.asarray([root], dtype=np.int64)]
     stats = LevelStats(l=[1], u=[g.n - 1], r=[1], m=[0], k=[1], w=[0])
+    ptr, tails, heads = g.up_indptr, g.edge_list[:, 0], g.up_indices
+    in_level = np.zeros(g.n, dtype=bool)
 
     while True:
-        counts = np.bincount(_gather(g.low_indptr, g.low_indices, levels[-1])[0], minlength=g.n)
-        counts += np.bincount(_gather(g.up_indptr, g.up_indices, levels[-1])[0], minlength=g.n)
+        level = levels[-1]
+        in_level[level] = True
+        counts = np.bincount(_lower_neighbors(ptr, tails, heads, in_level, int(level.max())), minlength=g.n)
+        counts += np.bincount(_gather(g.up_indptr, g.up_indices, level)[0], minlength=g.n)
+        in_level[level] = False
         fresh = (~exposed) & (counts > 0)
         newly = np.flatnonzero(fresh)
         if newly.size == 0:
@@ -136,6 +176,8 @@ def grow_induced_bfs(g: Graph, root: int = 0) -> FvsResult:
         if nxt.size == 0:
             break
         levels.append(nxt)
+        if 2 * int(np.diff(ptr)[~exposed].sum()) < int(ptr[-1]):
+            ptr, tails, heads = _rows_of(ptr, heads, ~exposed)
 
     survivors = np.concatenate(levels)
     in_tree = np.zeros(g.n, dtype=bool)

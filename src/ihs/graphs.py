@@ -6,10 +6,11 @@ plus two CSRs with ascending rows, both built by ``_rows``: the rows of that
 list and the rows of its transpose. For a Graph these are the upper and the
 lower neighbors of each vertex, for a Digraph its out- and in-neighbors, so
 every traversal in the package is reproducible. Ids are int32 and every array
-is read-only. Construction works slice by slice over the pair list: on the
-canonical input the generators emit, its one m-length int64 array is the sort
-key of the transpose. Acyclicity checks are iterative; nothing here recurses
-on the graph size.
+is read-only. Construction works slice by slice over the pair list. A Digraph
+sorts its transpose when it is built, with one m-length int64 sort key; a
+Graph sorts it on the first read of its lower CSR, which growth and the
+acyclicity check never make: they count lower neighbors from the edge list.
+Acyclicity checks are iterative; nothing here recurses on the graph size.
 """
 
 from __future__ import annotations
@@ -162,18 +163,35 @@ def _induced_edges(g: Graph, verts: np.ndarray, inside: np.ndarray) -> tuple[np.
 class Graph:
     """Undirected simple graph: canonical edge list with u < v, and the sorted
     CSR of its rows (row u: the upper neighbors of u) and of its transpose
-    (row u: the lower neighbors of u)."""
+    (row u: the lower neighbors of u).
 
-    __slots__ = ("n", "edge_list", "low_indptr", "low_indices", "up_indptr", "up_indices")
+    The lower CSR is built on first access to ``low_indptr`` or
+    ``low_indices``: growth and the acyclicity check read only the upper CSR
+    and the edge list, so a Graph that only they see never sorts its transpose.
+    """
+
+    __slots__ = ("n", "edge_list", "up_indptr", "up_indices", "_low")
 
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         self.n = int(n)
         self.edge_list = _normalize_pairs(self.n, edges, directed=False)
-        # the transpose first: its m-length sort keys are freed before the upper indices exist
-        self.low_indptr, self.low_indices = _rows(self.n, _transposed(self.n, self.edge_list))
         self.up_indptr, self.up_indices = _rows(self.n, self.edge_list)
+        self._low = None
+
+    def _lower(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._low is None:
+            self._low = _rows(self.n, _transposed(self.n, self.edge_list))
+        return self._low
+
+    @property
+    def low_indptr(self) -> np.ndarray:
+        return self._lower()[0]
+
+    @property
+    def low_indices(self) -> np.ndarray:
+        return self._lower()[1]
 
     @property
     def num_edges(self) -> int:
@@ -281,7 +299,7 @@ def union_edges(parent, edges) -> bool:
 def is_acyclic_directed(d: Digraph, removed=()) -> bool:
     """True iff the sub-digraph induced on V minus ``removed`` has a topological order.
 
-    One ``_gather`` of the alive rows gives the alive arcs; Kahn's algorithm
+    One ``_gather`` of the alive rows gives the alive arcs; ``drain_sources``
     then pops sources off one stack over their CSR, visiting each arc once.
     """
     gone = _removed_mask(d.n, removed)
@@ -298,16 +316,27 @@ def is_acyclic_directed(d: Digraph, removed=()) -> bool:
     np.cumsum(np.bincount(alive[rep[keep]], minlength=d.n), out=ptr[1:])
     heads, ptr = memoryview(heads), memoryview(ptr)
     stack = alive[indeg[alive] == 0].tolist()
-    indeg = indeg.tolist()
-    left = alive.size
+    return drain_sources(lambda v: heads[ptr[v]:ptr[v + 1]], indeg.tolist(), stack) == alive.size
+
+
+def drain_sources(successors, indeg: list, stack: list) -> int:
+    """Kahn's algorithm: pop sources off ``stack`` and count them, pushing each
+    successor whose in-degree ``indeg`` (consumed) falls to zero.
+
+    ``successors(v)`` iterates the arcs out of ``v``; ``stack`` holds the
+    alive vertices of in-degree zero. A successor that is not alive must start
+    at an in-degree of at most zero, so it is never pushed. The alive vertices
+    have a topological order iff all of them are popped.
+    """
+    popped = 0
     while stack:
         v = stack.pop()
-        left -= 1
-        for w in heads[ptr[v]:ptr[v + 1]]:
+        popped += 1
+        for w in successors(v):
             indeg[w] -= 1
             if not indeg[w]:
                 stack.append(w)
-    return left == 0
+    return popped
 
 
 def shadow_undirected(d: Digraph) -> Graph:

@@ -36,10 +36,12 @@ from .graphs import _CHUNK as _SLICE, Digraph, Graph
 _SKIP_THRESHOLD = 1 << 22  # pair-count above which the skip sampler kicks in
 _CHUNK = 1 << 22
 # Peak bytes of drawing and building an instance, per expected edge or arc and
-# per vertex, above the measured peaks: 21-24 B per edge for G(n, p)
-# with BFS growth and its validation (n=10^5 and 5*10^5, c=500); 30.5 B per
-# arc for D(n, p) (n=10^5, p=0.0025) and 33.9 B for the planted model
-# (n=2*10^4, p=0.05), whose arcs are sorted while the caller still holds them.
+# per vertex, above the measured peaks: 17-20 B per edge for G(n, p) with BFS
+# growth and its validation (n=10^5 and 5*10^5, c=500), which never sort the
+# transpose, and 26 B per edge to read and solve a 2 M-edge G(n, p) file above
+# the 38 MB of an empty run; 30.5 B per arc for D(n, p) (n=10^5, p=0.0025) and
+# 33.9 B for the planted model (n=2*10^4, p=0.05), whose arcs are sorted while
+# the caller still holds them.
 _BYTES_PER_PAIR = {"gnp": 28, "dnp": 36, "planted": 36}
 _BYTES_PER_VERTEX = 64
 

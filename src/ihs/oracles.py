@@ -7,8 +7,9 @@ feedback vertex set. Traversal orders are pinned (components by smallest
 surviving id, neighbors ascending) so repeated runs return identical cycles.
 
 The shortest-cycle oracle decides feasibility by union-find or Kahn's
-algorithm, then tries the lengths ascending with ``walk_cycles``, the one
-cycle walker: every path shorter than the girth is walked once per length.
+algorithm over its own successor lists, then tries the lengths ascending with
+``walk_cycles``, the one cycle walker: every path shorter than the girth is
+walked once per length.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Digraph, Graph, GraphError, _gather, _removed_mask, is_acyclic_directed, union_edges
+from .graphs import Digraph, Graph, GraphError, _gather, _removed_mask, drain_sources, union_edges
 from .hitting import SubsetFamily
 
 
@@ -186,11 +187,12 @@ def shortest_cycle_oracle(g_or_d: Graph | Digraph) -> OracleContract:
     """Cycle oracle in increasing length order.
 
     ``check(h)`` is feasible iff the surviving (di)graph is acyclic, by
-    ``union_edges`` on a Graph or ``is_acyclic_directed`` on a Digraph. Else it
-    returns the first path ``walk_cycles`` yields over the lengths from 3 (2 on
-    a Digraph) up, then the surviving anchors ascending: a minimum-length
-    cycle, ties broken by smallest minimum vertex, then lexicographically first
-    path. Every path shorter than the girth is walked once per length.
+    ``union_edges`` on a Graph or ``drain_sources`` on a Digraph, both over the
+    successor lists the oracle holds. Else it returns the first path
+    ``walk_cycles`` yields over the lengths from 3 (2 on a Digraph) up, then
+    the surviving anchors ascending: a minimum-length cycle, ties broken by
+    smallest minimum vertex, then lexicographically first path. Every path
+    shorter than the girth is walked once per length.
     """
     directed = isinstance(g_or_d, Digraph)
     adj, succ = successor_lists(g_or_d)
@@ -200,7 +202,14 @@ def shortest_cycle_oracle(g_or_d: Graph | Digraph) -> OracleContract:
         allowed = ~blocked
         alive = np.flatnonzero(allowed).tolist()
         if directed:
-            acyclic = is_acyclic_directed(g_or_d, np.flatnonzero(blocked))
+            indeg = [0] * g_or_d.n
+            for u in alive:
+                for v in adj[u]:
+                    indeg[v] += 1
+            for v in np.flatnonzero(blocked).tolist():
+                indeg[v] = -1  # below zero for good: a blocked vertex is never pushed
+            stack = [v for v in alive if not indeg[v]]
+            acyclic = drain_sources(adj.__getitem__, indeg, stack) == len(alive)
         else:
             gone = blocked.tolist()
             edges = ((u, v) for u in alive for v in adj[u] if v > u and not gone[v])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ihs.bfs_growth as bfs_mod
 from ihs import (
     Digraph,
     FvsResult,
@@ -340,3 +341,19 @@ def test_sample_acyclic_fraction_validation():
         sample_acyclic_fraction(g, 11, 10, seed=0)
     with pytest.raises(ValueError):
         sample_acyclic_fraction(g, 3, 0, seed=0)
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 997])
+def test_growth_matches_frozen_reference_when_live_edges_are_gathered_again(monkeypatch, chunk):
+    # large enough that the lower-neighbor scan drops the edges of exposed
+    # tails at least once; a small slice splits every scan
+    monkeypatch.setattr(bfs_mod, "_CHUNK", chunk)
+    gathers = []
+    rows_of = bfs_mod._rows_of
+    monkeypatch.setattr(bfs_mod, "_rows_of", lambda *args: gathers.append(args[0].size) or rows_of(*args))
+    n = 3000
+    g = gen_gnp(ModelParams(n=n, p=0.01, seed=3))
+    for root in (0, n // 2, n - 1):
+        gathers.clear()
+        _assert_matches_reference(g, root)
+        assert gathers

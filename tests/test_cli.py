@@ -11,6 +11,7 @@ import pytest
 
 import ihs
 import ihs.cli as cli
+import ihs.graphs as graphs_mod
 import ihs.models as models
 from ihs.cli import build_parser, main
 
@@ -168,6 +169,27 @@ def test_check_lemma1_rows(capsys):
     assert len(rows) == 2
     assert all(row["exact_match"] in ("0", "1") for row in rows)
     assert all(row["bound_value"] == "1" for row in rows)  # horizon
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--recipe", "lemma1", "--n", "2000", "--p", "0.05", "--seeds", "0..1"],
+        ["experiment", "--recipe", "theorem1", "--n", "500", "--p", "0.05", "--seeds", "0..1"],
+        ["solve-fvs", "--model", "gnp", "--n", "300", "--p", "0.05", "--seed", "0"],
+    ],
+    ids=["lemma1", "theorem1", "solve-fvs"],
+)
+def test_gnp_paths_never_sort_a_transpose(monkeypatch, capsys, argv):
+    # sampling, growth and its validation read only the edge list and the upper CSR
+    def refuse(n, pairs):
+        raise AssertionError("a G(n, p) path sorted the transpose of its edge list")
+
+    monkeypatch.setattr(graphs_mod, "_transposed", refuse)
+    code, rows = run_cli(capsys, *argv)
+    assert code == 0
+    per_seed = [row for row in rows if row["run_id"] != "aggregate"]
+    assert per_seed and all(row["acyclic_ok"] == "1" for row in per_seed)
 
 
 def test_check_lemma1_warns_when_not_applicable(capsys):

@@ -7,9 +7,13 @@ from ihs import (
     Digraph,
     Graph,
     GraphError,
+    bfs_cycle_oracle,
+    grow_induced_bfs,
     is_acyclic_directed,
     is_acyclic_undirected,
+    prune_fvs,
     shadow_undirected,
+    shortest_cycle_oracle,
 )
 
 
@@ -303,3 +307,36 @@ def test_gather_matches_concatenated_rows(monkeypatch, chunk):
             nbrs, rep = graphs_mod._gather(indptr, indices, np.asarray(verts, dtype=np.int64))
             assert nbrs.tolist() == [w for v in verts for w in rows[v]]
             assert rep.tolist() == [i for i, v in enumerate(verts) for _ in rows[v]]
+
+
+@pytest.mark.parametrize("reader", ["neighbors", "prune_fvs", "bfs_cycle_oracle", "shortest_cycle_oracle"])
+def test_lower_csr_is_built_on_first_read(monkeypatch, reader):
+    # growth and its validation never sort the transpose; the first reader of
+    # the lower CSR builds it once, read-only
+    builds = []
+    transposed = graphs_mod._transposed
+    monkeypatch.setattr(graphs_mod, "_transposed", lambda n, pairs: builds.append(n) or transposed(n, pairs))
+    g = random_graph(40, 0.15, 3)
+    ref = nx.Graph(g.edge_list.tolist())
+    ref.add_nodes_from(range(g.n))
+    fvs = grow_induced_bfs(g, root=0).fvs
+    assert is_acyclic_undirected(g, fvs) and not builds
+    if reader == "neighbors":
+        for v in range(g.n):
+            assert g.neighbors(v).tolist() == sorted(ref[v])
+    elif reader == "prune_fvs":
+        pruned = prune_fvs(g, fvs)
+        assert set(pruned.tolist()) <= set(fvs.tolist()) and is_acyclic_undirected(g, pruned)
+    else:
+        oracle = {"bfs_cycle_oracle": bfs_cycle_oracle, "shortest_cycle_oracle": shortest_cycle_oracle}[reader](g)
+        assert oracle.check(fvs.tolist()).feasible
+        cycle = oracle.check([]).missed
+        sub = ref.subgraph(cycle)
+        assert nx.is_connected(sub) and min(d for _, d in sub.degree) >= 2
+        if reader == "shortest_cycle_oracle":
+            assert len(cycle) == nx.girth(ref)
+    assert builds == [g.n]
+    low_indptr, low_indices = g.low_indptr, g.low_indices
+    assert g.low_indptr is low_indptr and g.low_indices is low_indices and builds == [g.n]
+    assert low_indices.dtype == np.int32 and low_indptr.dtype == np.int64
+    assert not low_indptr.flags.writeable and not low_indices.flags.writeable
