@@ -13,7 +13,7 @@ A level's neighbors are counted from the upper CSR alone: its upper neighbors
 are its own rows, its lower neighbors the tails of the edges whose head is in
 the level. Those edges are scanned in slices, only over rows below the
 level's largest id, and the edges of exposed tails are dropped once they are
-most of the list, so a Graph never builds its lower CSR here.
+most of the list, so growth never sorts the transpose of the edge list.
 
 Levels are grown until no unique neighbor survives, which is the behavior
 that reaches near-optimal sets at practical sizes. ``check_concentration_bounds``
@@ -36,6 +36,8 @@ from .graphs import (
     _gather,
     _induced_edges,
     _removed_mask,
+    _rows,
+    _transposed,
     find,
     is_acyclic_undirected,
     shadow_undirected,
@@ -66,12 +68,11 @@ class LevelStats:
 
 @dataclass
 class FvsResult:
-    """Output of one growth run: the feedback vertex set and its complement tree."""
+    """Output of one growth run: the feedback vertex set, and the levels of its
+    complement tree with their counters."""
 
     fvs: np.ndarray
-    survivors: np.ndarray
     stats: LevelStats
-    T_used: int
     levels: list[np.ndarray]
 
 
@@ -179,17 +180,9 @@ def grow_induced_bfs(g: Graph, root: int = 0) -> FvsResult:
         if 2 * int(np.diff(ptr)[~exposed].sum()) < int(ptr[-1]):
             ptr, tails, heads = _rows_of(ptr, heads, ~exposed)
 
-    survivors = np.concatenate(levels)
     in_tree = np.zeros(g.n, dtype=bool)
-    in_tree[survivors] = True
-    fvs = np.flatnonzero(~in_tree)
-    return FvsResult(
-        fvs=fvs,
-        survivors=np.sort(survivors),
-        stats=stats,
-        T_used=len(levels) - 1,
-        levels=levels,
-    )
+    in_tree[np.concatenate(levels)] = True
+    return FvsResult(fvs=np.flatnonzero(~in_tree), stats=stats, levels=levels)
 
 
 def fvs_directed(d: Digraph, root: int = 0) -> FvsResult:
@@ -208,13 +201,7 @@ def fvs_directed(d: Digraph, root: int = 0) -> FvsResult:
         return result
     in_fvs = np.zeros(d.n, dtype=bool)
     in_fvs[fvs] = True
-    return FvsResult(
-        fvs=fvs,
-        survivors=np.flatnonzero(~in_fvs),
-        stats=result.stats,
-        T_used=result.T_used,
-        levels=[lv[~in_fvs[lv]] for lv in result.levels],
-    )
+    return FvsResult(fvs=fvs, stats=result.stats, levels=[lv[~in_fvs[lv]] for lv in result.levels])
 
 
 def break_two_cycles(d: Digraph, fvs: np.ndarray) -> np.ndarray:
@@ -225,7 +212,7 @@ def break_two_cycles(d: Digraph, fvs: np.ndarray) -> np.ndarray:
     hi = np.maximum(arcs[:, 0], arcs[:, 1]).astype(np.int64)
     keys = lo * d.n + hi
     keys.sort()
-    dup = np.unique(keys[:-1][keys[1:] == keys[:-1]]) if keys.size > 1 else np.empty(0, np.int64)
+    dup = keys[:-1][keys[1:] == keys[:-1]]  # a key occurs at most twice: (u, v) and (v, u)
     if dup.size == 0:
         return fvs
     in_fvs = np.zeros(d.n, dtype=bool)
@@ -242,7 +229,8 @@ def prune_fvs(g: Graph, fvs) -> np.ndarray:
 
     Optional post-pass; it helps on structured inputs but departs from the
     plain growth process, so callers opt in explicitly. ``fvs`` must be a
-    valid feedback vertex set.
+    valid feedback vertex set. A removed vertex's lower neighbors are read as
+    rows of the transpose of the edge list, which this call sorts once.
     """
     removed = set(int(v) for v in fvs)
     gone = _removed_mask(g.n, removed)
@@ -253,7 +241,8 @@ def prune_fvs(g: Graph, fvs) -> np.ndarray:
     if not union_edges(parent, kept):
         raise ValueError("input is not a feedback vertex set")
 
-    halves = [(g.low_indices, g.low_indptr.tolist()), (g.up_indices, g.up_indptr.tolist())]
+    lower_ptr, lower = _rows(g.n, _transposed(g.n, g.edge_list))
+    halves = [(lower, lower_ptr.tolist()), (g.up_indices, g.up_indptr.tolist())]
     for v in sorted(removed):
         roots = set()
         ok = True

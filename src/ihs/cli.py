@@ -32,7 +32,7 @@ from .bfs_growth import (
     sample_acyclic_fraction,
 )
 from .generic import SolverAbort, solve_implicit_hitting_set
-from .graphs import GraphError, is_acyclic_directed, is_acyclic_undirected, shadow_undirected
+from .graphs import Digraph, GraphError, is_acyclic_directed, is_acyclic_undirected, shadow_undirected
 from .instance_io import Instance, InstanceFormatError, read_instance, write_instance
 from .models import ModelParams, PlantedInstance, gen_dnp, gen_gnp, gen_planted
 from .oracles import OracleProtocolError, bfs_cycle_oracle, shortest_cycle_oracle
@@ -97,12 +97,12 @@ def _parse_seeds(spec: str) -> list[int]:
 
 def _generate(model: str, params: ModelParams):
     if model == "gnp":
-        return gen_gnp(params), False, None
+        return gen_gnp(params), None
     if model == "dnp":
-        return gen_dnp(params), True, None
+        return gen_dnp(params), None
     if model == "planted":
         inst = gen_planted(params)
-        return inst.digraph, True, inst.planted
+        return inst.digraph, inst.planted
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -139,11 +139,11 @@ class Source:
     params: ModelParams | None = None
 
     def load(self, seed: int | None):
-        """(graph, directed, planted, params); params is None for a file
-        without a params trailer."""
+        """(graph, planted, params); params is None for a file without a
+        params trailer."""
         if self.path is not None:
             inst = read_instance(self.path)
-            return inst.graph, inst.directed, inst.planted, inst.params
+            return inst.graph, inst.planted, inst.params
         params = replace(self.params, seed=seed)
         return (*_generate(self.model, params), params)
 
@@ -170,7 +170,8 @@ def _param(params: ModelParams | None, name: str):
 
 def _run_fvs(seed, *, source: Source, root: int, prune: bool) -> dict:
     t0 = time.perf_counter()
-    graph, directed, _, params = source.load(seed)
+    graph, _, params = source.load(seed)
+    directed = isinstance(graph, Digraph)
     if directed:  # via the shadow, with the two-cycle repair
         fvs = fvs_directed(graph, root=root).fvs
         algorithm = "grow-induced-bfs-shadow"
@@ -195,7 +196,8 @@ def _run_fvs(seed, *, source: Source, root: int, prune: bool) -> dict:
 
 def _run_generic(seed, *, source: Source, oracle: str, ymax: int, root: int) -> dict:
     t0 = time.perf_counter()
-    graph, directed, _, params = source.load(seed)
+    graph, _, params = source.load(seed)
+    directed = isinstance(graph, Digraph)
     if oracle == "bfs-cycle":
         if directed:
             raise ValueError("the bfs-cycle oracle works on undirected instances")
@@ -222,8 +224,8 @@ def _planted_k(k: int | None, params: ModelParams | None) -> int:
 
 def _run_planted(seed, *, source: Source, k: int | None) -> dict:
     t0 = time.perf_counter()
-    graph, directed, planted, params = source.load(seed)
-    if not directed:
+    graph, planted, params = source.load(seed)
+    if not isinstance(graph, Digraph):
         raise ValueError("planted recovery needs a directed instance")
     k = _planted_k(k, params)
     delta = _param(params, "delta")
@@ -243,8 +245,8 @@ def _run_planted(seed, *, source: Source, k: int | None) -> dict:
 
 def _run_verify(seed, *, source: Source, k: int | None, samples: int) -> dict:
     t0 = time.perf_counter()
-    graph, directed, planted, params = source.load(seed)
-    if not directed or planted is None:
+    graph, planted, params = source.load(seed)
+    if not isinstance(graph, Digraph) or planted is None:
         raise ValueError("verification needs a directed instance with a planted trailer")
     if params is None:
         raise ValueError("verification needs a params trailer")
@@ -267,7 +269,7 @@ def _run_verify(seed, *, source: Source, k: int | None, samples: int) -> dict:
 
 def _run_lemma(seed: int, *, source: Source, root: int) -> dict:
     t0 = time.perf_counter()
-    g, _, _, params = source.load(seed)
+    g, _, params = source.load(seed)
     result = grow_induced_bfs(g, root=root)
     report = check_concentration_bounds(result.stats, g.n, params.p)
     return make_row(
@@ -280,7 +282,7 @@ def _run_lemma(seed: int, *, source: Source, root: int) -> dict:
 
 def _run_theorem2(seed: int, *, source: Source, r: int, samples: int) -> dict:
     t0 = time.perf_counter()
-    g, _, _, params = source.load(seed)
+    g, _, params = source.load(seed)
     fraction = sample_acyclic_fraction(g, r, samples, seed)
     # bound_value carries the measured acyclic fraction: it is the bounded quantity
     return make_row(
@@ -308,8 +310,8 @@ def _runs(run, seeds: list, jobs: int) -> list[dict]:
 
 def cmd_generate(args) -> int:
     params = _model_params(args, args.model, seed=args.seed)
-    graph, directed, planted = _generate(args.model, params)
-    write_instance(args.out, Instance(graph=graph, directed=directed, planted=planted, params=params))
+    graph, planted = _generate(args.model, params)
+    write_instance(args.out, Instance(graph=graph, planted=planted, params=params))
     return 0
 
 

@@ -2,15 +2,15 @@
 
 Vertices are dense integers ``0..n-1``. Both containers are immutable after
 construction and store a canonical lexicographically sorted edge/arc list
-plus two CSRs with ascending rows, both built by ``_rows``: the rows of that
-list and the rows of its transpose. For a Graph these are the upper and the
-lower neighbors of each vertex, for a Digraph its out- and in-neighbors, so
-every traversal in the package is reproducible. Ids are int32 and every array
-is read-only. Construction works slice by slice over the pair list. A Digraph
-sorts its transpose when it is built, with one m-length int64 sort key; a
-Graph sorts it on the first read of its lower CSR, which growth and the
-acyclicity check never make: they count lower neighbors from the edge list.
-Acyclicity checks are iterative; nothing here recurses on the graph size.
+plus CSRs with ascending rows, built by ``_rows``, so every traversal in the
+package is reproducible. A Graph keeps the CSR of its edge list (row u: the
+upper neighbors of u); a Digraph keeps its out-CSR and the in-CSR of its
+transpose, which it sorts when built, with one m-length int64 sort key. A
+reader that needs a Graph's lower neighbors as rows sorts the transpose
+itself with ``_transposed``; growth and the acyclicity check never do, they
+count lower neighbors from the edge list. Ids are int32 and every array is
+read-only. Construction works slice by slice over the pair list. Acyclicity
+checks are iterative; nothing here recurses on the graph size.
 """
 
 from __future__ import annotations
@@ -161,16 +161,13 @@ def _induced_edges(g: Graph, verts: np.ndarray, inside: np.ndarray) -> tuple[np.
 
 
 class Graph:
-    """Undirected simple graph: canonical edge list with u < v, and the sorted
-    CSR of its rows (row u: the upper neighbors of u) and of its transpose
-    (row u: the lower neighbors of u).
-
-    The lower CSR is built on first access to ``low_indptr`` or
-    ``low_indices``: growth and the acyclicity check read only the upper CSR
-    and the edge list, so a Graph that only they see never sorts its transpose.
+    """Undirected simple graph: canonical edge list with u < v and the sorted
+    CSR of its rows (row u: the upper neighbors of u). It stores no transpose;
+    ``prune_fvs`` and ``successor_lists`` sort one when they need lower
+    neighbors as rows.
     """
 
-    __slots__ = ("n", "edge_list", "up_indptr", "up_indices", "_low")
+    __slots__ = ("n", "edge_list", "up_indptr", "up_indices")
 
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
@@ -178,31 +175,10 @@ class Graph:
         self.n = int(n)
         self.edge_list = _normalize_pairs(self.n, edges, directed=False)
         self.up_indptr, self.up_indices = _rows(self.n, self.edge_list)
-        self._low = None
-
-    def _lower(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._low is None:
-            self._low = _rows(self.n, _transposed(self.n, self.edge_list))
-        return self._low
-
-    @property
-    def low_indptr(self) -> np.ndarray:
-        return self._lower()[0]
-
-    @property
-    def low_indices(self) -> np.ndarray:
-        return self._lower()[1]
 
     @property
     def num_edges(self) -> int:
         return self.edge_list.shape[0]
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Ascending: the lower neighbors of ``v``, then the upper ones."""
-        return np.concatenate((
-            self.low_indices[self.low_indptr[v]:self.low_indptr[v + 1]],
-            self.up_indices[self.up_indptr[v]:self.up_indptr[v + 1]],
-        ))
 
     def __eq__(self, other) -> bool:
         return (
@@ -236,9 +212,6 @@ class Digraph:
     @property
     def num_arcs(self) -> int:
         return self.arc_list.shape[0]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]]
 
     def __eq__(self, other) -> bool:
         return (
@@ -345,8 +318,6 @@ def shadow_undirected(d: Digraph) -> Graph:
     Removing a feedback vertex set of the shadow also breaks every directed
     cycle of ``d``.
     """
-    if d.num_arcs == 0:
-        return Graph(d.n)
     u = np.minimum(d.arc_list[:, 0], d.arc_list[:, 1])
     v = np.maximum(d.arc_list[:, 0], d.arc_list[:, 1])
     return Graph(d.n, _unpack(d.n, np.unique(_pack(d.n, u, v))))

@@ -36,8 +36,7 @@ class InstanceFormatError(ValueError):
 
 @dataclass
 class Instance:
-    graph: Graph | Digraph
-    directed: bool
+    graph: Graph | Digraph  # its type is the kind in the header
     planted: list[int] | None = None
     params: ModelParams | None = None
 
@@ -49,8 +48,9 @@ def _format_float(x: float) -> str:
 def _write(out, inst: Instance) -> None:
     """Write ``inst`` to the text stream ``out``, its pair lines a slice at a time."""
     g = inst.graph
-    pairs = g.arc_list if inst.directed else g.edge_list
-    kind = "directed" if inst.directed else "undirected"
+    directed = isinstance(g, Digraph)
+    pairs = g.arc_list if directed else g.edge_list
+    kind = "directed" if directed else "undirected"
     out.write(f"{MAGIC} {VERSION} {kind} {g.n} {pairs.shape[0]}\n")
     for s in range(0, pairs.shape[0], _CHUNK):
         out.write("".join(f"{u} {v}\n" for u, v in pairs[s:s + _CHUNK].tolist()))
@@ -174,7 +174,7 @@ def _parse(lines: Iterator[str]) -> Instance:
         graph: Graph | Digraph = Digraph(n, pairs) if kind == "directed" else Graph(n, pairs)
     except GraphError as exc:
         raise InstanceFormatError(str(exc)) from exc
-    return Instance(graph=graph, directed=kind == "directed", planted=planted, params=params)
+    return Instance(graph=graph, planted=planted, params=params)
 
 
 def instance_from_text(text: str) -> Instance:

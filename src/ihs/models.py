@@ -142,12 +142,7 @@ def _bernoulli_indices(rng: np.random.Generator, count: int, prob: float) -> np.
     if prob >= 1.0:
         return np.arange(count, dtype=np.int64)
     if count <= _SKIP_THRESHOLD:
-        picked = []
-        for start in range(0, count, _CHUNK):
-            size = min(_CHUNK, count - start)
-            hits = np.flatnonzero(rng.random(size) < prob)
-            picked.append(hits.astype(np.int64) + start)
-        return np.concatenate(picked)
+        return np.flatnonzero(rng.random(count) < prob)
     picked = []
     pos = -1
     gap_chunk = max(1024, min(_CHUNK, int(count * prob * 1.1) + 64))

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Digraph, Graph, GraphError, _gather, _removed_mask, drain_sources, union_edges
+from .graphs import Digraph, Graph, GraphError, _gather, _removed_mask, _rows, _transposed, drain_sources, union_edges
 from .hitting import SubsetFamily
 
 
@@ -74,9 +74,9 @@ def successor_lists(g: Graph | Digraph) -> tuple[list[list[int]], list[set[int]]
     of a Graph, out-neighbors of a Digraph), built once for many walks."""
     if isinstance(g, Digraph):
         lists = _row_lists(g.out_indptr, g.out_indices)
-    else:  # lower neighbors, then upper ones: still ascending
-        low, up = _row_lists(g.low_indptr, g.low_indices), _row_lists(g.up_indptr, g.up_indices)
-        lists = [a + b for a, b in zip(low, up)]
+    else:  # lower neighbors, rows of the sorted transpose, then upper ones: still ascending
+        low = _row_lists(*_rows(g.n, _transposed(g.n, g.edge_list)))
+        lists = [a + b for a, b in zip(low, _row_lists(g.up_indptr, g.up_indices))]
     return lists, [set(nb) for nb in lists]
 
 
@@ -249,7 +249,7 @@ def cycles_of_length(d: Digraph, k: int, limit: int | None = None) -> np.ndarray
     for a in range(d.n):
         if limit is not None and found >= limit:
             break
-        into = d.in_neighbors(a)
+        into = d.in_indices[d.in_indptr[a]:d.in_indptr[a + 1]]
         into = into[into > a]
         if into.size == 0:
             continue

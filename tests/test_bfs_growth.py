@@ -20,6 +20,7 @@ from ihs import (
     prune_fvs,
     sample_acyclic_fraction,
 )
+from ihs.oracles import successor_lists
 
 from test_graphs import random_digraph, random_graph
 
@@ -43,17 +44,17 @@ def test_triangle_trace():
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
     res = grow_induced_bfs(tri, root=0)
     assert res.fvs.tolist() == [2]
-    assert res.survivors.tolist() == [0, 1]
+    assert [lv.tolist() for lv in res.levels] == [[0], [1]]
     assert res.stats.k == [1, 2]
     assert res.stats.r == [1, 2]
     assert res.stats.w == [0, 1]
-    assert res.T_used == 1
+    assert res.stats.depth() == 1
 
 
 def test_edgeless_keeps_only_root():
     g = Graph(5)
     res = grow_induced_bfs(g, root=2)
-    assert res.survivors.tolist() == [2]
+    assert [lv.tolist() for lv in res.levels] == [[2]]
     assert res.fvs.tolist() == [0, 1, 3, 4]
     assert is_acyclic_undirected(g, res.fvs)
 
@@ -79,12 +80,16 @@ def test_directed_two_cycles_are_broken():
     res = fvs_directed(pair, root=0)
     assert res.fvs.tolist() == [1]
     assert is_acyclic_directed(pair, res.fvs)
-    assert res.survivors.tolist() == [0]
+    assert [lv.tolist() for lv in res.levels] == [[0], []]
 
     mixed = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1)])
     res = fvs_directed(mixed, root=0)
     assert is_acyclic_directed(mixed, res.fvs)
-    assert sorted(res.fvs.tolist() + res.survivors.tolist()) == [0, 1, 2, 3]
+    assert sorted(res.fvs.tolist() + _survivors(res)) == [0, 1, 2, 3]
+
+
+def _survivors(res) -> list[int]:
+    return np.concatenate(res.levels).tolist()
 
 
 def _check_level_structure(g: Graph, res) -> None:
@@ -94,9 +99,10 @@ def _check_level_structure(g: Graph, res) -> None:
     for i, level in enumerate(res.levels):
         for v in level.tolist():
             level_of[int(v)] = i
+    adj = successor_lists(g)[0]
     for v, lv in level_of.items():
         ups = downs = sames = others = 0
-        for w in g.neighbors(v).tolist():
+        for w in adj[v]:
             if w not in level_of:
                 continue
             if level_of[w] == lv - 1:
@@ -119,7 +125,7 @@ def test_fvs_validity_and_tree_structure_random(seed):
     g = random_graph(n, float(rng.uniform(0.01, 0.3)), 5000 + seed)
     res = grow_induced_bfs(g, root=int(rng.integers(0, n)))
     assert is_acyclic_undirected(g, res.fvs)
-    assert sorted(res.fvs.tolist() + res.survivors.tolist()) == list(range(n))
+    assert sorted(res.fvs.tolist() + _survivors(res)) == list(range(n))
     _check_level_structure(g, res)
     # stats arithmetic invariants
     st = res.stats
@@ -129,7 +135,7 @@ def test_fvs_validity_and_tree_structure_random(seed):
         if t > 0:
             assert st.u[t] == st.u[t - 1] - st.k[t]
             assert st.l[t] == st.r[t] - st.w[t]
-    assert res.survivors.size == sum(st.l)
+    assert len(_survivors(res)) == sum(st.l)
 
 
 def test_determinism():
@@ -146,13 +152,13 @@ def test_default_depth_runs_to_exhaustion():
     path = Graph(n, [(i, i + 1) for i in range(n - 1)])
     res = grow_induced_bfs(path, root=0)
     assert res.fvs.size == 0
-    assert res.T_used == n - 1
+    assert res.stats.depth() == n - 1
 
 
 def test_disconnected_graph_other_components_enter_fvs():
     g = Graph(6, [(0, 1), (3, 4), (4, 5), (3, 5)])
     res = grow_induced_bfs(g, root=0)
-    assert set(res.survivors.tolist()) == {0, 1}
+    assert set(_survivors(res)) == {0, 1}
     assert set(res.fvs.tolist()) == {2, 3, 4, 5}
     assert is_acyclic_undirected(g, res.fvs)
 
@@ -212,13 +218,9 @@ def _reference_grow(g, root=0):
         if nxt.size == 0:
             break
     levels = [lv for lv in levels if lv.size]
-    survivors = np.concatenate(levels)
     in_tree = np.zeros(g.n, dtype=bool)
-    in_tree[survivors] = True
-    return FvsResult(
-        fvs=np.flatnonzero(~in_tree), survivors=np.sort(survivors), stats=stats,
-        T_used=len(levels) - 1, levels=levels,
-    )
+    in_tree[np.concatenate(levels)] = True
+    return FvsResult(fvs=np.flatnonzero(~in_tree), stats=stats, levels=levels)
 
 
 def _assert_matches_reference(g, root):
@@ -227,7 +229,6 @@ def _assert_matches_reference(g, root):
     assert got.fvs.tolist() == want.fvs.tolist()
     assert [lv.tolist() for lv in got.levels] == [lv.tolist() for lv in want.levels]
     assert got.stats == want.stats
-    assert got.T_used == want.T_used
 
 
 @pytest.mark.parametrize("seed", range(40))

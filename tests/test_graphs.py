@@ -2,7 +2,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import ihs.bfs_growth as bfs_mod
 import ihs.graphs as graphs_mod
+import ihs.oracles as oracles_mod
 from ihs import (
     Digraph,
     Graph,
@@ -15,6 +17,7 @@ from ihs import (
     shadow_undirected,
     shortest_cycle_oracle,
 )
+from ihs.oracles import successor_lists
 
 
 def random_graph(n, p, seed):
@@ -43,12 +46,17 @@ def test_construction_validates():
     assert d.num_arcs == 2
 
 
+def test_graph_stores_its_edge_list_and_upper_csr_only():
+    assert Graph.__slots__ == ("n", "edge_list", "up_indptr", "up_indices")
+
+
 def test_adjacency_is_sorted_and_consistent():
     g = Graph(5, [(3, 1), (0, 4), (1, 0), (2, 1)])
-    assert g.neighbors(1).tolist() == [0, 2, 3]
+    adj, succ = successor_lists(g)
+    assert adj[1] == [0, 2, 3]
     assert g.edge_list.tolist() == [[0, 1], [0, 4], [1, 2], [1, 3]]
     for u, v in g.edge_list.tolist():
-        assert v in g.neighbors(u) and u in g.neighbors(v)
+        assert v in succ[u] and u in succ[v]
 
 
 def test_acyclic_undirected_trivial_cases():
@@ -159,15 +167,14 @@ def assert_graph_matches(g, n, canon):
     u, v = canon[:, 0], canon[:, 1]
     up_ptr, up_idx = reference_csr(n, u, v)
     low_ptr, low_idx = reference_csr(n, v, u)
-    indptr, indices = reference_csr(n, np.concatenate([u, v]), np.concatenate([v, u]))
+    # the rows of the transpose, as prune_fvs and successor_lists sort them
+    tr_ptr, tr_idx = graphs_mod._rows(n, graphs_mod._transposed(n, g.edge_list))
     assert g.edge_list.tolist() == canon.tolist()
     assert np.array_equal(g.up_indptr, up_ptr) and np.array_equal(g.up_indices, up_idx)
-    assert np.array_equal(g.low_indptr, low_ptr) and np.array_equal(g.low_indices, low_idx)
-    for x in range(n):
-        assert g.neighbors(x).tolist() == indices[indptr[x]:indptr[x + 1]].tolist()
-    for arr in (g.edge_list, g.up_indices, g.low_indices):
+    assert np.array_equal(tr_ptr, low_ptr) and np.array_equal(tr_idx, low_idx)
+    for arr in (g.edge_list, g.up_indices, tr_idx):
         assert arr.dtype == np.int32 and not arr.flags.writeable
-    for arr in (g.up_indptr, g.low_indptr):
+    for arr in (g.up_indptr, tr_ptr):
         assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
@@ -223,7 +230,7 @@ def test_digraph_matches_reference_csr(monkeypatch, chunk, n):
 def test_isolated_vertices_have_empty_rows():
     g = Graph(6, [(1, 4)])
     assert g.up_indptr.tolist() == [0, 0, 1, 1, 1, 1, 1]
-    assert g.low_indptr.tolist() == [0, 0, 0, 0, 0, 1, 1]
+    assert successor_lists(g)[0] == [[], [4], [], [], [1], []]
     d = Digraph(6, [(4, 1)])
     assert d.out_indptr.tolist() == [0, 0, 0, 0, 0, 1, 1]
     assert d.in_indptr.tolist() == [0, 0, 1, 1, 1, 1, 1]
@@ -268,9 +275,9 @@ def test_caller_array_mutation_does_not_reach_graph(dtype):
     g, d = Graph(3, edges), Digraph(3, edges)
     edges[:] = [[1, 2], [0, 1], [0, 2]]
     assert g.edge_list.tolist() == [[0, 1], [0, 2], [1, 2]]
-    assert g.neighbors(0).tolist() == [1, 2]
+    assert successor_lists(g)[0] == [[1, 2], [0, 2], [0, 1]]
     assert d.arc_list.tolist() == [[0, 1], [0, 2], [1, 2]]
-    assert d.in_neighbors(2).tolist() == [0, 1]
+    assert d.in_indices[d.in_indptr[2]:d.in_indptr[3]].tolist() == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -301,7 +308,8 @@ def test_integral_floats_are_ids():
 def test_gather_matches_concatenated_rows(monkeypatch, chunk):
     monkeypatch.setattr(graphs_mod, "_CHUNK", chunk)
     g = random_graph(30, 0.2, 7)
-    for indptr, indices in ((g.low_indptr, g.low_indices), (g.up_indptr, g.up_indices)):
+    low = graphs_mod._rows(g.n, graphs_mod._transposed(g.n, g.edge_list))
+    for indptr, indices in (low, (g.up_indptr, g.up_indices)):
         rows = [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(g.n)]
         for verts in ([], [3], [0, 5, 6, 29], list(range(30))):
             nbrs, rep = graphs_mod._gather(indptr, indices, np.asarray(verts, dtype=np.int64))
@@ -309,24 +317,34 @@ def test_gather_matches_concatenated_rows(monkeypatch, chunk):
             assert rep.tolist() == [i for i, v in enumerate(verts) for _ in rows[v]]
 
 
-@pytest.mark.parametrize("reader", ["neighbors", "prune_fvs", "bfs_cycle_oracle", "shortest_cycle_oracle"])
-def test_lower_csr_is_built_on_first_read(monkeypatch, reader):
-    # growth and its validation never sort the transpose; the first reader of
-    # the lower CSR builds it once, read-only
+@pytest.mark.parametrize("n", [0, 1, 2, 40])
+def test_successor_lists_match_networkx_adjacency(n):
+    # vertex 1 is isolated whenever it exists
+    g = Graph(n, [e for e in random_graph(n, 0.3, n).edge_list.tolist() if 1 not in e])
+    ref = nx.Graph(g.edge_list.tolist())
+    ref.add_nodes_from(range(n))
+    adj, succ = successor_lists(g)
+    assert adj == [sorted(ref[v]) for v in range(n)]
+    assert succ == [set(ref[v]) for v in range(n)]
+
+
+@pytest.mark.parametrize("reader", ["prune_fvs", "bfs_cycle_oracle", "shortest_cycle_oracle"])
+def test_transpose_readers_sort_it_once_per_call(monkeypatch, reader):
+    # growth and its validation never sort the transpose; prune_fvs and each
+    # oracle sort it once, and still pass their networkx checks
     builds = []
     transposed = graphs_mod._transposed
-    monkeypatch.setattr(graphs_mod, "_transposed", lambda n, pairs: builds.append(n) or transposed(n, pairs))
+    for mod in (graphs_mod, bfs_mod, oracles_mod):
+        monkeypatch.setattr(mod, "_transposed", lambda n, pairs: builds.append(n) or transposed(n, pairs))
     g = random_graph(40, 0.15, 3)
     ref = nx.Graph(g.edge_list.tolist())
     ref.add_nodes_from(range(g.n))
     fvs = grow_induced_bfs(g, root=0).fvs
     assert is_acyclic_undirected(g, fvs) and not builds
-    if reader == "neighbors":
-        for v in range(g.n):
-            assert g.neighbors(v).tolist() == sorted(ref[v])
-    elif reader == "prune_fvs":
+    if reader == "prune_fvs":
         pruned = prune_fvs(g, fvs)
         assert set(pruned.tolist()) <= set(fvs.tolist()) and is_acyclic_undirected(g, pruned)
+        assert nx.is_forest(ref.subgraph(set(range(g.n)) - set(pruned.tolist())))
     else:
         oracle = {"bfs_cycle_oracle": bfs_cycle_oracle, "shortest_cycle_oracle": shortest_cycle_oracle}[reader](g)
         assert oracle.check(fvs.tolist()).feasible
@@ -336,7 +354,3 @@ def test_lower_csr_is_built_on_first_read(monkeypatch, reader):
         if reader == "shortest_cycle_oracle":
             assert len(cycle) == nx.girth(ref)
     assert builds == [g.n]
-    low_indptr, low_indices = g.low_indptr, g.low_indices
-    assert g.low_indptr is low_indptr and g.low_indices is low_indices and builds == [g.n]
-    assert low_indices.dtype == np.int32 and low_indptr.dtype == np.int64
-    assert not low_indptr.flags.writeable and not low_indices.flags.writeable

@@ -16,7 +16,7 @@ from ihs.instance_io import instance_from_text, instance_to_text
 
 def test_round_trip_undirected(tmp_path):
     g = Graph(4, [(2, 3), (0, 1), (1, 2)])
-    inst = Instance(graph=g, directed=False, params=ModelParams(n=4, p=0.25, seed=9))
+    inst = Instance(graph=g, params=ModelParams(n=4, p=0.25, seed=9))
     path = tmp_path / "g.txt"
     write_instance(path, inst)
     text = path.read_text()
@@ -29,9 +29,7 @@ def test_round_trip_undirected(tmp_path):
 
 def test_round_trip_planted(tmp_path):
     model = gen_planted(ModelParams(n=40, p=0.3, delta=0.2, k=3, seed=5))
-    inst = Instance(
-        graph=model.digraph, directed=True, planted=model.planted, params=model.params
-    )
+    inst = Instance(graph=model.digraph, planted=model.planted, params=model.params)
     path = tmp_path / "d.txt"
     write_instance(path, inst)
     back = read_instance(path)
@@ -46,22 +44,35 @@ def test_file_bytes_equal_text(tmp_path, kind):
     # the gnp instance has ~79k edges, more than one slice of pair lines
     if kind == "gnp":
         params = ModelParams(n=1500, p=0.07, seed=3)
-        inst = Instance(graph=gen_gnp(params), directed=False, params=params)
+        inst = Instance(graph=gen_gnp(params), params=params)
     elif kind == "planted":
         model = gen_planted(ModelParams(n=60, p=0.3, delta=0.1, k=3, seed=2))
-        inst = Instance(graph=model.digraph, directed=True, planted=model.planted, params=model.params)
+        inst = Instance(graph=model.digraph, planted=model.planted, params=model.params)
     else:
-        inst = Instance(graph=Graph(0), directed=False)
+        inst = Instance(graph=Graph(0))
     path = tmp_path / "inst.txt"
     write_instance(path, inst)
     assert path.read_bytes() == instance_to_text(inst).encode()
+
+
+@pytest.mark.parametrize(
+    "graph, kind",
+    [(Graph(3, [(0, 1), (1, 2)]), "undirected"), (Digraph(3, [(1, 0), (1, 2)]), "directed"),
+     (Graph(0), "undirected"), (Digraph(0), "directed")],
+    ids=["graph", "digraph", "empty-graph", "empty-digraph"],
+)
+def test_header_kind_is_the_graph_type(graph, kind):
+    text = instance_to_text(Instance(graph=graph))
+    assert text.splitlines()[0].split()[2] == kind
+    back = instance_from_text(text)
+    assert type(back.graph) is type(graph) and back.graph == graph
+    assert instance_to_text(back) == text
 
 
 def test_trailer_lines():
     text = instance_to_text(
         Instance(
             graph=Digraph(3, [(0, 1)]),
-            directed=True,
             planted=[0],
             params=ModelParams(n=3, p=0.5, delta=0.4, k=3, seed=7),
         )
