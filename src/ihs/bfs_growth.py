@@ -123,12 +123,12 @@ def _rows_of(ptr: np.ndarray, heads: np.ndarray, keep: np.ndarray) -> tuple[np.n
     """The CSR ``(ptr, heads)`` cut to the rows in the mask ``keep``, every
     other row left empty: its row pointer, each edge's row and its heads."""
     verts = np.flatnonzero(keep)
-    nbrs, rep = _gather(ptr, heads, verts)
+    nbrs = _gather(ptr, heads, verts)[0]  # its source positions are freed before the rows are spelled out
     lens = np.diff(ptr)
     lens[~keep] = 0
     kept = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(lens, out=kept[1:])
-    return kept, verts.astype(np.int32)[rep], nbrs
+    return kept, verts.astype(np.int32).repeat(lens[verts]), nbrs
 
 
 def grow_induced_bfs(g: Graph, root: int = 0) -> FvsResult:
@@ -174,6 +174,7 @@ def grow_induced_bfs(g: Graph, root: int = 0) -> FvsResult:
         stats.m.append(int(eu.size))
         stats.w.append(int(unique.size - nxt.size))
         stats.l.append(int(nxt.size))
+        del eu, ev, in_unique  # freed before _rows_of trims the CSR
         if nxt.size == 0:
             break
         levels.append(nxt)

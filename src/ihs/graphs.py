@@ -2,14 +2,15 @@
 
 Vertices are dense integers ``0..n-1``. Both containers are immutable after
 construction and store a canonical lexicographically sorted edge/arc list
-plus CSRs with ascending rows, built by ``_rows``, so every traversal in the
-package is reproducible. A Graph keeps the CSR of its edge list (row u: the
-upper neighbors of u); a Digraph keeps its out-CSR and the in-CSR of its
-transpose, which it sorts when built, with one m-length int64 sort key. A
-reader that needs a Graph's lower neighbors as rows sorts the transpose
-itself with ``_transposed``; growth and the acyclicity check never do, they
-count lower neighbors from the edge list. Ids are int32 and every array is
-read-only. Construction works slice by slice over the pair list. Acyclicity
+plus CSRs with ascending rows, so every traversal in the package is
+reproducible. A Graph keeps the CSR of its edge list (row u: the upper
+neighbors of u), whose indices are a view of the edge list's second column;
+a Digraph keeps its out-CSR and the in-CSR of its transpose, which it sorts
+when built, with one m-length int64 sort key. A reader that needs a Graph's
+lower neighbors as rows sorts the transpose itself with ``_transposed``;
+growth and the acyclicity check never do, they count lower neighbors from
+the edge list. Ids are int32 and every array is read-only. Construction
+works slice by slice over the pair list, gathers block by block. Acyclicity
 checks are iterative; nothing here recurses on the graph size.
 """
 
@@ -25,6 +26,7 @@ class GraphError(ValueError):
 
 
 _CHUNK = 1 << 16  # rows per slice of the construction passes: their temporaries stay in cache
+_BLOCK = 1 << 20  # neighbors per block of a gather
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -138,31 +140,52 @@ def _rows(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(_row_starts(n, pairs[:, 0])), _frozen(np.ascontiguousarray(pairs[:, 1]))
 
 
-def _gather(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated neighbor lists of ``verts``; returns (neighbors, source positions)."""
+def _gather_blocks(indptr: np.ndarray, indices: np.ndarray, verts):
+    """The gather of ``verts`` in blocks of whole rows of about ``_BLOCK`` neighbors, so one block's
+    int64 positions exist at a time: returns its length and each block's (offset, neighbors, sources)."""
     verts = np.asarray(verts, dtype=np.int64)
     starts = indptr[verts]
     lens = indptr[verts + 1] - starts
-    rep = np.repeat(np.arange(verts.size, dtype=np.int32), lens)
-    # the j-th neighbor of verts[i] sits at starts[i] + j
-    pos = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    for s in range(0, pos.size, _CHUNK):
-        part = pos[s:s + _CHUNK]
-        part += np.arange(s, s + part.size)
-    return indices[pos], rep
+    ends = lens.cumsum()  # array methods: no dispatch overhead on the many tiny gathers of cycle walks
+    starts -= ends - lens  # the j-th neighbor of the gather, in the row of verts[i], is at starts[i] + j
+    total = int(ends[-1]) if verts.size else 0
+    cuts = np.unique(np.searchsorted(ends, np.arange(_BLOCK, total, _BLOCK)) + 1).tolist() if total > _BLOCK else []
+    def blocks():
+        for a, b in zip([0, *cuts], [*cuts, verts.size]):
+            first = int(ends[a - 1]) if a else 0
+            pos = starts[a:b].repeat(lens[a:b])
+            pos += np.arange(first, first + pos.size)
+            yield first, indices[pos], np.arange(a, b, dtype=np.int32).repeat(lens[a:b])
+    return total, blocks()
+
+
+def _gather(indptr: np.ndarray, indices: np.ndarray, verts) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated neighbor lists of ``verts``; returns (neighbors, source positions)."""
+    total, blocks = _gather_blocks(indptr, indices, verts)
+    if total <= _BLOCK:
+        return next(blocks)[1:]
+    nbrs, rep = np.empty(total, dtype=indices.dtype), np.empty(total, dtype=np.int32)
+    for first, part, src in blocks:
+        nbrs[first:first + part.size], rep[first:first + part.size] = part, src
+    return nbrs, rep
 
 
 def _induced_edges(g: Graph, verts: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edges (u, v), u < v, in lex order, from the ascending ``verts`` to
-    upper neighbors where the mask ``inside`` holds, as two int32 arrays."""
-    nbrs, rep = _gather(g.up_indptr, g.up_indices, verts)
-    pick = inside[nbrs]
-    return np.asarray(verts, dtype=np.int32)[rep[pick]], nbrs[pick]
+    upper neighbors where the mask ``inside`` holds, as two int32 arrays, cut block by block."""
+    verts = np.asarray(verts, dtype=np.int32)
+    tails, heads = [], []
+    for _, nbrs, rep in _gather_blocks(g.up_indptr, g.up_indices, verts)[1]:
+        pick = inside[nbrs]
+        tails.append(verts[rep[pick]])
+        heads.append(nbrs[pick])
+    return np.concatenate(tails), np.concatenate(heads)
 
 
 class Graph:
     """Undirected simple graph: canonical edge list with u < v and the sorted
-    CSR of its rows (row u: the upper neighbors of u). It stores no transpose;
+    CSR of its rows (row u: the upper neighbors of u), whose ``up_indices`` is
+    the read-only view ``edge_list[:, 1]``. It stores no transpose;
     ``prune_fvs`` and ``successor_lists`` sort one when they need lower
     neighbors as rows.
     """
@@ -174,7 +197,7 @@ class Graph:
             raise GraphError("vertex count must be nonnegative")
         self.n = int(n)
         self.edge_list = _normalize_pairs(self.n, edges, directed=False)
-        self.up_indptr, self.up_indices = _rows(self.n, self.edge_list)
+        self.up_indptr, self.up_indices = _frozen(_row_starts(self.n, self.edge_list[:, 0])), self.edge_list[:, 1]
 
     @property
     def num_edges(self) -> int:

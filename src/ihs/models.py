@@ -12,7 +12,9 @@ per-pair Bernoulli inclusions of a block, chosen by its pair count:
   in lexicographic order.
 * ``skip``, above it: geometric gaps between included pairs. Same
   distribution (a Bernoulli process is a geometric renewal process) but a
-  different stream.
+  different stream. Below p = 1/3 the gaps are drawn as standard exponentials
+  E and turned into ceil(-E / log1p(-p)), numpy's own inversion, so the stream
+  is that of ``Generator.geometric``. Each chunk is decoded as it is drawn.
 
 After the inclusion draws of a block, orientation coins (one uniform per
 included pair, in pair order) are drawn where the model needs them. The
@@ -35,14 +37,15 @@ from .graphs import _CHUNK as _SLICE, Digraph, Graph
 
 _SKIP_THRESHOLD = 1 << 22  # pair-count above which the skip sampler kicks in
 _CHUNK = 1 << 22
+_SPARE_SIGMAS = 8  # a skip draw's pair array starts at the mean plus this many standard deviations
 # Peak bytes of drawing and building an instance, per expected edge or arc and
-# per vertex, above the measured peaks: 17-20 B per edge for G(n, p) with BFS
-# growth and its validation (n=10^5 and 5*10^5, c=500), which never sort the
-# transpose, and 26 B per edge to read and solve a 2 M-edge G(n, p) file above
-# the 38 MB of an empty run; 30.5 B per arc for D(n, p) (n=10^5, p=0.0025) and
-# 33.9 B for the planted model (n=2*10^4, p=0.05), whose arcs are sorted while
-# the caller still holds them.
-_BYTES_PER_PAIR = {"gnp": 28, "dnp": 36, "planted": 36}
+# per vertex, above the measured peaks: 10-14 B per edge for G(n, p) with BFS
+# growth and its validation (n=10^5 and 5*10^5, c=500), 17-21 B at 2-5 M edges,
+# where the 32 MB gap chunk weighs most, and 22.5 B per edge to read and solve
+# a 2 M-edge G(n, p) file above the 38 MB of an empty run; 30.6 B per arc for
+# D(n, p) (n=10^5, p=0.0025) and 34.3 B for the planted model (n=2*10^4,
+# p=0.05), whose arcs are sorted while the caller still holds them.
+_BYTES_PER_PAIR = {"gnp": 25, "dnp": 36, "planted": 36}
 _BYTES_PER_VERTEX = 64
 
 
@@ -135,43 +138,55 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _bernoulli_indices(rng: np.random.Generator, count: int, prob: float) -> np.ndarray:
-    """Indices t in [0, count) with independent inclusion probability ``prob``."""
+def _gaps(rng: np.random.Generator, prob: float, out: np.ndarray) -> np.ndarray:
+    """``rng.geometric(prob, out.size)`` into the int64 ``out`` a slice at a time, value for value and
+    stream for stream: below 1/3 numpy draws ceil(-E / log1p(-prob)) per gap from exponentials E."""
+    for s in range(0, out.size, _SLICE):
+        part = out[s:s + _SLICE]
+        if prob >= 1 / 3:  # numpy searches
+            part[:] = rng.geometric(prob, size=part.size)
+        else:  # libm's log1p, as numpy's C code calls it
+            part[:] = np.ceil(rng.standard_exponential(part.size) / -math.log1p(-prob))
+    return out
+
+
+def _indices(rng: np.random.Generator, count: int, prob: float, first: int):
+    """Ascending chunks of the lex indices ``first + t``, t in [0, count), each included with
+    probability ``prob``. The skip sampler reuses one int64 chunk: decode each before the next."""
+    if prob >= 1.0 or count <= _SKIP_THRESHOLD:
+        yield np.arange(first, first + count) if prob >= 1.0 else np.flatnonzero(rng.random(count) < prob) + first
+        return
+    t = np.empty(max(1024, min(_CHUNK, int(count * prob * 1.1) + 64)), dtype=np.int64)
+    pos, end = first - 1, first + count
+    while pos < end:
+        np.cumsum(_gaps(rng, prob, t), out=t)
+        t += pos
+        pos = int(t[-1])
+        yield t[:np.searchsorted(t, end)]
+
+
+def _draw_pairs(rng: np.random.Generator, n: int, count: int, prob: float, first: int = 0) -> np.ndarray:
+    """The pairs (u, v), u < v, of ``_indices`` as an int32 (m, 2) array that owns its data, each chunk
+    decoded as drawn into an array of the mean plus ``_SPARE_SIGMAS`` sigmas (grown if short, then
+    shrunk in place). Searching each slice for the row offsets splits it into runs of one row u."""
     if count == 0 or prob <= 0.0:
-        return np.empty(0, dtype=np.int64)
-    if prob >= 1.0:
-        return np.arange(count, dtype=np.int64)
-    if count <= _SKIP_THRESHOLD:
-        return np.flatnonzero(rng.random(count) < prob)
-    picked = []
-    pos = -1
-    gap_chunk = max(1024, min(_CHUNK, int(count * prob * 1.1) + 64))
-    while True:
-        gaps = rng.geometric(prob, size=gap_chunk)
-        cum = np.cumsum(gaps) + pos
-        if cum[-1] >= count:
-            picked.append(cum[cum < count])
-            break
-        picked.append(cum)
-        pos = int(cum[-1])
-    return np.concatenate(picked)
-
-
-def _pairs(n: int, t: np.ndarray) -> np.ndarray:
-    """Pairs (u, v), u < v, of the lexicographic indices ``t`` as an int32
-    (m, 2) array. ``t`` must be ascending, as every sampled block is: one
-    search of each slice for the row offsets u(2n-u-1)/2 splits it into runs
-    of one row u, so the decode is exact integer arithmetic."""
+        return np.empty((0, 2), dtype=np.int32)
+    mean = count * prob
+    out = np.empty((max(0, int(mean + _SPARE_SIGMAS * math.sqrt(mean * (1 - prob)))), 2), dtype=np.int32)
     rows = np.arange(n, dtype=np.int64)
     offsets = rows * (2 * n - rows - 1) // 2  # index of the pair (u, u + 1); n(n-1)/2 past the end
-    out = np.empty((t.size, 2), dtype=np.int32)
-    for start in range(0, t.size, _SLICE):
-        part = t[start:start + _SLICE]
-        first, last = np.searchsorted(offsets, part[[0, -1]], side="right") - 1
-        runs = np.diff(np.searchsorted(part, offsets[first:last + 2]))
-        u = np.repeat(rows[first:last + 1], runs)
-        out[start:start + part.size, 0] = u
-        out[start:start + part.size, 1] = part - offsets[u] + u + 1
+    m = 0
+    for t in _indices(rng, count, prob, first):
+        if m + t.size > out.shape[0]:
+            out.resize((max(2 * out.shape[0], m + t.size), 2), refcheck=False)
+        for start in range(0, t.size, _SLICE):
+            part, at = t[start:start + _SLICE], m + start
+            lo, hi = np.searchsorted(offsets, part[[0, -1]], side="right") - 1
+            u = np.arange(lo, hi + 1).repeat(np.diff(np.searchsorted(part, offsets[lo:hi + 2])))
+            out[at:at + part.size, 0] = u
+            out[at:at + part.size, 1] = part - offsets[u] + u + 1
+        m += t.size
+    out.resize((m, 2), refcheck=False)  # no view of out outlives a statement; a debugger may hold out itself
     return out
 
 
@@ -188,7 +203,7 @@ def gen_gnp(params: ModelParams) -> Graph:
     n = params.n
     rng = _rng(params.seed)
     total = n * (n - 1) // 2
-    edges = _pairs(n, _bernoulli_indices(rng, total, params.p))
+    edges = _draw_pairs(rng, n, total, params.p)
     edges.setflags(write=False)  # canonical and read-only: Graph keeps it as is
     return Graph(n, edges)
 
@@ -200,7 +215,7 @@ def gen_dnp(params: ModelParams) -> Digraph:
     n = params.n
     rng = _rng(params.seed)
     total = n * (n - 1) // 2
-    pairs = _pairs(n, _bernoulli_indices(rng, total, 2 * params.p))
+    pairs = _draw_pairs(rng, n, total, 2 * params.p)
     return Digraph(n, _orient(rng, pairs))
 
 
@@ -223,8 +238,8 @@ def gen_planted(params: ModelParams) -> PlantedInstance:
 
     # in stream order: cross inclusions, their coins, then forward inclusions
     arcs = np.concatenate([
-        _orient(rng, _pairs(n, _bernoulli_indices(rng, cross, min(1.0, 2 * params.p)))),
-        _pairs(n, _bernoulli_indices(rng, total - cross, params.p) + cross),
+        _orient(rng, _draw_pairs(rng, n, cross, min(1.0, 2 * params.p))),
+        _draw_pairs(rng, n, total - cross, params.p, first=cross),
     ])
     return PlantedInstance(
         digraph=Digraph(n, arcs),

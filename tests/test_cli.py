@@ -561,3 +561,31 @@ def test_readme_library_example_runs():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert "optimal FVS size" in proc.stdout
+
+
+PEAK_PROBE = """
+import sys
+import ihs.cli
+
+def status_kb(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+
+base_kb = status_kb("VmRSS")
+code = ihs.cli.main(sys.argv[1:])
+print(code, status_kb("VmHWM") - base_kb)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM from /proc")
+def test_lemma1_peak_stays_near_the_graph_it_keeps():
+    # The Graph keeps 8 B per edge: the int32 edge list, whose second column is
+    # also its CSR indices. Drawing, growth and validation may add at most 6 B
+    # more. The peak is VmHWM, not ru_maxrss: Linux carries ru_maxrss across
+    # exec, so a child would report at least the peak of this test process.
+    n, p = 100_000, 0.005
+    argv = ["experiment", "--recipe", "lemma1", "--n", str(n), "--p", str(p), "--seeds", "0..0"]
+    proc = subprocess.run([sys.executable, "-c", PEAK_PROBE, *argv], capture_output=True, text=True, env=child_env())
+    code, rise_kb = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0, proc.stderr
+    assert rise_kb * 1024 / (n * (n - 1) / 2 * p) <= 14, f"{rise_kb} KiB above the RSS after import"

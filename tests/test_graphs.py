@@ -172,6 +172,7 @@ def assert_graph_matches(g, n, canon):
     assert g.edge_list.tolist() == canon.tolist()
     assert np.array_equal(g.up_indptr, up_ptr) and np.array_equal(g.up_indices, up_idx)
     assert np.array_equal(tr_ptr, low_ptr) and np.array_equal(tr_idx, low_idx)
+    assert g.num_edges == 0 or np.shares_memory(g.up_indices, g.edge_list)  # the column, not a copy
     for arr in (g.edge_list, g.up_indices, tr_idx):
         assert arr.dtype == np.int32 and not arr.flags.writeable
     for arr in (g.up_indptr, tr_ptr):
@@ -304,17 +305,33 @@ def test_integral_floats_are_ids():
         Graph(3, np.array([[0.0, 1e30]]))
 
 
-@pytest.mark.parametrize("chunk", [1 << 16, 1, 5])
-def test_gather_matches_concatenated_rows(monkeypatch, chunk):
-    monkeypatch.setattr(graphs_mod, "_CHUNK", chunk)
+@pytest.mark.parametrize("block", [1, 5, 1 << 20])
+def test_gather_matches_concatenated_rows(monkeypatch, block):
+    # blocks of one or five neighbors: most rows are longer than a block
+    monkeypatch.setattr(graphs_mod, "_BLOCK", block)
     g = random_graph(30, 0.2, 7)
     low = graphs_mod._rows(g.n, graphs_mod._transposed(g.n, g.edge_list))
     for indptr, indices in (low, (g.up_indptr, g.up_indices)):
         rows = [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(g.n)]
         for verts in ([], [3], [0, 5, 6, 29], list(range(30))):
             nbrs, rep = graphs_mod._gather(indptr, indices, np.asarray(verts, dtype=np.int64))
+            assert nbrs.dtype == rep.dtype == np.int32
             assert nbrs.tolist() == [w for v in verts for w in rows[v]]
             assert rep.tolist() == [i for i, v in enumerate(verts) for _ in rows[v]]
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 20])
+def test_induced_edges_match_the_filtered_edge_list(monkeypatch, block):
+    monkeypatch.setattr(graphs_mod, "_BLOCK", block)
+    g = random_graph(40, 0.3, 11)
+    rng = np.random.default_rng(block)
+    for verts in ([], [7], np.flatnonzero(rng.random(40) < 0.5), list(range(40))):
+        verts = np.asarray(verts, dtype=np.int64)
+        inside = rng.random(40) < 0.6
+        eu, ev = graphs_mod._induced_edges(g, verts, inside)
+        want = [(u, v) for u, v in g.edge_list.tolist() if u in set(verts.tolist()) and inside[v]]
+        assert eu.dtype == ev.dtype == np.int32
+        assert list(zip(eu.tolist(), ev.tolist())) == want
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 40])

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import ihs.models as models_mod
 from ihs import (
+    Digraph,
     ModelParams,
     gen_dnp,
     gen_gnp,
@@ -130,16 +132,92 @@ def test_skip_sampler_per_pair_frequencies(monkeypatch):
 @pytest.mark.parametrize("slice_size", [1, 3, 7, 65536])
 def test_pair_decode_is_exact(monkeypatch, slice_size):
     monkeypatch.setattr(models_mod, "_SLICE", slice_size)
-    rng = np.random.default_rng(slice_size)
     for n in range(2, 70):
         u, v = np.triu_indices(n, 1)
-        got = models_mod._pairs(n, np.arange(n * (n - 1) // 2, dtype=np.int64))
+        got = models_mod._draw_pairs(None, n, u.size, 1.0)
         assert got.dtype == np.int32
         assert np.array_equal(got[:, 0], u) and np.array_equal(got[:, 1], v)
-        # an ascending subset, as a sampler draws it
-        t = np.flatnonzero(rng.random(u.size) < 0.3).astype(np.int64)
-        got = models_mod._pairs(n, t)
-        assert np.array_equal(got[:, 0], u[t]) and np.array_equal(got[:, 1], v[t])
+        # an ascending subset, as the naive sampler draws it, of all pairs and
+        # of the pairs from lex index `first` on
+        for first in (0, u.size // 3):
+            t = np.flatnonzero(np.random.default_rng(n).random(u.size - first) < 0.3) + first
+            got = models_mod._draw_pairs(np.random.default_rng(n), n, u.size - first, 0.3, first)
+            assert np.array_equal(got[:, 0], u[t]) and np.array_equal(got[:, 1], v[t])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("p", [1e-9, 1e-6, 0.005, 0.3, 1 / 3 - 1e-12, 1 / 3, 0.4])
+def test_bulk_gaps_are_numpys_geometric_stream(p, seed):
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    gaps = models_mod._gaps(ours, p, np.zeros(150_000, dtype=np.int64))  # three slices
+    assert np.array_equal(gaps, ref.geometric(p, 150_000))
+    assert ours.random() == ref.random()
+
+
+def reference_skip_pairs(rng, n, count, prob, chunk, first=0):
+    """The skip sampler by its definition: ``rng.geometric`` gaps in the same
+    chunks, summed to lex indices and decoded with ``np.triu_indices``."""
+    u, v = np.triu_indices(n, 1)
+    size = max(1024, min(chunk, int(count * prob * 1.1) + 64))
+    picked, pos = [], -1
+    while pos < count:
+        cum = np.cumsum(rng.geometric(prob, size)) + pos
+        picked.append(cum[cum < count])
+        pos = cum[-1]
+    t = np.concatenate(picked) + first
+    return np.stack([u[t], v[t]], axis=1)
+
+
+def reference_orient(rng, pairs):
+    flip = rng.random(len(pairs)) >= 0.5
+    return np.where(flip[:, None], pairs[:, ::-1], pairs)
+
+
+@pytest.mark.parametrize("spare", [8, -30])  # -30: the pair array starts short and grows
+def test_skip_sampler_decodes_the_reference_stream(monkeypatch, spare):
+    # chunks of 1024 gaps: several per block, and a last one cut at the block's end
+    monkeypatch.setattr(models_mod, "_SKIP_THRESHOLD", 0)
+    monkeypatch.setattr(models_mod, "_CHUNK", 1024)
+    monkeypatch.setattr(models_mod, "_SPARE_SIGMAS", spare)
+    n, total = 300, 300 * 299 // 2
+    for seed in range(3):
+        for p in (0.01, 0.05, 0.4):  # 0.4: numpy's search for the gaps
+            g = gen_gnp(ModelParams(n=n, p=p, seed=seed))
+            assert g.edge_list.flags.owndata
+            assert np.array_equal(g.edge_list, reference_skip_pairs(models_mod._rng(seed), n, total, p, 1024))
+
+        rng = models_mod._rng(seed)
+        arcs = reference_orient(rng, reference_skip_pairs(rng, n, total, 0.04, 1024))
+        assert gen_dnp(ModelParams(n=n, p=0.02, seed=seed)) == Digraph(n, arcs)
+
+        s = 30
+        cross = s * (2 * n - s - 1) // 2
+        rng = models_mod._rng(seed)
+        arcs = reference_orient(rng, reference_skip_pairs(rng, n, cross, 0.1, 1024))
+        forward = reference_skip_pairs(rng, n, total - cross, 0.05, 1024, first=cross)
+        inst = gen_planted(ModelParams(n=n, p=0.05, delta=0.1, seed=seed))
+        assert inst.digraph == Digraph(n, np.concatenate([arcs, forward]))
+
+
+def test_draw_survives_a_tracer_that_reads_frame_locals(monkeypatch):
+    # a debugger reading frame.f_locals holds one more reference to the pair
+    # array while it is grown and shrunk in place
+    monkeypatch.setattr(models_mod, "_SKIP_THRESHOLD", 0)
+    monkeypatch.setattr(models_mod, "_SPARE_SIGMAS", -30)
+    params = ModelParams(n=300, p=0.05, seed=0)
+    plain = gen_gnp(params)
+
+    def trace(frame, event, arg):
+        frame.f_locals
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        traced = gen_gnp(params)
+    finally:
+        sys.settrace(previous)
+    assert traced == plain
 
 
 def test_planted_structure_and_determinism():
@@ -212,7 +290,7 @@ def test_memory_guard_refuses_before_drawing(monkeypatch, model):
     need = models_mod._BYTES_PER_PAIR[model] * params.expected_pairs(model)
     gen = {"gnp": gen_gnp, "dnp": gen_dnp, "planted": gen_planted}[model]
     monkeypatch.setattr(models_mod, "available_memory", lambda: int(need / 2))
-    monkeypatch.setattr(models_mod, "_bernoulli_indices", None)  # drawing would fail
+    monkeypatch.setattr(models_mod, "_draw_pairs", None)  # drawing would fail
     with pytest.raises(ValueError, match="MB is available"):
         gen(params)
     monkeypatch.undo()
