@@ -36,8 +36,8 @@ from .graphs import (
     _gather,
     _induced_edges,
     _removed_mask,
-    _rows,
-    _transposed,
+    _shadow_keys,
+    _transposed_rows,
     find,
     is_acyclic_undirected,
     shadow_undirected,
@@ -196,8 +196,10 @@ def fvs_directed(d: Digraph, root: int = 0) -> FvsResult:
     afterwards. The random models never produce them; this only matters for
     arbitrary file input.
     """
-    result = grow_induced_bfs(shadow_undirected(d), root=root)
-    fvs = break_two_cycles(d, result.fvs)
+    shadow = shadow_undirected(d)
+    result = grow_induced_bfs(shadow, root=root)
+    # with as many shadow edges as arcs there is no antiparallel pair to repair
+    fvs = result.fvs if shadow.num_edges == d.num_arcs else break_two_cycles(d, result.fvs)
     if fvs.size == result.fvs.size:
         return result
     in_fvs = np.zeros(d.n, dtype=bool)
@@ -207,13 +209,10 @@ def fvs_directed(d: Digraph, root: int = 0) -> FvsResult:
 
 def break_two_cycles(d: Digraph, fvs: np.ndarray) -> np.ndarray:
     """``fvs`` plus the larger endpoint of every antiparallel arc pair that it
-    leaves intact, scanning pairs in ascending order; sorted."""
-    arcs = d.arc_list
-    lo = np.minimum(arcs[:, 0], arcs[:, 1]).astype(np.int64)
-    hi = np.maximum(arcs[:, 0], arcs[:, 1]).astype(np.int64)
-    keys = lo * d.n + hi
-    keys.sort()
-    dup = keys[:-1][keys[1:] == keys[:-1]]  # a key occurs at most twice: (u, v) and (v, u)
+    leaves intact, scanning pairs in ascending order; sorted. The pairs are
+    the repeated keys of ``_shadow_keys``."""
+    _, keys, first = _shadow_keys(d)
+    dup = keys[~first]
     if dup.size == 0:
         return fvs
     in_fvs = np.zeros(d.n, dtype=bool)
@@ -242,7 +241,7 @@ def prune_fvs(g: Graph, fvs) -> np.ndarray:
     if not union_edges(parent, kept):
         raise ValueError("input is not a feedback vertex set")
 
-    lower_ptr, lower = _rows(g.n, _transposed(g.n, g.edge_list))
+    lower_ptr, lower = _transposed_rows(g.n, g.edge_list)
     halves = [(lower, lower_ptr.tolist()), (g.up_indices, g.up_indptr.tolist())]
     for v in sorted(removed):
         roots = set()

@@ -179,8 +179,9 @@ def _run_fvs(seed, *, source: Source, root: int, prune: bool) -> dict:
         fvs = grow_induced_bfs(graph, root=root).fvs
         algorithm = "grow-induced-bfs"
     if prune:
-        fvs = prune_fvs(shadow_undirected(graph) if directed else graph, fvs)
-        if directed:  # pruning the shadow can put a two-cycle back
+        shadow = shadow_undirected(graph) if directed else graph
+        fvs = prune_fvs(shadow, fvs)
+        if directed and shadow.num_edges < graph.num_arcs:  # pruning the shadow can put a two-cycle back
             fvs = break_two_cycles(graph, fvs)
         algorithm += "+prune"
     ok = is_acyclic_directed(graph, fvs) if directed else is_acyclic_undirected(graph, fvs)
@@ -194,7 +195,7 @@ def _run_fvs(seed, *, source: Source, root: int, prune: bool) -> dict:
     )
 
 
-def _run_generic(seed, *, source: Source, oracle: str, ymax: int, root: int) -> dict:
+def _run_generic(seed, *, source: Source, oracle: str, root: int) -> dict:
     t0 = time.perf_counter()
     graph, _, params = source.load(seed)
     directed = isinstance(graph, Digraph)
@@ -206,7 +207,7 @@ def _run_generic(seed, *, source: Source, oracle: str, ymax: int, root: int) -> 
         contract = shortest_cycle_oracle(graph)
     ids = dict(seed=_param(params, "seed"), algorithm=f"generic-{oracle}", n=graph.n,
                p=_param(params, "p"))
-    cert = _solve(ids, solve_implicit_hitting_set, contract, max_swap_out=ymax)
+    cert = _solve(ids, solve_implicit_hitting_set, contract)
     solution = cert.solution.members
     acyclic = is_acyclic_directed if directed else is_acyclic_undirected
     return make_row(
@@ -332,8 +333,7 @@ def cmd_solve_fvs(args) -> int:
 
 
 def cmd_solve_generic(args) -> int:
-    return _run_command(args, _run_generic, ("gnp", "dnp"),
-                        oracle=args.oracle, ymax=args.ymax, root=args.root)
+    return _run_command(args, _run_generic, ("gnp", "dnp"), oracle=args.oracle, root=args.root)
 
 
 def cmd_solve_planted(args) -> int:
@@ -480,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     gnr.add_argument("instance", nargs="?")
     _add_common_model(gnr)
     gnr.add_argument("--oracle", choices=["bfs-cycle", "shortest-cycle"], required=True)
-    gnr.add_argument("--ymax", type=int, default=2)
     gnr.add_argument("--root", type=int, default=0)
     gnr.set_defaults(fn=cmd_solve_generic)
 

@@ -3,7 +3,7 @@ online augmenting heuristic.
 
 The exact solver takes the oracle as its only input and alternates two
 moves. Starting from the full universe it improves the current feasible set
-through bounded swaps (remove ``|Y|`` elements, add ``|X| < |Y|``) that keep
+through bounded swaps (remove ``|Y| <= 2`` elements, add ``|X| < |Y|``) that keep
 the set feasible for every subset collected so far; each oracle rejection
 contributes the missed subset to the collection, one ``SubsetFamily`` that
 holds each subset as a tuple and as an int mask. When no swap applies, it
@@ -56,62 +56,51 @@ def _validated(
     return verdict
 
 
-def _swap_proposal(current: int, outside: int, masks: list[int], max_swap_out: int) -> int | None:
-    """The first set ``(current - Y) | X`` of the swap enumeration that hits
-    every subset mask in ``masks``, as a mask; None when no swap applies.
+def _swap_proposal(current: int, outside: int, masks: list[int]) -> int | None:
+    """The first set ``(current - Y) | X`` of the swap enumeration, ``|X| < |Y| <= 2``,
+    that hits every subset mask in ``masks``, as a mask; None when no swap applies.
 
     ``current`` and ``outside`` are disjoint element masks. For each ``Y`` the
     masks that ``current - Y`` leaves unhit are found once (only those meeting
-    ``current`` in at most ``|Y|`` elements can be), and each ``X`` is tested
-    against them alone.
+    ``current`` in at most ``|Y|`` elements can be); with ``|Y| = 2``, ``X = {x}``
+    works iff ``x`` lies in every one of them.
     """
     inside = [1 << e for e in _unmask(current)]
-    out = [1 << e for e in _unmask(outside)]
     meets = [(s, s & current) for s in masks]
-    for y_size in range(1, min(max_swap_out, len(inside)) + 1):
+    for y_size in (1, 2):
         few = [(s, t) for s, t in meets if t.bit_count() <= y_size]
-        x_sizes = range(1, min(y_size, len(out) + 1))
         for y in combinations(inside, y_size):
             ymask = sum(y)
             kept = current ^ ymask
             unhit = [s for s, t in few if not t & ~ymask]
             if not unhit:
                 return kept
-            common = outside  # X = {x} works iff x is set here; the lowest comes first
+            common = outside if y_size == 2 else 0  # X = {x} needs |Y| = 2; the lowest x comes first
             for s in unhit:
                 common &= s
-            if common and x_sizes:
+            if common:
                 return kept | (common & -common)
-            for x_size in x_sizes[1:]:
-                for x in combinations(out, x_size):
-                    xmask = sum(x)
-                    if all(s & xmask for s in unhit):
-                        return kept | xmask
     return None
 
 
-def solve_implicit_hitting_set(
-    oracle: OracleContract, max_swap_out: int = 2, max_iterations: int | None = None
-) -> SolveCertificate:
+def solve_implicit_hitting_set(oracle: OracleContract, max_iterations: int | None = None) -> SolveCertificate:
     """Run the alternating swap/relaxation loop over ``oracle.universe_size``
     elements to a certified optimum.
 
-    ``max_swap_out`` bounds ``|Y|``; the default of 2 keeps every swap scan
-    polynomial. Any value yields a correct optimum on termination because the
-    certificate does not depend on the neighborhood size. ``max_iterations``
-    is a safety cap on oracle queries, ``10 * universe_size + 1000`` by
-    default; past it the solve raises ``SolverAbort``.
+    Swaps remove at most two elements, which keeps every swap scan
+    polynomial; the certificate does not depend on the neighborhood size.
+    ``max_iterations`` is a safety cap on oracle queries,
+    ``10 * universe_size + 1000`` by default; past it the solve raises
+    ``SolverAbort``.
 
     Swap enumeration is deterministic: ``|Y|`` ascending, Y over sorted subsets
-    of the current set, then ``|X|`` ascending over sorted subsets of the
-    complement, first feasible candidate accepted. The current set and the
-    collected subsets are kept as int masks.
+    of the current set, then X empty or one element of the complement, the
+    smallest first; the first feasible candidate is accepted. The current set
+    and the collected subsets are kept as int masks.
     """
     universe_size = oracle.universe_size
     if universe_size <= 0:
         raise ValueError("universe must be nonempty")
-    if max_swap_out < 0:
-        raise ValueError("max_swap_out must be nonnegative")
     budget = max_iterations if max_iterations is not None else 10 * universe_size + 1000
     collected = SubsetFamily(universe_size)
     oracle_calls = 0
@@ -133,7 +122,7 @@ def solve_implicit_hitting_set(
         current = universe
         # bounded-swap descent: keep the collected family hit at every step
         while True:
-            proposal = _swap_proposal(current, universe ^ current, collected.masks, max_swap_out)
+            proposal = _swap_proposal(current, universe ^ current, collected.masks)
             if proposal is None:
                 break
             verdict = ask(frozenset(_unmask(proposal)))

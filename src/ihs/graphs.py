@@ -1,17 +1,16 @@
 """Vertex-indexed graph containers and acyclicity primitives.
 
 Vertices are dense integers ``0..n-1``. Both containers are immutable after
-construction and store a canonical lexicographically sorted edge/arc list
-plus CSRs with ascending rows, so every traversal in the package is
-reproducible. A Graph keeps the CSR of its edge list (row u: the upper
-neighbors of u), whose indices are a view of the edge list's second column;
-a Digraph keeps its out-CSR and the in-CSR of its transpose, which it sorts
-when built, with one m-length int64 sort key. A reader that needs a Graph's
-lower neighbors as rows sorts the transpose itself with ``_transposed``;
-growth and the acyclicity check never do, they count lower neighbors from
-the edge list. Ids are int32 and every array is read-only. Construction
-works slice by slice over the pair list, gathers block by block. Acyclicity
-checks are iterative; nothing here recurses on the graph size.
+construction and store the same four things: ``n``, a canonical
+lexicographically sorted edge/arc list, and the CSR of its rows (row u: the
+upper neighbors of u in a Graph, the out-neighbors of u in a Digraph), whose
+indices are a view of the list's second column. Neither stores a transpose:
+a reader that needs one as rows sorts it with ``_transposed_rows``; growth
+and the acyclicity checks never do. Ids are int32 and every array is
+read-only. Construction works slice by slice over the pair list, gathers
+block by block, and every m-length sort key lives in an int64 view of the
+int32 pair array it unpacks into. Acyclicity checks are iterative; nothing
+here recurses on the graph size.
 """
 
 from __future__ import annotations
@@ -40,17 +39,25 @@ def _pack(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unpack(n: int, keys: np.ndarray) -> np.ndarray:
-    """Keys ``u * n + v`` back to an int32 (m, 2) array of pairs, in place:
-    each key's 8 bytes become its pair's two int32 ids."""
+def _packed(pairs: np.ndarray, pack) -> tuple[np.ndarray, np.ndarray]:
+    """A new int32 (m, 2) array and an int64 view of it holding the keys
+    ``pack(part)`` of each slice of ``pairs``, sorted; ``_unpack`` turns the
+    keys back into pairs in that array, so no second m-length buffer exists."""
+    out = np.empty((pairs.shape[0], 2), dtype=np.int32)
+    keys = out.view(np.int64).reshape(-1)
+    for s in range(0, keys.size, _CHUNK):
+        part = pairs[s:s + _CHUNK]
+        keys[s:s + part.shape[0]] = pack(part)
+    keys.sort()
+    return out, keys
+
+
+def _unpack(n: int, keys: np.ndarray) -> None:
+    """Keys ``u * n + v`` back to pairs, in place: each key's 8 bytes become its pair's two int32 ids."""
     out = keys.view(np.int32).reshape(-1, 2)
     for s in range(0, keys.size, _CHUNK):
         k = keys[s:s + _CHUNK]
-        rows = k // n
-        values = k - rows * n  # both read before the slice is overwritten
-        out[s:s + k.size, 0] = rows
-        out[s:s + k.size, 1] = values
-    return out
+        out[s:s + k.size, 0], out[s:s + k.size, 1] = np.divmod(k, n)  # both read before the slice is overwritten
 
 
 def _pair_array(n: int, pairs) -> np.ndarray:
@@ -106,23 +113,19 @@ def _normalize_pairs(n: int, pairs, directed: bool) -> np.ndarray:
 
 def _sorted_pairs(n: int, arr: np.ndarray, directed: bool) -> np.ndarray:
     """Pairs in any order: one sort of m int64 keys, then the duplicate check."""
-    keys = np.empty(arr.shape[0], dtype=np.int64)
-    for s in range(0, keys.size, _CHUNK):
-        keys[s:s + _CHUNK] = _slice_keys(n, arr[s:s + _CHUNK], directed)[0]
-    keys.sort()
+    out, keys = _packed(arr, lambda part: _slice_keys(n, part, directed)[0])
     if (keys[1:] == keys[:-1]).any():
         raise GraphError("duplicate edges are not allowed")
-    return _frozen(_unpack(n, keys))
+    _unpack(n, keys)
+    return _frozen(out)
 
 
-def _transposed(n: int, pairs: np.ndarray) -> np.ndarray:
-    """A pair list reversed to (v, u) and lex-sorted: one sort of m int64 keys."""
-    keys = np.empty(pairs.shape[0], dtype=np.int64)
-    for s in range(0, keys.size, _CHUNK):
-        part = pairs[s:s + _CHUNK]
-        keys[s:s + part.shape[0]] = _pack(n, part[:, 1], part[:, 0])
-    keys.sort()
-    return _unpack(n, keys)
+def _transposed_rows(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of a pair list reversed to (v, u): row v lists the u of its pairs
+    (u, v), ascending. One sort of m int64 keys."""
+    out, keys = _packed(pairs, lambda part: _pack(n, part[:, 1], part[:, 0]))
+    _unpack(n, keys)
+    return _rows(n, _frozen(out))
 
 
 def _row_starts(n: int, heads: np.ndarray) -> np.ndarray:
@@ -136,8 +139,17 @@ def _row_starts(n: int, heads: np.ndarray) -> np.ndarray:
 
 
 def _rows(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of a lex-sorted pair list as it stands: row u lists the v of its pairs (u, v)."""
-    return _frozen(_row_starts(n, pairs[:, 0])), _frozen(np.ascontiguousarray(pairs[:, 1]))
+    """CSR of a lex-sorted pair list as it stands: row u lists the v of its
+    pairs (u, v). The indices are the view ``pairs[:, 1]``, not a copy."""
+    return _frozen(_row_starts(n, pairs[:, 0])), pairs[:, 1]
+
+
+def _pairs_and_rows(n: int, pairs, directed: bool) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """What a Graph or Digraph stores: ``n``, the canonical pair list and its ``_rows``."""
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
+    pairs = _normalize_pairs(int(n), pairs, directed)
+    return (int(n), pairs, *_rows(int(n), pairs))
 
 
 def _gather_blocks(indptr: np.ndarray, indices: np.ndarray, verts):
@@ -193,11 +205,7 @@ class Graph:
     __slots__ = ("n", "edge_list", "up_indptr", "up_indices")
 
     def __init__(self, n: int, edges: Iterable = ()):
-        if n < 0:
-            raise GraphError("vertex count must be nonnegative")
-        self.n = int(n)
-        self.edge_list = _normalize_pairs(self.n, edges, directed=False)
-        self.up_indptr, self.up_indices = _frozen(_row_starts(self.n, self.edge_list[:, 0])), self.edge_list[:, 1]
+        self.n, self.edge_list, self.up_indptr, self.up_indices = _pairs_and_rows(n, edges, directed=False)
 
     @property
     def num_edges(self) -> int:
@@ -215,22 +223,18 @@ class Graph:
 
 
 class Digraph:
-    """Directed simple graph: canonical arc list, sorted out- and in-adjacency.
+    """Directed simple graph, stored like a Graph: canonical arc list and the
+    sorted CSR of its rows (row u: the out-neighbors of u), whose ``out_indices``
+    is the read-only view ``arc_list[:, 1]``. It stores no transpose.
 
     Antiparallel arc pairs (u, v) and (v, u) are permitted at this level; the
     random models never generate them, but arbitrary file input may.
     """
 
-    __slots__ = ("n", "arc_list", "out_indptr", "out_indices", "in_indptr", "in_indices")
+    __slots__ = ("n", "arc_list", "out_indptr", "out_indices")
 
     def __init__(self, n: int, arcs: Iterable = ()):
-        if n < 0:
-            raise GraphError("vertex count must be nonnegative")
-        self.n = int(n)
-        self.arc_list = _normalize_pairs(self.n, arcs, directed=True)
-        # the transpose first: its m-length sort keys are freed before the out-indices exist
-        self.in_indptr, self.in_indices = _rows(self.n, _transposed(self.n, self.arc_list))
-        self.out_indptr, self.out_indices = _rows(self.n, self.arc_list)
+        self.n, self.arc_list, self.out_indptr, self.out_indices = _pairs_and_rows(n, arcs, directed=True)
 
     @property
     def num_arcs(self) -> int:
@@ -335,12 +339,27 @@ def drain_sources(successors, indeg: list, stack: list) -> int:
     return popped
 
 
+def _shadow_keys(d: Digraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted keys ``min(u, v) * n + max(u, v)`` of the arcs of ``d``, in the
+    ``_packed`` pair array, and the mask of the first key of each run of equal
+    keys. A key occurs at most twice: for (u, v) and for (v, u)."""
+    out, keys = _packed(d.arc_list, lambda part: _pack(d.n, part.min(axis=1), part.max(axis=1)))
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return out, keys, first
+
+
 def shadow_undirected(d: Digraph) -> Graph:
     """Undirected graph with {u, v} whenever (u, v) or (v, u) is an arc.
 
     Removing a feedback vertex set of the shadow also breaks every directed
-    cycle of ``d``.
+    cycle of ``d``. Its edges are the first keys of the runs of ``_shadow_keys``.
     """
-    u = np.minimum(d.arc_list[:, 0], d.arc_list[:, 1])
-    v = np.maximum(d.arc_list[:, 0], d.arc_list[:, 1])
-    return Graph(d.n, _unpack(d.n, np.unique(_pack(d.n, u, v))))
+    edges, keys, first = _shadow_keys(d)
+    m = int(first.sum())
+    if m < keys.size:
+        keys[:m] = keys[first]
+    _unpack(d.n, keys[:m])
+    del keys, first
+    edges.resize((m, 2), refcheck=False)  # no view of edges is left
+    return Graph(d.n, _frozen(edges))

@@ -14,7 +14,6 @@ round-trips are byte-identical.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,12 +66,6 @@ def _write(out, inst: Instance) -> None:
             fields.append(f"k={p.k}")
         fields.append(f"seed={p.seed}")
         out.write("params " + " ".join(fields) + "\n")
-
-
-def instance_to_text(inst: Instance) -> str:
-    out = io.StringIO()
-    _write(out, inst)
-    return out.getvalue()
 
 
 def write_instance(path: str | Path, inst: Instance) -> None:
@@ -175,10 +168,6 @@ def _parse(lines: Iterator[str]) -> Instance:
     except GraphError as exc:
         raise InstanceFormatError(str(exc)) from exc
     return Instance(graph=graph, planted=planted, params=params)
-
-
-def instance_from_text(text: str) -> Instance:
-    return _parse(io.StringIO(text, newline=None))
 
 
 def read_instance(path: str | Path) -> Instance:

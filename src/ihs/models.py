@@ -42,10 +42,11 @@ _SPARE_SIGMAS = 8  # a skip draw's pair array starts at the mean plus this many 
 # per vertex, above the measured peaks: 10-14 B per edge for G(n, p) with BFS
 # growth and its validation (n=10^5 and 5*10^5, c=500), 17-21 B at 2-5 M edges,
 # where the 32 MB gap chunk weighs most, and 22.5 B per edge to read and solve
-# a 2 M-edge G(n, p) file above the 38 MB of an empty run; 30.6 B per arc for
-# D(n, p) (n=10^5, p=0.0025) and 34.3 B for the planted model (n=2*10^4,
-# p=0.05), whose arcs are sorted while the caller still holds them.
-_BYTES_PER_PAIR = {"gnp": 25, "dnp": 36, "planted": 36}
+# a 2 M-edge G(n, p) file above the 38 MB of an empty run. D(n, p) at n=10^5:
+# 18.5 B per arc to draw (p=0.0025), 21.6 B for solve-fvs, 30.7 B with --prune
+# (p=0.001); 21.6 B to read and solve a 2.5 M-arc file above an empty run; and
+# 22.1 B per arc for the planted model (n=2*10^4, p=0.05).
+_BYTES_PER_PAIR = {"gnp": 25, "dnp": 32, "planted": 24}
 _BYTES_PER_VERTEX = 64
 
 
@@ -138,28 +139,32 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _gaps(rng: np.random.Generator, prob: float, out: np.ndarray) -> np.ndarray:
+def _gaps(rng: np.random.Generator, prob: float, out: np.ndarray, cap: int) -> np.ndarray:
     """``rng.geometric(prob, out.size)`` into the int64 ``out`` a slice at a time, value for value and
-    stream for stream: below 1/3 numpy draws ceil(-E / log1p(-prob)) per gap from exponentials E."""
+    stream for stream: below 1/3 numpy draws ceil(-E / log1p(-prob)) per gap from exponentials E.
+    A gap above ``cap`` is cut to it before the cast, so a vanishing ``prob`` cannot wrap int64."""
     for s in range(0, out.size, _SLICE):
         part = out[s:s + _SLICE]
         if prob >= 1 / 3:  # numpy searches
             part[:] = rng.geometric(prob, size=part.size)
-        else:  # libm's log1p, as numpy's C code calls it
-            part[:] = np.ceil(rng.standard_exponential(part.size) / -math.log1p(-prob))
+        else:  # libm's log1p, as numpy's C code calls it; a subnormal prob gives inf, then the cap
+            with np.errstate(over="ignore"):
+                gaps = np.ceil(rng.standard_exponential(part.size) / -math.log1p(-prob))
+            np.minimum(gaps, cap, out=part, casting="unsafe")  # the cut and the cast in one pass
     return out
 
 
 def _indices(rng: np.random.Generator, count: int, prob: float, first: int):
     """Ascending chunks of the lex indices ``first + t``, t in [0, count), each included with
-    probability ``prob``. The skip sampler reuses one int64 chunk: decode each before the next."""
+    probability ``prob``. The skip sampler reuses one int64 chunk: decode each before the next. Its
+    gaps are cut at ``count + 1``, which already ends the block, so the sum cannot wrap int64."""
     if prob >= 1.0 or count <= _SKIP_THRESHOLD:
         yield np.arange(first, first + count) if prob >= 1.0 else np.flatnonzero(rng.random(count) < prob) + first
         return
     t = np.empty(max(1024, min(_CHUNK, int(count * prob * 1.1) + 64)), dtype=np.int64)
     pos, end = first - 1, first + count
     while pos < end:
-        np.cumsum(_gaps(rng, prob, t), out=t)
+        np.cumsum(_gaps(rng, prob, t, count + 1), out=t)
         t += pos
         pos = int(t[-1])
         yield t[:np.searchsorted(t, end)]

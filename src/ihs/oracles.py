@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Digraph, Graph, GraphError, _gather, _removed_mask, _rows, _transposed, drain_sources, union_edges
+from .graphs import Digraph, Graph, GraphError, _gather, _removed_mask, _transposed_rows, drain_sources, union_edges
 from .hitting import SubsetFamily
 
 
@@ -75,7 +75,7 @@ def successor_lists(g: Graph | Digraph) -> tuple[list[list[int]], list[set[int]]
     if isinstance(g, Digraph):
         lists = _row_lists(g.out_indptr, g.out_indices)
     else:  # lower neighbors, rows of the sorted transpose, then upper ones: still ascending
-        low = _row_lists(*_rows(g.n, _transposed(g.n, g.edge_list)))
+        low = _row_lists(*_transposed_rows(g.n, g.edge_list))
         lists = [a + b for a, b in zip(low, _row_lists(g.up_indptr, g.up_indices))]
     return lists, [set(nb) for nb in lists]
 
@@ -233,26 +233,25 @@ def cycles_of_length(d: Digraph, k: int, limit: int | None = None) -> np.ndarray
     an int32 ``(C, k)`` array, each row the cycle's vertex ids sorted; with
     ``limit``, only the first ``limit`` of them.
 
-    Each cycle is found once, anchored at its minimum vertex. Row order:
-    anchor ascending, then path lexicographic, the order of ``walk_cycles``.
-    Per anchor ``a`` the paths grow one level at a time over the out-CSR, in
-    lexicographic order, keeping successors above ``a`` and off the path; the
-    last level keeps only successors with an arc back to ``a``. Cost grows
-    with out-degree**(k-1) per anchor; intended for small constant k.
+    Each cycle is found once, anchored at its minimum vertex ``a`` and closed
+    by an arc ``(u, a)``, ``u > a``: only those arcs are sorted by head, once
+    per call. Row order: anchor ascending, then path lexicographic, the order
+    of ``walk_cycles``. Per anchor the paths grow one level at a time over the
+    out-CSR, keeping successors above ``a`` and off the path; the last level
+    keeps only successors with an arc back to ``a``. Cost grows with
+    out-degree**(k-1) per anchor; intended for small constant k.
     """
     if k < 2:
         raise ValueError("cycle length must be at least 2")
-    indptr, indices = d.out_indptr, d.out_indices
+    arcs, indptr, indices = d.arc_list, d.out_indptr, d.out_indices
+    back_ptr, back = _transposed_rows(d.n, arcs[arcs[:, 0] > arcs[:, 1]])  # row a: the u of the arcs (u, a), u > a
     closes = np.zeros(d.n, dtype=bool)  # arc back to the anchor
     blocks: list[list[np.ndarray]] = []  # per anchor, its paths column by column
     found = 0
-    for a in range(d.n):
+    for a in np.flatnonzero(np.diff(back_ptr)).tolist():
         if limit is not None and found >= limit:
             break
-        into = d.in_indices[d.in_indptr[a]:d.in_indptr[a + 1]]
-        into = into[into > a]
-        if into.size == 0:
-            continue
+        into = back[back_ptr[a]:back_ptr[a + 1]]
         closes[into] = True
         path = [np.full(1, a, dtype=np.int32)]
         for level in range(1, k):

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import ihs
+import ihs.bfs_growth as bfs_mod
 import ihs.cli as cli
 import ihs.graphs as graphs_mod
 import ihs.models as models
+import ihs.oracles as oracles_mod
 from ihs.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -185,7 +187,8 @@ def test_gnp_paths_never_sort_a_transpose(monkeypatch, capsys, argv):
     def refuse(n, pairs):
         raise AssertionError("a G(n, p) path sorted the transpose of its edge list")
 
-    monkeypatch.setattr(graphs_mod, "_transposed", refuse)
+    for mod in (graphs_mod, bfs_mod, oracles_mod):
+        monkeypatch.setattr(mod, "_transposed_rows", refuse)
     code, rows = run_cli(capsys, *argv)
     assert code == 0
     per_seed = [row for row in rows if row["run_id"] != "aggregate"]
@@ -389,13 +392,18 @@ def test_params_trailer_out_of_range_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "p must lie in [0, 1]" in err
 
 
-def test_solve_generic_rejects_negative_ymax(tmp_path, capsys):
-    code, rows, err = run_cli_with_err(
-        capsys, "solve-generic", triangle_file(tmp_path), "--oracle", "bfs-cycle", "--ymax", "-1"
-    )
-    assert code == 2
-    assert rows == []
-    assert "max_swap_out" in err
+@pytest.mark.parametrize("p", ["1e-17", "1e-300"])
+def test_solve_fvs_at_vanishing_p(capsys, p):
+    code, rows = run_cli(capsys, "solve-fvs", "--model", "gnp", "--n", "3000", "--p", p, "--seed", "0")
+    assert code == 0
+    assert rows[0]["fvs_size"] == "2999" and rows[0]["acyclic_ok"] == "1"
+
+
+def test_solve_generic_has_no_swap_width_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve-generic", triangle_file(tmp_path), "--oracle", "bfs-cycle", "--ymax", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --ymax" in capsys.readouterr().err
 
 
 def test_instance_too_large_for_memory_exits_2(monkeypatch, capsys):

@@ -17,6 +17,7 @@ from ihs import (
     shadow_undirected,
     shortest_cycle_oracle,
 )
+from ihs.bfs_growth import break_two_cycles
 from ihs.oracles import successor_lists
 
 
@@ -48,6 +49,10 @@ def test_construction_validates():
 
 def test_graph_stores_its_edge_list_and_upper_csr_only():
     assert Graph.__slots__ == ("n", "edge_list", "up_indptr", "up_indices")
+
+
+def test_digraph_stores_its_arc_list_and_out_csr_only():
+    assert Digraph.__slots__ == ("n", "arc_list", "out_indptr", "out_indices")
 
 
 def test_adjacency_is_sorted_and_consistent():
@@ -132,6 +137,26 @@ def test_shadow_undirected_cases():
     assert shadow_undirected(anti).edge_list.tolist() == [[0, 1]]
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+def test_shadow_and_two_cycles_match_a_plain_loop(monkeypatch, chunk):
+    # dense enough that most instances hold antiparallel pairs
+    monkeypatch.setattr(graphs_mod, "_CHUNK", chunk)
+    for n, p, seed in [(0, 0.3, 0), (1, 0.3, 1), (2, 1.0, 2), (9, 0.3, 3), (30, 0.1, 4), (30, 0.4, 5)]:
+        d = random_digraph(n, p, seed)
+        arcs = set(map(tuple, d.arc_list.tolist()))
+        pairs = sorted({(min(u, v), max(u, v)) for u, v in arcs})
+        shadow = shadow_undirected(d)
+        assert shadow.edge_list.tolist() == [list(e) for e in pairs]
+        assert shadow.num_edges == 0 or shadow.edge_list.flags.owndata  # the packed array, kept as is
+        rng = np.random.default_rng(seed)
+        for fvs in (np.empty(0, dtype=np.int64), np.flatnonzero(rng.random(n) < 0.3)):
+            in_fvs = set(fvs.tolist())
+            for u, v in pairs:
+                if (v, u) in arcs and (u, v) in arcs and u not in in_fvs and v not in in_fvs:
+                    in_fvs.add(v)
+            assert break_two_cycles(d, fvs).tolist() == sorted(in_fvs)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_shadow_fvs_transfers_to_digraph(seed):
     rng = np.random.default_rng(3000 + seed)
@@ -168,7 +193,7 @@ def assert_graph_matches(g, n, canon):
     up_ptr, up_idx = reference_csr(n, u, v)
     low_ptr, low_idx = reference_csr(n, v, u)
     # the rows of the transpose, as prune_fvs and successor_lists sort them
-    tr_ptr, tr_idx = graphs_mod._rows(n, graphs_mod._transposed(n, g.edge_list))
+    tr_ptr, tr_idx = graphs_mod._transposed_rows(n, g.edge_list)
     assert g.edge_list.tolist() == canon.tolist()
     assert np.array_equal(g.up_indptr, up_ptr) and np.array_equal(g.up_indices, up_idx)
     assert np.array_equal(tr_ptr, low_ptr) and np.array_equal(tr_idx, low_idx)
@@ -183,11 +208,16 @@ def assert_digraph_matches(d, n, arcs):
     arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
     out_ptr, out_idx = reference_csr(n, arcs[:, 0], arcs[:, 1])
     in_ptr, in_idx = reference_csr(n, arcs[:, 1], arcs[:, 0])
+    # the rows of the transpose, as cycles_of_length sorts them for its closing arcs
+    tr_ptr, tr_idx = graphs_mod._transposed_rows(n, d.arc_list)
     assert d.arc_list.tolist() == arcs.tolist()
     assert np.array_equal(d.out_indptr, out_ptr) and np.array_equal(d.out_indices, out_idx)
-    assert np.array_equal(d.in_indptr, in_ptr) and np.array_equal(d.in_indices, in_idx)
-    for arr in (d.arc_list, d.out_indices, d.in_indices):
+    assert np.array_equal(tr_ptr, in_ptr) and np.array_equal(tr_idx, in_idx)
+    assert d.num_arcs == 0 or np.shares_memory(d.out_indices, d.arc_list)  # the column, not a copy
+    for arr in (d.arc_list, d.out_indices, tr_idx):
         assert arr.dtype == np.int32 and not arr.flags.writeable
+    for arr in (d.out_indptr, tr_ptr):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
 def input_forms(pairs, rng):
@@ -234,7 +264,7 @@ def test_isolated_vertices_have_empty_rows():
     assert successor_lists(g)[0] == [[], [4], [], [], [1], []]
     d = Digraph(6, [(4, 1)])
     assert d.out_indptr.tolist() == [0, 0, 0, 0, 0, 1, 1]
-    assert d.in_indptr.tolist() == [0, 0, 1, 1, 1, 1, 1]
+    assert graphs_mod._transposed_rows(d.n, d.arc_list)[0].tolist() == [0, 0, 1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("cls", [Graph, Digraph])
@@ -278,7 +308,8 @@ def test_caller_array_mutation_does_not_reach_graph(dtype):
     assert g.edge_list.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert successor_lists(g)[0] == [[1, 2], [0, 2], [0, 1]]
     assert d.arc_list.tolist() == [[0, 1], [0, 2], [1, 2]]
-    assert d.in_indices[d.in_indptr[2]:d.in_indptr[3]].tolist() == [0, 1]
+    in_ptr, in_idx = graphs_mod._transposed_rows(d.n, d.arc_list)
+    assert in_idx[in_ptr[2]:in_ptr[3]].tolist() == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -310,7 +341,7 @@ def test_gather_matches_concatenated_rows(monkeypatch, block):
     # blocks of one or five neighbors: most rows are longer than a block
     monkeypatch.setattr(graphs_mod, "_BLOCK", block)
     g = random_graph(30, 0.2, 7)
-    low = graphs_mod._rows(g.n, graphs_mod._transposed(g.n, g.edge_list))
+    low = graphs_mod._transposed_rows(g.n, g.edge_list)
     for indptr, indices in (low, (g.up_indptr, g.up_indices)):
         rows = [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(g.n)]
         for verts in ([], [3], [0, 5, 6, 29], list(range(30))):
@@ -350,9 +381,9 @@ def test_transpose_readers_sort_it_once_per_call(monkeypatch, reader):
     # growth and its validation never sort the transpose; prune_fvs and each
     # oracle sort it once, and still pass their networkx checks
     builds = []
-    transposed = graphs_mod._transposed
+    transposed_rows = graphs_mod._transposed_rows
     for mod in (graphs_mod, bfs_mod, oracles_mod):
-        monkeypatch.setattr(mod, "_transposed", lambda n, pairs: builds.append(n) or transposed(n, pairs))
+        monkeypatch.setattr(mod, "_transposed_rows", lambda n, pairs: builds.append(n) or transposed_rows(n, pairs))
     g = random_graph(40, 0.15, 3)
     ref = nx.Graph(g.edge_list.tolist())
     ref.add_nodes_from(range(g.n))

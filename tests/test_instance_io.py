@@ -11,7 +11,6 @@ from ihs import (
     read_instance,
     write_instance,
 )
-from ihs.instance_io import instance_from_text, instance_to_text
 
 
 def test_round_trip_undirected(tmp_path):
@@ -24,7 +23,8 @@ def test_round_trip_undirected(tmp_path):
     back = read_instance(path)
     assert back.graph == g
     assert back.params == inst.params
-    assert instance_to_text(back) == text
+    write_instance(tmp_path / "back.txt", back)
+    assert (tmp_path / "back.txt").read_text() == text
 
 
 def test_round_trip_planted(tmp_path):
@@ -36,12 +36,14 @@ def test_round_trip_planted(tmp_path):
     assert back.graph == model.digraph
     assert back.planted == model.planted
     assert back.params == model.params
-    assert instance_to_text(back) == path.read_text()
+    write_instance(tmp_path / "back.txt", back)
+    assert (tmp_path / "back.txt").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["gnp", "planted", "empty"])
 def test_file_bytes_equal_text(tmp_path, kind):
-    # the gnp instance has ~79k edges, more than one slice of pair lines
+    # the header and one "u v" line per pair, then one line per trailer; the
+    # gnp instance has ~79k edges, more than one slice of pair lines
     if kind == "gnp":
         params = ModelParams(n=1500, p=0.07, seed=3)
         inst = Instance(graph=gen_gnp(params), params=params)
@@ -52,7 +54,13 @@ def test_file_bytes_equal_text(tmp_path, kind):
         inst = Instance(graph=Graph(0))
     path = tmp_path / "inst.txt"
     write_instance(path, inst)
-    assert path.read_bytes() == instance_to_text(inst).encode()
+    g = inst.graph
+    directed = isinstance(g, Digraph)
+    pairs = g.arc_list if directed else g.edge_list
+    header = f"ihs-graph 1 {'directed' if directed else 'undirected'} {g.n} {len(pairs)}\n"
+    lines = path.read_bytes().decode().splitlines(keepends=True)
+    assert "".join(lines[:len(pairs) + 1]) == header + "".join(f"{u} {v}\n" for u, v in pairs.tolist())
+    assert len(lines) == len(pairs) + 1 + (inst.planted is not None) + (inst.params is not None)
 
 
 @pytest.mark.parametrize(
@@ -61,23 +69,27 @@ def test_file_bytes_equal_text(tmp_path, kind):
      (Graph(0), "undirected"), (Digraph(0), "directed")],
     ids=["graph", "digraph", "empty-graph", "empty-digraph"],
 )
-def test_header_kind_is_the_graph_type(graph, kind):
-    text = instance_to_text(Instance(graph=graph))
-    assert text.splitlines()[0].split()[2] == kind
-    back = instance_from_text(text)
+def test_header_kind_is_the_graph_type(graph, kind, tmp_path):
+    path, again = tmp_path / "inst.txt", tmp_path / "again.txt"
+    write_instance(path, Instance(graph=graph))
+    assert path.read_text().splitlines()[0].split()[2] == kind
+    back = read_instance(path)
     assert type(back.graph) is type(graph) and back.graph == graph
-    assert instance_to_text(back) == text
+    write_instance(again, back)
+    assert again.read_bytes() == path.read_bytes()
 
 
-def test_trailer_lines():
-    text = instance_to_text(
+def test_trailer_lines(tmp_path):
+    path = tmp_path / "inst.txt"
+    write_instance(
+        path,
         Instance(
             graph=Digraph(3, [(0, 1)]),
             planted=[0],
             params=ModelParams(n=3, p=0.5, delta=0.4, k=3, seed=7),
-        )
+        ),
     )
-    lines = text.splitlines()
+    lines = path.read_text().splitlines()
     assert lines[-2] == "planted 1 0"
     assert lines[-1] == "params delta=0.4 p=0.5 k=3 seed=7"
 
@@ -116,35 +128,39 @@ def test_trailer_lines():
     ],
 )
 def test_parse_errors(text, tmp_path):
-    with pytest.raises(InstanceFormatError):
-        instance_from_text(text)
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(InstanceFormatError):
         read_instance(path)
 
 
-def test_loose_edge_lines_parse_like_canonical_ones():
-    inst = instance_from_text("ihs-graph 1 undirected 4 3\n0\t1\n 1  2 \r\n+2 3")
+def read_text_instance(tmp_path, text):
+    path = tmp_path / "inst.txt"
+    path.write_bytes(text.encode())  # kept byte for byte: "\r\n" too
+    return read_instance(path)
+
+
+def test_loose_edge_lines_parse_like_canonical_ones(tmp_path):
+    inst = read_text_instance(tmp_path, "ihs-graph 1 undirected 4 3\n0\t1\n 1  2 \r\n+2 3")
     assert inst.graph == Graph(4, [(0, 1), (1, 2), (2, 3)])
 
 
-def test_bad_edge_line_past_the_first_slice_keeps_its_number():
+def test_bad_edge_line_past_the_first_slice_keeps_its_number(tmp_path):
     lines = [f"{u} {v}\n" for u in range(400) for v in range(u + 1, 400)][:70_000]
     lines[68_000] = "1 x\n"
     with pytest.raises(InstanceFormatError, match="bad edge line 68002: '1 x'"):
-        instance_from_text("ihs-graph 1 undirected 400 70000\n" + "".join(lines))
+        read_text_instance(tmp_path, "ihs-graph 1 undirected 400 70000\n" + "".join(lines))
 
 
-def test_params_trailer_may_exceed_the_oriented_model_bound():
+def test_params_trailer_may_exceed_the_oriented_model_bound(tmp_path):
     # 2p <= 1 binds only generated oriented digraphs: a hand-written file may exceed it
     text = "ihs-graph 1 directed 3 0\nparams delta=1.0 p=0.75 k=3 seed=18446744073709551615\n"
-    inst = instance_from_text(text)
+    inst = read_text_instance(tmp_path, text)
     assert inst.params == ModelParams(n=3, p=0.75, delta=1.0, k=3, seed=2**64 - 1)
 
 
-def test_params_subset_keys():
-    inst = instance_from_text("ihs-graph 1 undirected 3 0\nparams p=0.25 seed=3\n")
+def test_params_subset_keys(tmp_path):
+    inst = read_text_instance(tmp_path, "ihs-graph 1 undirected 3 0\nparams p=0.25 seed=3\n")
     assert inst.params.p == 0.25
     assert inst.params.seed == 3
     assert inst.params.delta is None and inst.params.k is None

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -149,9 +150,32 @@ def test_pair_decode_is_exact(monkeypatch, slice_size):
 @pytest.mark.parametrize("p", [1e-9, 1e-6, 0.005, 0.3, 1 / 3 - 1e-12, 1 / 3, 0.4])
 def test_bulk_gaps_are_numpys_geometric_stream(p, seed):
     ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    gaps = models_mod._gaps(ours, p, np.zeros(150_000, dtype=np.int64))  # three slices
+    gaps = models_mod._gaps(ours, p, np.zeros(150_000, dtype=np.int64), 2**62)  # three slices
     assert np.array_equal(gaps, ref.geometric(p, 150_000))
     assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("p", [1e-6, 1e-17, 1e-300, 5e-324])
+def test_gaps_past_the_block_are_cut_before_the_cast(p):
+    # a gap of about 1/p would wrap int64 in the cast or the cumulative sum;
+    # cut at the block's pair count + 1 it still ends the block, and every gap
+    # that lands inside the block is numpy's
+    cap = 10**6 if p == 1e-6 else 4_498_501
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 5e-324 is subnormal: its gaps overflow to inf, quietly
+        gaps = models_mod._gaps(np.random.default_rng(0), p, np.zeros(70_000, dtype=np.int64), cap)
+    if p == 1e-6:
+        assert np.array_equal(gaps, np.minimum(np.random.default_rng(0).geometric(p, 70_000), cap))
+        assert (gaps < cap).any() and (gaps == cap).any()
+    else:
+        assert (gaps == cap).all()
+
+
+@pytest.mark.parametrize("p", [1e-17, 1e-300])
+def test_vanishing_p_draws_an_empty_graph(p):
+    # 4,498,500 pairs: above the skip threshold, so the gaps are drawn
+    g = gen_gnp(ModelParams(n=3000, p=p, seed=0))
+    assert g.n == 3000 and g.num_edges == 0
 
 
 def reference_skip_pairs(rng, n, count, prob, chunk, first=0):
