@@ -23,10 +23,10 @@ from functools import partial
 from typing import Callable
 
 from .bfs_growth import (
+    _fvs_of_shadow,
     break_two_cycles,
     check_concentration_bounds,
     concentration_depth,
-    fvs_directed,
     grow_induced_bfs,
     prune_fvs,
     sample_acyclic_fraction,
@@ -172,18 +172,19 @@ def _run_fvs(seed, *, source: Source, root: int, prune: bool) -> dict:
     t0 = time.perf_counter()
     graph, _, params = source.load(seed)
     directed = isinstance(graph, Digraph)
+    shadow = shadow_undirected(graph) if directed else graph  # one shadow for growth and --prune
     if directed:  # via the shadow, with the two-cycle repair
-        fvs = fvs_directed(graph, root=root).fvs
+        fvs = _fvs_of_shadow(graph, shadow, root).fvs
         algorithm = "grow-induced-bfs-shadow"
     else:
         fvs = grow_induced_bfs(graph, root=root).fvs
         algorithm = "grow-induced-bfs"
     if prune:
-        shadow = shadow_undirected(graph) if directed else graph
         fvs = prune_fvs(shadow, fvs)
         if directed and shadow.num_edges < graph.num_arcs:  # pruning the shadow can put a two-cycle back
             fvs = break_two_cycles(graph, fvs)
         algorithm += "+prune"
+    del shadow  # the check reads the graph only
     ok = is_acyclic_directed(graph, fvs) if directed else is_acyclic_undirected(graph, fvs)
     p = _param(params, "p")
     return make_row(

@@ -4,21 +4,20 @@ online augmenting heuristic.
 The exact solver takes the oracle as its only input and alternates two
 moves. Starting from the full universe it improves the current feasible set
 through bounded swaps (remove ``|Y| <= 2`` elements, add ``|X| < |Y|``) that keep
-the set feasible for every subset collected so far; each oracle rejection
-contributes the missed subset to the collection, one ``SubsetFamily`` that
-holds each subset as a tuple and as an int mask. When no swap applies, it
-solves the explicit minimum hitting set over the collection: matching sizes
-or a feasible explicit optimum certify global optimality, otherwise the
-collection grows and the climb restarts. Every round hands the exact solver
-the same growing ``SubsetFamily``, so the solver starts from the optimum and
-the failed reconstruction steps it proved in earlier rounds instead of
-proving them again.
+the set feasible for every subset collected so far; one pass over the
+collection finds the first such swap. Each oracle rejection adds the missed
+subset to the collection, one ``SubsetFamily`` that holds each subset as a
+tuple and as an int mask. When no swap applies, it solves the explicit
+minimum hitting set over the collection: matching sizes or a feasible
+explicit optimum certify global optimality, otherwise the collection grows
+and the climb restarts. Every round hands the exact solver the same growing
+``SubsetFamily``, so it starts from the last optimum and skips the
+reconstruction steps it refuted in earlier rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 from .hitting import HittingSet, SubsetFamily, _unmask, exact_min_hitting_set
@@ -60,26 +59,29 @@ def _swap_proposal(current: int, outside: int, masks: list[int]) -> int | None:
     """The first set ``(current - Y) | X`` of the swap enumeration, ``|X| < |Y| <= 2``,
     that hits every subset mask in ``masks``, as a mask; None when no swap applies.
 
-    ``current`` and ``outside`` are disjoint element masks. For each ``Y`` the
-    masks that ``current - Y`` leaves unhit are found once (only those meeting
-    ``current`` in at most ``|Y|`` elements can be); with ``|Y| = 2``, ``X = {x}``
-    works iff ``x`` lies in every one of them.
+    ``current`` and ``outside`` are disjoint element masks. Removing ``Y``
+    leaves a mask unhit iff its trace ``mask & current`` lies in ``Y``, so one
+    pass groups the masks by traces of at most two elements. ``Y = {a}`` works
+    iff no trace lies in ``{a}``; when none does, ``Y = {a, b}`` needs
+    ``X = {x}``, the lowest ``x`` outside in every mask whose trace lies in ``{a, b}``.
     """
+    need: dict[int, int] = {}  # trace -> the AND of the masks with that trace
+    for s in masks:
+        t = s & current
+        if t.bit_count() <= 2:
+            need[t] = need.get(t, -1) & s
+    free = current & ~sum(t for t in need if t.bit_count() == 1)  # distinct bits: the sum is their union
+    if free and 0 not in need:
+        return current ^ (free & -free)
     inside = [1 << e for e in _unmask(current)]
-    meets = [(s, s & current) for s in masks]
-    for y_size in (1, 2):
-        few = [(s, t) for s, t in meets if t.bit_count() <= y_size]
-        for y in combinations(inside, y_size):
-            ymask = sum(y)
-            kept = current ^ ymask
-            unhit = [s for s, t in few if not t & ~ymask]
-            if not unhit:
-                return kept
-            common = outside if y_size == 2 else 0  # X = {x} needs |Y| = 2; the lowest x comes first
-            for s in unhit:
-                common &= s
-            if common:
-                return kept | (common & -common)
+    base = outside & need.get(0, -1)
+    for i, a in enumerate(inside):
+        with_a = base & need.get(a, -1)
+        if not with_a:
+            continue
+        for b in inside[i + 1:]:
+            if common := with_a & need.get(b, -1) & need.get(a | b, -1):
+                return current ^ a ^ b | (common & -common)
     return None
 
 
@@ -132,20 +134,10 @@ def solve_implicit_hitting_set(oracle: OracleContract, max_iterations: int | Non
                 collect(verdict.missed)
         optimum = exact_min_hitting_set(collected)
         if len(optimum.members) == current.bit_count():
-            return SolveCertificate(
-                solution=HittingSet(_unmask(current)),
-                collected=collected,
-                proof="size_match",
-                oracle_calls=oracle_calls,
-            )
+            return SolveCertificate(HittingSet(_unmask(current)), collected, "size_match", oracle_calls)
         verdict = ask(frozenset(optimum.members))
         if verdict.feasible:
-            return SolveCertificate(
-                solution=optimum,
-                collected=collected,
-                proof="feasible_optimum",
-                oracle_calls=oracle_calls,
-            )
+            return SolveCertificate(optimum, collected, "feasible_optimum", oracle_calls)
         collect(verdict.missed)
 
 
@@ -166,8 +158,7 @@ def online_augment(
         if verdict.feasible:
             return HittingSet.of(chosen), misses
         misses += 1
-        pick_fn = pick if pick is not None else (lambda missed, _state: min(missed))
-        element = pick_fn(verdict.missed, frozenset(chosen))
+        element = pick(verdict.missed, frozenset(chosen)) if pick is not None else min(verdict.missed)
         if element not in verdict.missed:
             raise OracleProtocolError("pick rule chose an element outside the missed subset")
         chosen.add(element)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,10 +81,7 @@ class SubsetFamily:
 
 
 def _mask(elements: Iterable[int]) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << e
-    return m
+    return reduce(operator.or_, (1 << e for e in elements), 0)
 
 
 def _unmask(m: int) -> tuple[int, ...]:
@@ -164,36 +162,34 @@ def _columns(masks: list[int]) -> tuple[list[int], list[int], list[tuple[int, ..
         bit = 1 << i
         for e in es:
             col[e] |= bit
-    kill = []
-    for es in elems:
-        k = 0
-        for e in es:
-            k |= col[e]
-        kill.append(k)
+    kill = [reduce(operator.or_, (col[e] for e in es), 0) for es in elems]
     return col, kill, elems
 
 
 def _search(
-    alive: int, budget: int, col: list[int], kill: list[int], elems: list[tuple[int, ...]]
-) -> bool:
-    """Whether at most ``budget`` elements hit every subset in the int
-    ``alive``: a sound and complete branch and bound over ``_columns``.
+    alive: int, budget: int, col: list[int], kill: list[int], elems: list[tuple[int, ...]], failed: dict[int, int]
+) -> int | None:
+    """An element mask of at most ``budget`` elements hitting every subset in
+    the int ``alive``, or None: a sound and complete branch and bound over ``_columns``.
 
     Taking element ``e`` leaves ``alive & ~col[e]``; an element whose column
     is zero is retired and never taken. The bound counts pairwise disjoint
     alive subsets greedily, taking the lowest alive bit ``i`` and clearing
     ``kill[i]``, until the count exceeds the budget. A node branches on its
     lowest alive bit, a smallest unhit subset, over that subset's elements by
-    descending ``(col[e] & alive).bit_count()``, ties by id.
+    descending ``(col[e] & alive).bit_count()``, ties by id. ``failed`` maps an
+    alive set to the largest budget at which its branching found no cover.
     """
     if not alive:
-        return True
+        return 0
+    if failed.get(alive, -1) >= budget:
+        return None
     lb = 0
     rest = alive
     while rest:
         lb += 1
         if lb > budget:
-            return False
+            return None
         rest &= ~kill[(rest & -rest).bit_length() - 1]
     pick = elems[(alive & -alive).bit_length() - 1]
     # stable on ascending ids, so ties keep the smaller element first; the
@@ -203,22 +199,26 @@ def _search(
         if not c:
             break
         rest = alive & ~c
-        if not rest or (budget > 1 and _search(rest, budget - 1, col, kill, elems)):
-            return True
-    return False
+        if not rest:
+            return 1 << e
+        if budget > 1 and (cover := _search(rest, budget - 1, col, kill, elems, failed)) is not None:
+            return cover | 1 << e
+    failed[alive] = budget
+    return None
 
 
 def exact_min_hitting_set(fam: SubsetFamily) -> HittingSet:
     """Minimum-cardinality hitting set; among optima, the lexicographically
     smallest sorted member list.
 
-    One ``_columns`` build serves the whole call. The optimum is the smallest
-    budget for which ``_search`` finds a cover; below the disjoint bound the
-    search fails inside its bound loop. The reconstruction then walks the
-    elements in ascending order, retiring each (its column set to zero)
-    before asking ``_search`` whether the subsets it leaves unhit still have a
-    cover within the remaining budget by the elements above it; when they
-    do, the element is kept.
+    One ``_columns`` build and one failure memo serve the whole call. The
+    optimum is the smallest budget for which ``_search`` finds a cover, the
+    witness. The reconstruction then walks the elements in ascending order,
+    retiring each (its column set to zero) and keeping it when the subsets it
+    leaves unhit still have a cover within the remaining budget by the
+    elements above it: a witness element without a search, any other when a
+    search finds such a cover, which becomes the witness. Retiring columns
+    only removes covers, so every failure in the memo stays a failure.
 
     Repeated calls on one growing family reuse what earlier calls proved. The
     family only grows, so a cover of its residual after a kept prefix and an
@@ -231,7 +231,10 @@ def exact_min_hitting_set(fam: SubsetFamily) -> HittingSet:
     masks = _drop_supersets(fam.masks)
     col, kill, elems = _columns(masks)
     alive = (1 << len(masks)) - 1
-    budget = next(b for b in range(fam._bound, len(masks) + 1) if _search(alive, b, col, kill, elems))
+    failed: dict[int, int] = {}
+    budget = fam._bound
+    while (witness := _search(alive, budget, col, kill, elems, failed)) is None:
+        budget += 1
     if budget > fam._bound:
         fam._bound = budget
         fam._refuted.clear()
@@ -243,12 +246,14 @@ def exact_min_hitting_set(fam: SubsetFamily) -> HittingSet:
         rest = alive & ~c
         if rest == alive or (chosen, e) in refuted:
             continue
-        if _search(rest, budget - 1, col, kill, elems):
-            chosen += (e,)
-            alive = rest
-            budget -= 1
-        else:
+        cover = witness if witness >> e & 1 else _search(rest, budget - 1, col, kill, elems, failed)
+        if cover is None:
             refuted.add((chosen, e))
+            continue
+        chosen += (e,)
+        alive = rest
+        budget -= 1
+        witness = cover
     if alive:  # cannot happen at the proven optimum
         raise RuntimeError("lexicographic reconstruction failed")
     return HittingSet(chosen)

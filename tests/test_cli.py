@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ihs
@@ -286,6 +287,33 @@ def test_solve_fvs_breaks_directed_two_cycles(tmp_path, capsys, extra):
     assert code == 0
     assert rows[0]["acyclic_ok"] == "1"
     assert rows[0]["fvs_size"] == "2"
+
+
+def two_cycle_digraph_file(tmp_path, seed):
+    """A random digraph file on 60 vertices, a fifth of whose arcs have their reverse too."""
+    rng = np.random.default_rng(seed)
+    arcs = {(int(u), int(v)) for u, v in rng.integers(0, 60, size=(150, 2)) if u != v}
+    arcs |= {(v, u) for u, v in sorted(arcs)[::5]}
+    path = tmp_path / "two_cycles.txt"
+    path.write_text(f"ihs-graph 1 directed 60 {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(arcs)))
+    return path
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_fvs_prune_grows_and_prunes_one_shadow(tmp_path, capsys, monkeypatch, seed):
+    # the row is the library's: growth and repair, then the prune of the shadow and a second repair
+    path = two_cycle_digraph_file(tmp_path, seed)
+    d = ihs.read_instance(str(path)).graph
+    want = ihs.fvs_directed(d).fvs
+    want = bfs_mod.break_two_cycles(d, ihs.prune_fvs(ihs.shadow_undirected(d), want))
+    built = []
+    for module in (cli, bfs_mod):
+        real = module.shadow_undirected
+        monkeypatch.setattr(module, "shadow_undirected", lambda d, real=real: built.append(d) or real(d))
+    code, rows = run_cli(capsys, "solve-fvs", str(path), "--prune")
+    assert code == 0 and len(built) == 1
+    assert rows[0]["algorithm"] == "grow-induced-bfs-shadow+prune"
+    assert rows[0]["fvs_size"] == str(want.size) and rows[0]["acyclic_ok"] == "1"
 
 
 def test_experiment_theorem5_cycle_budget_abort(monkeypatch, capsys):

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ihs import (
     Graph,
@@ -19,8 +20,9 @@ from ihs import (
     shortest_cycle_oracle,
     solve_implicit_hitting_set,
 )
+from ihs.generic import _swap_proposal
 
-from test_hitting import brute_force_optima, random_family
+from test_hitting import _ref_unmask, brute_force_optima, random_family
 
 
 def solve_family(fam: SubsetFamily, **kwargs):
@@ -215,6 +217,56 @@ def assert_same_run(contract):
     return cert
 
 
+def _ref_swap_proposal(current, outside, masks):
+    """``_swap_proposal`` as it was before the one-pass scan: for each Y in
+    enumeration order, the masks ``current - Y`` leaves unhit, filtered anew."""
+    inside = [1 << e for e in _ref_unmask(current)]
+    meets = [(s, s & current) for s in masks]
+    for y_size in (1, 2):
+        few = [(s, t) for s, t in meets if t.bit_count() <= y_size]
+        for y in combinations(inside, y_size):
+            ymask = sum(y)
+            kept = current ^ ymask
+            unhit = [s for s, t in few if not t & ~ymask]
+            if not unhit:
+                return kept
+            common = outside if y_size == 2 else 0
+            for s in unhit:
+                common &= s
+            if common:
+                return kept | (common & -common)
+    return None
+
+
+@st.composite
+def swap_states(draw):
+    # masks the current set misses (trace 0) are drawn too: a faulty oracle can collect them
+    universe = draw(st.integers(1, 12))
+    current = draw(st.integers(0, (1 << universe) - 1))
+    masks = draw(st.lists(st.integers(1, (1 << universe) - 1), max_size=14))
+    return current, ((1 << universe) - 1) ^ current, masks
+
+
+# every element of {0, 1} is critical: no swap applies, or Y = {0, 1} with X = {2}
+NO_SWAP = (0b011, 0b100, [0b001, 0b010])
+SWAP_IN_ONE = (0b011, 0b100, [0b101, 0b110])
+
+
+@given(swap_states())
+@example(NO_SWAP)
+@example(SWAP_IN_ONE)
+@example((0b111, 0, []))
+@example((0, 0b11, [0b01]))
+@settings(max_examples=400, deadline=None)
+def test_swap_proposal_matches_the_enumeration(state):
+    assert _swap_proposal(*state) == _ref_swap_proposal(*state)
+
+
+def test_pinned_swap_states_reach_both_phase_two_outcomes():
+    assert _swap_proposal(*NO_SWAP) is None
+    assert _swap_proposal(*SWAP_IN_ONE) == 0b100
+
+
 @pytest.mark.parametrize("ymax", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(50))
 def test_query_sequence_matches_set_descent_explicit(seed, ymax):
@@ -238,14 +290,29 @@ def test_query_sequence_matches_set_descent_cycles(oracle):
     assert cert.oracle_calls > 100
 
 
-def test_query_sequence_matches_set_descent_at_the_cap():
-    contract = bfs_cycle_oracle(gen_gnp(ModelParams(n=30, p=0.15, seed=1)))
+@pytest.mark.parametrize("oracle", [bfs_cycle_oracle, shortest_cycle_oracle])
+def test_query_sequence_matches_set_descent_on_the_n40_ladder_rung(oracle):
+    cert = assert_same_run(oracle(gen_gnp(ModelParams(n=40, p=0.1, seed=1))))
+    assert cert.oracle_calls > 800
+
+
+def assert_same_abort(contract, cap):
     ours, got = recorded(contract)
     theirs, want = recorded(contract)
     with pytest.raises(SolverAbort) as expected:
-        reference_descent(theirs, max_iterations=120)
+        reference_descent(theirs, max_iterations=cap)
     with pytest.raises(SolverAbort) as info:
-        solve_implicit_hitting_set(ours, max_iterations=120)
-    assert got == want and len(got) == 120
+        solve_implicit_hitting_set(ours, max_iterations=cap)
+    assert got == want and len(got) == cap
     assert info.value.best == expected.value.best
     assert list(info.value.collected) == list(expected.value.collected)
+
+
+def test_query_sequence_matches_set_descent_at_the_cap():
+    assert_same_abort(bfs_cycle_oracle(gen_gnp(ModelParams(n=30, p=0.15, seed=1))), 120)
+
+
+def test_query_sequence_matches_set_descent_on_the_aborting_ladder_rung():
+    # the generic-ladder rung that exits 3 at its default cap of 1,600 queries;
+    # 800 queries take it through 15 exact solves
+    assert_same_abort(bfs_cycle_oracle(gen_gnp(ModelParams(n=60, p=0.07, seed=1))), 800)

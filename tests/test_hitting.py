@@ -212,10 +212,20 @@ def brute_cover_size(ids, masks):
                 return k
 
 
-def cover_exists(masks, budget):
-    """Whether ``budget`` elements hit every mask, by one search over fresh columns."""
+def search_cover(masks, budget, failed=None):
+    """The element mask one search over fresh columns finds for ``budget``, or None."""
     col, kill, elems = _columns(masks)
-    return _search((1 << len(masks)) - 1, budget, col, kill, elems)
+    return _search((1 << len(masks)) - 1, budget, col, kill, elems, {} if failed is None else failed)
+
+
+def assert_search_matches(ids, masks, budget, size, failed=None):
+    cover = search_cover(masks, budget, failed)
+    cover_exists = cover is not None
+    assert cover_exists == (budget >= size)
+    if cover_exists:
+        assert cover.bit_count() <= budget
+        assert cover & ~_mask(ids) == 0
+        assert all(m & cover for m in masks)
 
 
 @st.composite
@@ -241,13 +251,15 @@ def wide_family(seed, n_subsets):
 def test_cover_exists_matches_brute_force(family):
     ids, masks = family
     size = brute_cover_size(ids, masks)
+    shared = {}  # one failure memo across ascending budgets, as the exact solver's budget scan keeps it
     for budget in range(len(ids) + 1):
-        assert cover_exists(masks, budget) == (budget >= size)
+        assert_search_matches(ids, masks, budget, size)
+        assert_search_matches(ids, masks, budget, size, shared)
 
 
 def test_cover_exists_empty_subset_is_uncoverable():
-    assert not cover_exists([0b11, 0], 2)
-    assert cover_exists([], 0)
+    assert search_cover([0b11, 0], 2) is None
+    assert search_cover([], 0) == 0
 
 
 # ---------------------------------------------------------------------------
