@@ -34,9 +34,10 @@ from .graphs import (
     Graph,
     GraphError,
     _gather,
+    _in_halves,
     _induced_edges,
+    _pack,
     _removed_mask,
-    _shadow_keys,
     _transposed_rows,
     find,
     is_acyclic_undirected,
@@ -110,13 +111,12 @@ def _lower_neighbors(ptr: np.ndarray, tails: np.ndarray, heads: np.ndarray, in_l
     """Tails of the edges in the CSR ``(ptr, heads)`` whose head is in the mask
     ``in_level``, one per edge; ``tails[i]`` is the row of ``heads[i]``. Only
     rows below ``top``, the level's largest id, can hold such an edge, and they
-    are scanned a slice at a time, so no index array of the whole scan exists."""
-    end = int(ptr[top])
-    parts = [np.empty(0, dtype=np.int32)]
-    for s in range(0, end, _CHUNK):
-        e = min(s + _CHUNK, end)
-        parts.append(tails[s:e][in_level[heads[s:e]]])
-    return np.concatenate(parts)
+    are scanned a slice at a time in ``_in_halves``, so no index array of the whole scan exists."""
+    def scan(lo, hi):
+        return [tails[s:e][in_level[heads[s:e]]] for s in range(lo, hi, _CHUNK) for e in [min(s + _CHUNK, hi)]]
+
+    halves = _in_halves(scan, int(ptr[top]))
+    return np.concatenate([np.empty(0, dtype=np.int32), *(part for half in halves for part in half)])
 
 
 def _rows_of(ptr: np.ndarray, heads: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,14 +212,19 @@ def _fvs_of_shadow(d: Digraph, shadow: Graph, root: int) -> FvsResult:
 
 def break_two_cycles(d: Digraph, fvs: np.ndarray) -> np.ndarray:
     """``fvs`` plus the larger endpoint of every antiparallel arc pair that it
-    leaves intact, scanning pairs in ascending order; sorted. The pairs are
-    the repeated keys of ``_shadow_keys``."""
-    _, keys, first = _shadow_keys(d)
-    dup = keys[~first]
+    leaves intact, scanning pairs in ascending order; sorted. Only the arcs
+    between vertices outside ``fvs`` can form such a pair. After growth they
+    are a forest of the shadow and its two-cycles, so the sort that pairs them
+    is short."""
+    in_fvs = _removed_mask(d.n, fvs)
+    alive = np.flatnonzero(~in_fvs)
+    nbrs, rep = _gather(d.out_indptr, d.out_indices, alive)
+    keep = ~in_fvs[nbrs]
+    tails, heads = alive[rep[keep]], nbrs[keep]
+    keys = np.sort(_pack(d.n, np.minimum(tails, heads), np.maximum(tails, heads)))
+    dup = keys[1:][keys[1:] == keys[:-1]]  # a key occurs at most twice: for (u, v) and for (v, u)
     if dup.size == 0:
         return fvs
-    in_fvs = np.zeros(d.n, dtype=bool)
-    in_fvs[fvs] = True
     for key in dup.tolist():
         u, v = divmod(key, d.n)
         if not in_fvs[u] and not in_fvs[v]:

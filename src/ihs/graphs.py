@@ -11,10 +11,18 @@ read-only. Construction works slice by slice over the pair list, gathers
 block by block, and every m-length sort key lives in an int64 view of the
 int32 pair array it unpacks into. Acyclicity checks are iterative; nothing
 here recurses on the graph size.
+
+Scans that need no order run in two halves with ``_in_halves``: the lower
+half on the caller, the upper one on a short-lived thread, as numpy releases
+the GIL inside its passes. That covers the canonical check of a pair list
+and growth's lower-neighbor scan, from two ``_CHUNK`` slices up; smaller
+inputs never start a thread. No thread outlives the call that starts it,
+so a process forked afterwards inherits none.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable
 
 import numpy as np
@@ -28,13 +36,53 @@ _CHUNK = 1 << 16  # rows per slice of the construction passes: their temporaries
 _BLOCK = 1 << 20  # neighbors per block of a gather
 
 
+def _start(fn, *args):
+    """Start ``fn(*args)`` on a short-lived thread. The returned ``join(reraise=True)`` waits for it,
+    then raises what it raised, unless ``reraise`` is False, or returns what it returned."""
+    box = []
+
+    def run():
+        try:
+            box.append((fn(*args), None))
+        except BaseException as exc:
+            box.append((None, exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def join(reraise=True):
+        thread.join()
+        value, error = box[0]
+        if error is not None and reraise:
+            raise error
+        return value
+
+    return join
+
+
+def _in_halves(scan, total: int) -> list:
+    """``[scan(0, total)]`` below two ``_CHUNK`` slices, else ``[scan(0, mid), scan(mid, total)]`` with
+    ``mid`` a whole number of slices: the lower half on the caller, the upper one on a short-lived
+    thread. numpy releases the GIL inside its passes. The lower half's exception is raised first."""
+    if total < 2 * _CHUNK:
+        return [scan(0, total)]
+    mid = total // (2 * _CHUNK) * _CHUNK
+    upper = _start(scan, mid, total)
+    try:
+        lower = scan(0, mid)
+    except BaseException:
+        upper(reraise=False)
+        raise
+    return [lower, upper()]
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
-def _pack(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.multiply(a, n, dtype=np.int64)
+def _pack(n: int, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.multiply(a, n, dtype=np.int64, out=out)
     np.add(out, b, out=out, dtype=np.int64)
     return out
 
@@ -76,9 +124,9 @@ def _pair_array(n: int, pairs) -> np.ndarray:
     return arr
 
 
-def _slice_keys(n: int, rows: np.ndarray, directed: bool) -> tuple[np.ndarray, bool]:
-    """Validated keys ``u * n + v`` of a slice of pairs, with ``u < v`` swapped
-    into place for undirected input, and whether every pair was in that order."""
+def _slice_keys(n: int, rows: np.ndarray, directed: bool, out: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """Validated keys ``u * n + v`` of a slice of pairs, into ``out`` if given, with ``u < v``
+    swapped into place for undirected input, and whether every pair was in that order."""
     if rows.min() < 0 or rows.max() >= n:
         raise GraphError(f"vertex id out of range [0, {n})")
     u, v = rows[:, 0], rows[:, 1]
@@ -87,7 +135,7 @@ def _slice_keys(n: int, rows: np.ndarray, directed: bool) -> tuple[np.ndarray, b
     ordered = directed or bool((u < v).all())
     if not ordered:
         u, v = np.minimum(u, v), np.maximum(u, v)
-    return _pack(n, u, v), ordered
+    return _pack(n, u, v, out), ordered
 
 
 def _normalize_pairs(n: int, pairs, directed: bool) -> np.ndarray:
@@ -99,16 +147,41 @@ def _normalize_pairs(n: int, pairs, directed: bool) -> np.ndarray:
     read-only int32 array that owns its data. Any other input is sorted.
     """
     arr = _pair_array(n, pairs)
-    m = arr.shape[0]
-    last = -1
-    for s in range(0, m, _CHUNK):
-        keys, ordered = _slice_keys(n, arr[s:s + _CHUNK], directed)
-        if not (ordered and keys[0] > last and (keys[1:] > keys[:-1]).all()):
-            return _sorted_pairs(n, arr, directed)
-        last = keys[-1]
+    if not _is_canonical(n, arr, directed):
+        return _sorted_pairs(n, arr, directed)
     if arr.dtype == np.int32 and arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable:
         return arr
     return _frozen(arr.astype(np.int32, order="C"))
+
+
+def _is_canonical(n: int, arr: np.ndarray, directed: bool) -> bool:
+    """Whether the pairs ``arr`` are valid and strictly ascending, checked a slice at a time in
+    ``_in_halves``; the upper half starts from the key of the pair before it. The first half that
+    fails decides, as the first slice that fails does in one scan: it raises its error, or it
+    answers False at an order break, and the sort then meets any later error in slice order.
+    Each half's keys go to its own row of one caller array: a helper thread allocates little."""
+    rows = np.empty((2, min(arr.shape[0], _CHUNK)), dtype=np.int64)
+
+    def scan(lo, hi):
+        out = rows[1 if lo else 0]
+        try:
+            last = _slice_keys(n, arr[lo - 1:lo], directed)[0][0] if lo else -1
+            for s in range(lo, hi, _CHUNK):
+                part = arr[s:min(s + _CHUNK, hi)]
+                keys, ordered = _slice_keys(n, part, directed, out[:part.shape[0]])
+                if not (ordered and keys[0] > last and (keys[1:] > keys[:-1]).all()):
+                    return False
+                last = keys[-1]
+            return True
+        except GraphError as exc:
+            return exc
+
+    for half in _in_halves(scan, arr.shape[0]):
+        if isinstance(half, GraphError):
+            raise half
+        if not half:
+            return False
+    return True
 
 
 def _sorted_pairs(n: int, arr: np.ndarray, directed: bool) -> np.ndarray:
@@ -339,23 +412,16 @@ def drain_sources(successors, indeg: list, stack: list) -> int:
     return popped
 
 
-def _shadow_keys(d: Digraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted keys ``min(u, v) * n + max(u, v)`` of the arcs of ``d``, in the
-    ``_packed`` pair array, and the mask of the first key of each run of equal
-    keys. A key occurs at most twice: for (u, v) and for (v, u)."""
-    out, keys = _packed(d.arc_list, lambda part: _pack(d.n, part.min(axis=1), part.max(axis=1)))
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return out, keys, first
-
-
 def shadow_undirected(d: Digraph) -> Graph:
     """Undirected graph with {u, v} whenever (u, v) or (v, u) is an arc.
 
     Removing a feedback vertex set of the shadow also breaks every directed
-    cycle of ``d``. Its edges are the first keys of the runs of ``_shadow_keys``.
+    cycle of ``d``. Its edges are the sorted keys ``min(u, v) * n + max(u, v)``
+    of the arcs, in the ``_packed`` pair array, each run of equal keys kept once.
     """
-    edges, keys, first = _shadow_keys(d)
+    edges, keys = _packed(d.arc_list, lambda part: _pack(d.n, part.min(axis=1), part.max(axis=1)))
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     m = int(first.sum())
     if m < keys.size:
         keys[:m] = keys[first]

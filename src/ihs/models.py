@@ -14,7 +14,11 @@ per-pair Bernoulli inclusions of a block, chosen by its pair count:
   distribution (a Bernoulli process is a geometric renewal process) but a
   different stream. Below p = 1/3 the gaps are drawn as standard exponentials
   E and turned into ceil(-E / log1p(-p)), numpy's own inversion, so the stream
-  is that of ``Generator.geometric``. Each chunk is decoded as it is drawn.
+  is that of ``Generator.geometric``. Each chunk is decoded as it is drawn:
+  on a short-lived thread, while the caller draws the next chunk, unless it
+  is the last or shorter than two slices. The random stream never leaves the
+  caller thread, so the draw order, and with it every instance, is the
+  serial one.
 
 After the inclusion draws of a block, orientation coins (one uniform per
 included pair, in pair order) are drawn where the model needs them. The
@@ -33,20 +37,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _CHUNK as _SLICE, Digraph, Graph
+from .graphs import _CHUNK as _SLICE, Digraph, Graph, _start
 
 _SKIP_THRESHOLD = 1 << 22  # pair-count above which the skip sampler kicks in
 _CHUNK = 1 << 22
 _SPARE_SIGMAS = 8  # a skip draw's pair array starts at the mean plus this many standard deviations
 # Peak bytes of drawing and building an instance, per expected edge or arc and
 # per vertex, above the measured peaks: 10-14 B per edge for G(n, p) with BFS
-# growth and its validation (n=10^5 and 5*10^5, c=500), 17-21 B at 2-5 M edges,
-# where the 32 MB gap chunk weighs most, and 22.5 B per edge to read and solve
-# a 2 M-edge G(n, p) file above the 38 MB of an empty run. D(n, p) at n=10^5:
-# 18.5 B per arc to draw (p=0.0025), 21.6 B for solve-fvs, 30.7 B with --prune
-# (p=0.001); 21.6 B to read and solve a 2.5 M-arc file above an empty run; and
-# 22.1 B per arc for the planted model (n=2*10^4, p=0.05).
-_BYTES_PER_PAIR = {"gnp": 25, "dnp": 32, "planted": 24}
+# growth and its validation (n=10^5 and 5*10^5, c=500), 17-21.3 B at 2-5 M
+# edges, where the gap chunks weigh most (two are filled in turn, each only as
+# far as the block reaches), and 22.5 B per edge to read and solve a 2 M-edge
+# G(n, p) file above the 38 MB of an empty run. D(n, p) at n=10^5: 18.5 B per
+# arc to draw (p=0.0025), 21.6 B for solve-fvs, 30.7 B with --prune (p=0.001);
+# 24.4-28.7 B for solve-fvs at 2-5 M arcs; 21.6 B to read and solve a 2.5 M-arc
+# file above an empty run. The planted model: 22.1 B per arc at n=2*10^4,
+# p=0.05, and 20.6-24.8 B to generate 2-5 M arcs (p=0.01, delta=0.1).
+_BYTES_PER_PAIR = {"gnp": 25, "dnp": 32, "planted": 25}
 _BYTES_PER_VERTEX = 64
 
 
@@ -156,41 +162,74 @@ def _gaps(rng: np.random.Generator, prob: float, out: np.ndarray, cap: int) -> n
 
 def _indices(rng: np.random.Generator, count: int, prob: float, first: int):
     """Ascending chunks of the lex indices ``first + t``, t in [0, count), each included with
-    probability ``prob``. The skip sampler reuses one int64 chunk: decode each before the next. Its
-    gaps are cut at ``count + 1``, which already ends the block, so the sum cannot wrap int64."""
+    probability ``prob``, and whether the chunk is the last. The skip sampler fills two int64
+    chunks in turn, a slice of gaps at a time: decode each chunk before the one after it is drawn.
+    The gaps past the block's end, which the stream still holds, go to one slice of scratch, so no
+    chunk touches memory for them. Gaps are cut at ``count + 1``, which already ends the block, so
+    the sum cannot wrap int64."""
     if prob >= 1.0 or count <= _SKIP_THRESHOLD:
-        yield np.arange(first, first + count) if prob >= 1.0 else np.flatnonzero(rng.random(count) < prob) + first
+        yield np.arange(first, first + count) if prob >= 1.0 else np.flatnonzero(rng.random(count) < prob) + first, True
         return
-    t = np.empty(max(1024, min(_CHUNK, int(count * prob * 1.1) + 64)), dtype=np.int64)
+    size = max(1024, min(_CHUNK, int(count * prob * 1.1) + 64))
+    t, spare, past = (np.empty(k, dtype=np.int64) for k in (size, size, min(size, _SLICE)))
     pos, end = first - 1, first + count
     while pos < end:
-        np.cumsum(_gaps(rng, prob, t, count + 1), out=t)
-        t += pos
-        pos = int(t[-1])
-        yield t[:np.searchsorted(t, end)]
+        for s in range(0, size, _SLICE):
+            if pos >= end:
+                _gaps(rng, prob, past[:min(_SLICE, size - s)], count + 1)
+                continue
+            part = _gaps(rng, prob, t[s:s + _SLICE], count + 1)
+            np.cumsum(part, out=part)
+            part += pos
+            pos, kept = int(part[-1]), s + part.size
+        yield t[:np.searchsorted(t[:kept], end)], pos >= end
+        t, spare = spare, t
+
+
+def _decode(out: np.ndarray, at: int, t: np.ndarray, offsets: np.ndarray, shift: np.ndarray, work: np.ndarray) -> None:
+    """The pairs of the ascending lex indices ``t`` into ``out[at:]``, a slice at a time in the two
+    int64 rows of the caller's ``work``, so a helper thread allocates almost nothing. The row u of a
+    slice steps up by one at each row offset it holds, and ``v = t - shift[u]``."""
+    for start in range(0, t.size, _SLICE):
+        part, a = t[start:start + _SLICE], at + start
+        u, v = work[0, :part.size], work[1, :part.size]
+        lo, hi = np.searchsorted(offsets, part[[0, -1]], side="right") - 1
+        u.fill(0)
+        np.add.at(u, np.searchsorted(part, offsets[lo + 1:hi + 1]), 1)  # empty rows share a step
+        np.cumsum(u, out=u)
+        u += lo
+        np.subtract(part, np.take(shift, u, out=v), out=v)
+        out[a:a + part.size, 0], out[a:a + part.size, 1] = u, v
 
 
 def _draw_pairs(rng: np.random.Generator, n: int, count: int, prob: float, first: int = 0) -> np.ndarray:
-    """The pairs (u, v), u < v, of ``_indices`` as an int32 (m, 2) array that owns its data, each chunk
-    decoded as drawn into an array of the mean plus ``_SPARE_SIGMAS`` sigmas (grown if short, then
-    shrunk in place). Searching each slice for the row offsets splits it into runs of one row u."""
+    """The pairs (u, v), u < v, of ``_indices`` as an int32 (m, 2) array that owns its data, in an
+    array of the mean plus ``_SPARE_SIGMAS`` sigmas (grown if short, then shrunk in place). A chunk
+    of two or more slices that is not the last is decoded on a short-lived thread while the caller
+    draws the next one; the random stream never leaves the caller. That decode ends before ``out``
+    is resized."""
     if count == 0 or prob <= 0.0:
         return np.empty((0, 2), dtype=np.int32)
     mean = count * prob
     out = np.empty((max(0, int(mean + _SPARE_SIGMAS * math.sqrt(mean * (1 - prob)))), 2), dtype=np.int32)
-    rows = np.arange(n, dtype=np.int64)
-    offsets = rows * (2 * n - rows - 1) // 2  # index of the pair (u, u + 1); n(n-1)/2 past the end
-    m = 0
-    for t in _indices(rng, count, prob, first):
-        if m + t.size > out.shape[0]:
-            out.resize((max(2 * out.shape[0], m + t.size), 2), refcheck=False)
-        for start in range(0, t.size, _SLICE):
-            part, at = t[start:start + _SLICE], m + start
-            lo, hi = np.searchsorted(offsets, part[[0, -1]], side="right") - 1
-            u = np.arange(lo, hi + 1).repeat(np.diff(np.searchsorted(part, offsets[lo:hi + 2])))
-            out[at:at + part.size, 0] = u
-            out[at:at + part.size, 1] = part - offsets[u] + u + 1
-        m += t.size
+    shift = np.arange(n, dtype=np.int64)
+    offsets = shift * (2 * n - shift - 1) // 2  # index of the pair (u, u + 1); n(n-1)/2 past the end
+    shift += 1
+    np.subtract(offsets, shift, out=shift)  # the pair (u, v) has index shift[u] + v
+    work = np.empty((2, _SLICE), dtype=np.int64)  # the decode's scratch, from the caller's heap
+    m, pending = 0, lambda reraise=True: None  # pending: the join of the decode in flight
+    try:
+        for t, last in _indices(rng, count, prob, first):
+            pending()
+            if m + t.size > out.shape[0]:
+                out.resize((max(2 * out.shape[0], m + t.size), 2), refcheck=False)
+            if last or t.size < 2 * _SLICE:
+                _decode(out, m, t, offsets, shift, work)
+            else:
+                pending = _start(_decode, out, m, t, offsets, shift, work)
+            m += t.size
+    finally:
+        pending(reraise=False)  # waits only if the draw failed: the loop joins every decode it starts
     out.resize((m, 2), refcheck=False)  # no view of out outlives a statement; a debugger may hold out itself
     return out
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ihs.bfs_growth as bfs_mod
+import ihs.graphs as graphs_mod
 from ihs import (
     Digraph,
     FvsResult,
@@ -22,7 +23,7 @@ from ihs import (
 )
 from ihs.oracles import successor_lists
 
-from test_graphs import random_digraph, random_graph
+from test_graphs import random_digraph, random_graph, thread_starts
 
 
 def test_concentration_depth_values():
@@ -347,14 +348,19 @@ def test_sample_acyclic_fraction_validation():
 @pytest.mark.parametrize("chunk", [1 << 16, 997])
 def test_growth_matches_frozen_reference_when_live_edges_are_gathered_again(monkeypatch, chunk):
     # large enough that the lower-neighbor scan drops the edges of exposed
-    # tails at least once; a small slice splits every scan
+    # tails at least once; a small slice splits every scan, and the scans
+    # over two slices or more run in two halves
     monkeypatch.setattr(bfs_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(graphs_mod, "_CHUNK", chunk)
+    started = thread_starts(monkeypatch)
     gathers = []
     rows_of = bfs_mod._rows_of
     monkeypatch.setattr(bfs_mod, "_rows_of", lambda *args: gathers.append(args[0].size) or rows_of(*args))
     n = 3000
     g = gen_gnp(ModelParams(n=n, p=0.01, seed=3))
+    started.clear()
     for root in (0, n // 2, n - 1):
         gathers.clear()
         _assert_matches_reference(g, root)
         assert gathers
+    assert bool(started) == (chunk < 1 << 16)

@@ -18,6 +18,8 @@ import ihs.models as models
 import ihs.oracles as oracles_mod
 from ihs.cli import build_parser, main
 
+from test_graphs import thread_starts
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 REPRODUCE = README.parent / "scripts" / "reproduce_experiments.py"
 
@@ -160,6 +162,54 @@ def test_jobs_parallel_matches_serial(capsys):
     _, serial = run_cli(capsys, *base, "--jobs", "1")
     _, parallel = run_cli(capsys, *base, "--jobs", "2")
     assert strip_runtime(serial) == strip_runtime(parallel)
+
+
+def test_theorem5_and_ladder_rungs_start_no_thread(capsys, monkeypatch):
+    # their pair lists and scans stay below two slices, where the helper is a plain call
+    started = thread_starts(monkeypatch)
+    code, _ = run_cli(capsys, "experiment", "--recipe", "theorem5", "--n", "400", "--p", "0.6",
+                      "--delta", "0.1", "--k", "3", "--seeds", "0..0", "--jobs", "1")
+    assert code == 0
+    for oracle, n, p in [("bfs-cycle", 60, 0.07), ("shortest-cycle", 40, 0.1)]:
+        code, _ = run_cli(capsys, "solve-generic", "--model", "gnp", "--n", str(n), "--p", str(p),
+                          "--seed", "1", "--oracle", oracle)
+        assert code in (0, 3)  # n=60 may stop at the query cap
+    assert started == []
+    models.gen_gnp(models.ModelParams(n=3000, p=0.1, seed=0))  # 450k edges: the build checks them in two halves
+    assert started
+
+
+JOBS_AFTER_HELPER = """
+import multiprocessing
+import sys
+import threading
+
+import ihs.cli
+from ihs import ModelParams, gen_gnp
+
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: started.append(self) or start(self)
+gen_gnp(ModelParams(n=20000, p=0.005, seed=0))  # 1 M edges: the build checks them in two halves
+threading.Thread.start = start
+code = ihs.cli.main(sys.argv[1:])
+print(code, len(started) > 0, threading.active_count(), len(multiprocessing.active_children()))
+"""
+
+
+def test_jobs_survive_a_helper_thread_started_before_the_fork():
+    # the helper threads end before each call returns, so a forked worker
+    # inherits no thread, and every worker and thread is gone at the end
+    argv = ["experiment", "--recipe", "lemma1", "--n", "20000", "--p", "0.005", "--seeds", "0..1"]
+    outputs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", JOBS_AFTER_HELPER, *argv, "--jobs", jobs],
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        *csv_lines, status = proc.stdout.splitlines()
+        assert status == "0 True 1 0"
+        outputs.append(strip_runtime(list(csv.DictReader(csv_lines))))
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 3
 
 
 def test_check_lemma1_rows(capsys):

@@ -1,3 +1,5 @@
+import threading
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -283,6 +285,43 @@ def test_slice_boundaries_keep_every_check(monkeypatch, cls):
     assert pairs.tolist() == [list(e) for e in canon]
     with pytest.raises(GraphError, match="range"):
         cls(4, canon[:3] + [(1, 4)])
+
+
+def thread_starts(monkeypatch) -> list:
+    """The threads started from now on, counted at ``threading.Thread.start``."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    return started
+
+
+@pytest.mark.parametrize("cls", [Graph, Digraph])
+def test_canonical_check_in_halves_reports_what_one_scan_reports(monkeypatch, cls):
+    # slices of 2 over 6 pairs: the lower half [0, 2) on the caller, the upper [2, 6) on a helper
+    monkeypatch.setattr(graphs_mod, "_CHUNK", 2)
+    started = thread_starts(monkeypatch)
+    canon = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+    def build(pairs):
+        g = cls(4, pairs)
+        return (g.arc_list if cls is Digraph else g.edge_list).tolist()
+
+    assert build(canon) == [list(e) for e in canon] and len(started) == 1
+    # the first failing half decides, as the first failing slice does
+    with pytest.raises(GraphError, match="self-loop"):
+        build([(1, 1), (0, 1), (0, 3), (1, 2), (2, 9), (2, 3)])
+    with pytest.raises(GraphError, match="range"):
+        build([(0, 9), (0, 1), (0, 3), (1, 2), (2, 2), (2, 3)])
+    # an order break in the lower half sends the whole list to the sort,
+    # which meets the upper half's error in slice order
+    with pytest.raises(GraphError, match="range"):
+        build([(0, 2), (0, 1), (0, 3), (1, 2), (2, 9), (2, 3)])
+    # an order break or a duplicate in the upper half, or across the boundary
+    for pairs in ([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)], [(0, 1), (0, 3), (0, 2), (1, 2), (1, 3), (2, 3)]):
+        assert build(pairs) == [list(e) for e in canon]
+    with pytest.raises(GraphError, match="duplicate"):
+        build([(0, 1), (0, 2), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert len(started) == 7
 
 
 def test_undirected_pair_order_at_slice_boundary(monkeypatch):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ihs.graphs as graphs_mod
 import ihs.models as models_mod
 from ihs import (
     Digraph,
@@ -203,6 +204,30 @@ def test_skip_sampler_decodes_the_reference_stream(monkeypatch, spare):
     monkeypatch.setattr(models_mod, "_SKIP_THRESHOLD", 0)
     monkeypatch.setattr(models_mod, "_CHUNK", 1024)
     monkeypatch.setattr(models_mod, "_SPARE_SIGMAS", spare)
+    starts = []  # (write position, pair array length) of each decode started on a helper thread
+    start = models_mod._start
+    monkeypatch.setattr(models_mod, "_start",
+                        lambda fn, out, at, *args: starts.append((at, out.shape[0])) or start(fn, out, at, *args))
+    # slices of 7: each chunk but the last is decoded on a helper while the next
+    # is drawn, and the canonical check runs in two halves; 2^16: all of it on
+    # the caller. A short switch interval makes the two threads interleave often.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for slice_size in (7, 1 << 16):
+            monkeypatch.setattr(models_mod, "_SLICE", slice_size)  # graphs' _CHUNK, imported by value
+            monkeypatch.setattr(graphs_mod, "_CHUNK", slice_size)
+            starts.clear()
+            check_skip_sampler_against_reference()
+            assert bool(starts) == (slice_size == 7)
+            # a decode was in flight while the next chunk was drawn, and then the pair array grew
+            grown = any(a0 < a1 and n0 < n1 for (a0, n0), (a1, n1) in zip(starts, starts[1:]))
+            assert grown == (slice_size == 7 and spare < 0)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def check_skip_sampler_against_reference():
     n, total = 300, 300 * 299 // 2
     for seed in range(3):
         for p in (0.01, 0.05, 0.4):  # 0.4: numpy's search for the gaps
@@ -221,6 +246,12 @@ def test_skip_sampler_decodes_the_reference_stream(monkeypatch, spare):
         forward = reference_skip_pairs(rng, n, total - cross, 0.05, 1024, first=cross)
         inst = gen_planted(ModelParams(n=n, p=0.05, delta=0.1, seed=seed))
         assert inst.digraph == Digraph(n, np.concatenate([arcs, forward]))
+        # the orientation coins follow the last chunk's overshoot: the stream stays on the caller
+        rng = models_mod._rng(seed)
+        reference_skip_pairs(rng, n, total, 0.05, 1024)
+        ours = models_mod._rng(seed)
+        models_mod._draw_pairs(ours, n, total, 0.05)
+        assert ours.random() == rng.random()
 
 
 def test_draw_survives_a_tracer_that_reads_frame_locals(monkeypatch):
