@@ -10,7 +10,7 @@ This is the scripted equivalent of the acceptance-scale CLI invocations:
     ihs experiment --recipe theorem5 --n 400   --p 0.6   --delta 0.1 --k 3 --seeds 0..19
 
 The lemma1 recipe runs the downscoped n=10^5 (c=500) variant; pass --full to
-run n=5*10^5 (p=0.001, 1.25*10^8 edges), about 5 s and 1.2 GB peak per seed
+run n=5*10^5 (p=0.001, 1.25*10^8 edges), about 5 s and 1.07 GB peak per seed
 on a 2-vCPU, 7 GB host, so under 2 minutes for 20 seeds. Expect a few
 minutes of total runtime at the defaults.
 """

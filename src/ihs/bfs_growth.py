@@ -7,7 +7,9 @@ survivor of the level) are retained, and the next level is the greedy maximal
 independent set of the retained vertices in ascending id order: a vertex is
 kept iff no kept neighbor has a smaller id. Each surviving vertex therefore
 has exactly one edge into the previous level and none inside its own, so the
-survivors induce a tree and everything else is a feedback vertex set.
+survivors induce a tree and everything else is a feedback vertex set. The
+edges among the retained vertices are only counted, block by block; the sweep
+reads the upper rows of the vertices it keeps and no others.
 
 A level's neighbors are counted from the upper CSR alone: its upper neighbors
 are its own rows, its lower neighbors the tails of the edges whose head is in
@@ -34,8 +36,8 @@ from .graphs import (
     Graph,
     GraphError,
     _gather,
+    _gather_blocks,
     _in_halves,
-    _induced_edges,
     _pack,
     _removed_mask,
     _transposed_rows,
@@ -50,10 +52,9 @@ from .graphs import (
 class LevelStats:
     """Per-level counters of one growth run.
 
-    Index t holds: survivors ``l[t]``, unexposed-after-exploration ``u[t]``,
-    unique neighbors ``r[t]``, edges among them ``m[t]``, exposed neighbors
-    ``k[t]``, and deletions ``w[t]`` used to make the level independent.
-    Level 0 is the root: l=r=k=1, u=n-1, m=w=0.
+    Index t holds: survivors ``l[t]``, unexposed-after-exploration ``u[t]``, unique neighbors
+    ``r[t]``, edges among them ``m[t]`` (counted, never listed), exposed neighbors ``k[t]``, and
+    deletions ``w[t]`` used to make the level independent. Level 0 is the root: l=r=k=1, u=n-1, m=w=0.
     """
 
     l: list[int] = field(default_factory=list)
@@ -91,19 +92,15 @@ def concentration_depth(n: int, p: float) -> int:
     return t
 
 
-def _greedy_independent(unique: np.ndarray, alive: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """Greedy maximal independent set of the ascending ``unique`` in id order.
-
-    ``alive`` is the member mask of ``unique`` and is consumed; ``(eu, ev)``
-    are the edges among the members, ``eu < ev``, in lex order. A vertex
-    still alive when the sweep reaches it is kept, and its upper neighbors
-    ``ev[start:end]`` die; every lower neighbor was settled before it.
-    """
-    ends = np.searchsorted(eu, unique, side="right")
-    starts = np.concatenate(([0], ends[:-1]))
-    for v, start, end in zip(unique.tolist(), starts.tolist(), ends.tolist()):
-        if start < end and alive[v]:
-            alive[ev[start:end]] = False
+def _greedy_independent(g: Graph, unique: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Greedy maximal independent set of the ascending ``unique`` in id order. ``alive``, the member
+    mask of ``unique``, is consumed: a vertex still alive when the sweep reaches it is kept, and its
+    upper neighbors in ``g`` die, members or not; every lower neighbor was settled before it. So
+    only the rows of kept vertices are read."""
+    ptr, heads, flags = g.up_indptr, g.up_indices, memoryview(alive)
+    for v in unique.tolist():
+        if flags[v]:
+            alive[heads[ptr[v]:ptr[v + 1]]] = False
     return unique[alive[unique]]
 
 
@@ -156,25 +153,23 @@ def grow_induced_bfs(g: Graph, root: int = 0) -> FvsResult:
         counts = np.bincount(_lower_neighbors(ptr, tails, heads, in_level, int(level.max())), minlength=g.n)
         counts += np.bincount(_gather(g.up_indptr, g.up_indices, level)[0], minlength=g.n)
         in_level[level] = False
-        fresh = (~exposed) & (counts > 0)
-        newly = np.flatnonzero(fresh)
+        newly = np.flatnonzero(~exposed & (counts > 0))
         if newly.size == 0:
             break
         exposed[newly] = True
         unique = newly[counts[newly] == 1]
-
         in_unique = np.zeros(g.n, dtype=bool)
         in_unique[unique] = True
-        eu, ev = _induced_edges(g, unique, in_unique)
-        nxt = _greedy_independent(unique, in_unique, eu, ev)
+        # counted block by block on the caller: a helper thread's malloc arena would keep the blocks resident
+        m = sum(int(np.count_nonzero(in_unique[nbrs])) for _, nbrs, _ in _gather_blocks(g.up_indptr, g.up_indices, unique)[1])
+        nxt = _greedy_independent(g, unique, in_unique)
 
         stats.k.append(int(newly.size))
         stats.u.append(int(stats.u[-1] - newly.size))
         stats.r.append(int(unique.size))
-        stats.m.append(int(eu.size))
+        stats.m.append(m)
         stats.w.append(int(unique.size - nxt.size))
         stats.l.append(int(nxt.size))
-        del eu, ev, in_unique  # freed before _rows_of trims the CSR
         if nxt.size == 0:
             break
         levels.append(nxt)

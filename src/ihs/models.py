@@ -42,18 +42,23 @@ from .graphs import _CHUNK as _SLICE, Digraph, Graph, _start
 _SKIP_THRESHOLD = 1 << 22  # pair-count above which the skip sampler kicks in
 _CHUNK = 1 << 22
 _SPARE_SIGMAS = 8  # a skip draw's pair array starts at the mean plus this many standard deviations
-# Peak bytes of drawing and building an instance, per expected edge or arc and
-# per vertex, above the measured peaks: 10-14 B per edge for G(n, p) with BFS
-# growth and its validation (n=10^5 and 5*10^5, c=500), 17-21.3 B at 2-5 M
-# edges, where the gap chunks weigh most (two are filled in turn, each only as
-# far as the block reaches), and 22.5 B per edge to read and solve a 2 M-edge
-# G(n, p) file above the 38 MB of an empty run. D(n, p) at n=10^5: 18.5 B per
-# arc to draw (p=0.0025), 21.6 B for solve-fvs, 30.7 B with --prune (p=0.001);
-# 24.4-28.7 B for solve-fvs at 2-5 M arcs; 21.6 B to read and solve a 2.5 M-arc
-# file above an empty run. The planted model: 22.1 B per arc at n=2*10^4,
-# p=0.05, and 20.6-24.8 B to generate 2-5 M arcs (p=0.01, delta=0.1).
+# Peak bytes of drawing and building an instance, above the measured peaks:
+# per expected edge or arc, per vertex, and a fixed term. Per edge, G(n, p):
+# 10-14 B with BFS growth and its validation (n=10^5 and 5*10^5, c=500),
+# 17-21.3 B at 2-5 M edges, where the gap chunks weigh most, and 22.5 B to read
+# and solve a 2 M-edge file above the 38 MB of an empty run. Per arc, D(n, p):
+# 18.5 B to draw at n=10^5 (p=0.0025), 21.6 B for solve-fvs, 30.7 B with --prune
+# (p=0.001), 21.7-28 B for solve-fvs at 2-5 M arcs, 21.6 B to read and solve a
+# 2.5 M-arc file; the planted model: 22.1 B at n=2*10^4, p=0.05, and 20.4-32 B
+# to generate 2-5 M arcs (delta=0.1). The fixed term is what small instances
+# carry whatever their arc count: the naive sampler's block of up to
+# _SKIP_THRESHOLD uniforms and their mask (9 B per pair), or the skip sampler's
+# chunk buffers and a slice of pairs as text. `generate` and `solve-fvs` at
+# 0.2-5 M arcs (n=2896, 6000 and 20000, all three models) peak at most 36.9 MB
+# above the other two terms, at 0.2 M edges with n=2896 (naive, 4.2 M pairs).
 _BYTES_PER_PAIR = {"gnp": 25, "dnp": 32, "planted": 25}
 _BYTES_PER_VERTEX = 64
+_FIXED_BYTES = 10 * _SKIP_THRESHOLD
 
 
 def available_memory() -> int | None:
@@ -76,7 +81,7 @@ def memory_shortfall(model: str, pairs: float, n: int) -> str | None:
     """None when a ``model`` instance with ``pairs`` edges or arcs on ``n``
     vertices fits in the available memory, else what it needs and what is
     available."""
-    need = _BYTES_PER_PAIR[model] * pairs + _BYTES_PER_VERTEX * n
+    need = _BYTES_PER_PAIR[model] * pairs + _BYTES_PER_VERTEX * n + _FIXED_BYTES
     have = available_memory()
     if have is not None and need > have:
         return f"needs about {need / 2**20:,.0f} MB; {have / 2**20:,.0f} MB is available"

@@ -267,8 +267,11 @@ def _bipartite(left, right):
         # a triangle, a four-cycle with a chord, an isolated vertex, a path
         (Graph(13, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6), (3, 5),
                     (8, 9), (9, 10), (10, 11), (11, 12)]), [0, 3, 7, 8, 12]),
+        # c = 100: level 2 retains 600-650 unique neighbors with 9k-11k edges among them
+        (gen_gnp(ModelParams(n=2000, p=0.05, seed=1)), [0, 1999]),
+        (gen_gnp(ModelParams(n=2000, p=0.05, seed=2)), [0, 1000]),
     ],
-    ids=["path", "star", "clique", "bipartite-blocks", "bipartite-interleaved", "disconnected"],
+    ids=["path", "star", "clique", "bipartite-blocks", "bipartite-interleaved", "disconnected", "gnp-c100-1", "gnp-c100-2"],
 )
 def test_growth_matches_frozen_reference_shapes(g, roots):
     for root in roots:
@@ -364,3 +367,27 @@ def test_growth_matches_frozen_reference_when_live_edges_are_gathered_again(monk
         _assert_matches_reference(g, root)
         assert gathers
     assert bool(started) == (chunk < 1 << 16)
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 20])
+def test_growth_matches_frozen_reference_across_gather_blocks(monkeypatch, block):
+    # the count of the edges among the unique neighbors sums over gather blocks;
+    # blocks of one row, of a few rows and of every row give the same stats
+    monkeypatch.setattr(graphs_mod, "_BLOCK", block)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 150))
+        g = random_graph(n, float(rng.uniform(0.01, 0.4)), 9100 + seed)
+        _assert_matches_reference(g, int(rng.integers(0, n)))
+    g = gen_gnp(ModelParams(n=2000, p=0.05, seed=0))
+    _assert_matches_reference(g, 0)
+
+
+def test_growth_never_lists_the_edges_of_a_unique_set(monkeypatch):
+    calls = []
+    induced = graphs_mod._induced_edges
+    monkeypatch.setattr(graphs_mod, "_induced_edges", lambda *args: calls.append(args) or induced(*args))
+    g = gen_gnp(ModelParams(n=2000, p=0.05, seed=1))
+    res = grow_induced_bfs(g)
+    assert not calls and not hasattr(bfs_mod, "_induced_edges")
+    assert is_acyclic_undirected(g, res.fvs) and calls  # the acyclicity check still lists them

@@ -342,7 +342,7 @@ def test_expected_pairs_per_model():
 @pytest.mark.parametrize("model", ["gnp", "dnp", "planted"])
 def test_memory_guard_refuses_before_drawing(monkeypatch, model):
     params = ModelParams(n=2000, p=0.2, delta=0.1, seed=1)
-    need = models_mod._BYTES_PER_PAIR[model] * params.expected_pairs(model)
+    need = models_mod._BYTES_PER_PAIR[model] * params.expected_pairs(model) + models_mod._FIXED_BYTES
     gen = {"gnp": gen_gnp, "dnp": gen_dnp, "planted": gen_planted}[model]
     monkeypatch.setattr(models_mod, "available_memory", lambda: int(need / 2))
     monkeypatch.setattr(models_mod, "_draw_pairs", None)  # drawing would fail
