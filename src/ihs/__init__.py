@@ -29,7 +29,6 @@ from .hitting import (
     HittingSet,
     SubsetFamily,
     exact_min_hitting_set,
-    greedy_hitting_set,
 )
 from .instance_io import Instance, InstanceFormatError, read_instance, write_instance
 from .models import ModelParams, PlantedInstance, gen_dnp, gen_gnp, gen_planted

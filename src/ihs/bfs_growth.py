@@ -189,15 +189,10 @@ def fvs_directed(d: Digraph, root: int = 0) -> FvsResult:
     Two-cycles (antiparallel arc pairs) collapse to a single shadow edge and
     are invisible to the reduction, so ``break_two_cycles`` repairs the set
     afterwards. The random models never produce them; this only matters for
-    arbitrary file input. ``_fvs_of_shadow`` runs on a shadow the caller keeps.
+    arbitrary file input.
     """
-    return _fvs_of_shadow(d, shadow_undirected(d), root)
-
-
-def _fvs_of_shadow(d: Digraph, shadow: Graph, root: int) -> FvsResult:
-    result = grow_induced_bfs(shadow, root=root)
-    # with as many shadow edges as arcs there is no antiparallel pair to repair
-    fvs = result.fvs if shadow.num_edges == d.num_arcs else break_two_cycles(d, result.fvs)
+    result = grow_induced_bfs(shadow_undirected(d), root=root)
+    fvs = break_two_cycles(d, result.fvs)
     if fvs.size == result.fvs.size:
         return result
     in_fvs = np.zeros(d.n, dtype=bool)

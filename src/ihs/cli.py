@@ -23,7 +23,6 @@ from functools import partial
 from typing import Callable
 
 from .bfs_growth import (
-    _fvs_of_shadow,
     break_two_cycles,
     check_concentration_bounds,
     concentration_depth,
@@ -149,10 +148,13 @@ class Source:
 
 
 def _model_params(args, model: str, seed: int = 0) -> ModelParams:
+    """The params of ``model`` from ``args``. Each worker that ``--jobs``
+    starts draws its own instance, so all of them must fit in memory at once."""
     if args.delta is not None and model != "planted":
         raise ValueError("--delta applies to the planted model only")
-    params = ModelParams(n=args.n, p=args.p, delta=args.delta, k=getattr(args, "k", None), seed=seed)
-    params.validate(model)
+    k = getattr(args, "k", None) if model == "planted" else None
+    params = ModelParams(n=args.n, p=args.p, delta=args.delta, k=k, seed=seed)
+    params.validate(model, copies=_workers(args.jobs, _seeds(args)) if hasattr(args, "jobs") else 1)
     return params
 
 
@@ -173,16 +175,12 @@ def _run_fvs(seed, *, source: Source, root: int, prune: bool) -> dict:
     graph, _, params = source.load(seed)
     directed = isinstance(graph, Digraph)
     shadow = shadow_undirected(graph) if directed else graph  # one shadow for growth and --prune
-    if directed:  # via the shadow, with the two-cycle repair
-        fvs = _fvs_of_shadow(graph, shadow, root).fvs
-        algorithm = "grow-induced-bfs-shadow"
-    else:
-        fvs = grow_induced_bfs(graph, root=root).fvs
-        algorithm = "grow-induced-bfs"
+    # on a digraph each step on the shadow is followed by the two-cycle repair
+    repair = partial(break_two_cycles, graph) if directed else lambda fvs: fvs
+    fvs = repair(grow_induced_bfs(shadow, root=root).fvs)
+    algorithm = "grow-induced-bfs-shadow" if directed else "grow-induced-bfs"
     if prune:
-        fvs = prune_fvs(shadow, fvs)
-        if directed and shadow.num_edges < graph.num_arcs:  # pruning the shadow can put a two-cycle back
-            fvs = break_two_cycles(graph, fvs)
+        fvs = repair(prune_fvs(shadow, fvs))
         algorithm += "+prune"
     del shadow  # the check reads the graph only
     ok = is_acyclic_directed(graph, fvs) if directed else is_acyclic_undirected(graph, fvs)
@@ -293,14 +291,20 @@ def _run_theorem2(seed: int, *, source: Source, r: int, samples: int) -> dict:
     )
 
 
-def _runs(run, seeds: list, jobs: int) -> list[dict]:
-    """One row of ``run`` per seed, numbered by run_id in seed order."""
+def _workers(jobs: int, seeds: list) -> int:
+    """Processes that ``--jobs`` starts for ``seeds``: no more than one per seed."""
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, not {jobs}")
-    if jobs == 1:
+    return min(jobs, len(seeds))
+
+
+def _runs(run, seeds: list, jobs: int) -> list[dict]:
+    """One row of ``run`` per seed, numbered by run_id in seed order."""
+    workers = _workers(jobs, seeds)
+    if workers == 1:
         rows = [run(seed) for seed in seeds]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run, seeds))  # map preserves seed order
     for i, row in enumerate(rows):
         row["run_id"] = i
@@ -334,7 +338,7 @@ def cmd_solve_fvs(args) -> int:
 
 
 def cmd_solve_generic(args) -> int:
-    return _run_command(args, _run_generic, ("gnp", "dnp"), oracle=args.oracle, root=args.root)
+    return _run_command(args, _run_generic, ("gnp", "dnp"), oracle=args.oracle, root=args.root or 0)
 
 
 def cmd_solve_planted(args) -> int:
@@ -438,6 +442,10 @@ def check_options(args) -> None:
             raise ValueError("provide an instance file or --model with parameters")
         if args.instance is None and not given(("seed", "seeds")):
             raise ValueError("--seed is required with --model (no wall-clock seeding)")
+        if args.command == "solve-generic" and args.root is not None and args.oracle != "bfs-cycle":
+            raise ValueError("--root applies to the bfs-cycle oracle only")
+    elif args.command == "generate" and args.k is not None and args.model != "planted":
+        raise ValueError("--k applies to the planted model only")
     if len(given(("seed", "seeds"))) == 2:
         raise ValueError("give --seed or --seeds, not both")
 
@@ -481,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     gnr.add_argument("instance", nargs="?")
     _add_common_model(gnr)
     gnr.add_argument("--oracle", choices=["bfs-cycle", "shortest-cycle"], required=True)
-    gnr.add_argument("--root", type=int, default=0)
+    gnr.add_argument("--root", type=int)
     gnr.set_defaults(fn=cmd_solve_generic)
 
     pla = subs.add_parser("solve-planted", help="recover a planted feedback vertex set")

@@ -6,8 +6,8 @@ moves. Starting from the full universe it improves the current feasible set
 through bounded swaps (remove ``|Y| <= 2`` elements, add ``|X| < |Y|``) that keep
 the set feasible for every subset collected so far; one pass over the
 collection finds the first such swap. Each oracle rejection adds the missed
-subset to the collection, one ``SubsetFamily`` that holds each subset as a
-tuple and as an int mask. When no swap applies, it solves the explicit
+subset to the collection, one ``SubsetFamily`` that holds each subset as an
+int mask. When no swap applies, it solves the explicit
 minimum hitting set over the collection: matching sizes or a feasible
 explicit optimum certify global optimality, otherwise the collection grows
 and the climb restarts. Every round hands the exact solver the same growing

@@ -397,9 +397,10 @@ def drain_sources(successors, indeg: list, stack: list) -> int:
     successor whose in-degree ``indeg`` (consumed) falls to zero.
 
     ``successors(v)`` iterates the arcs out of ``v``; ``stack`` holds the
-    alive vertices of in-degree zero. A successor that is not alive must start
-    at an in-degree of at most zero, so it is never pushed. The alive vertices
-    have a topological order iff all of them are popped.
+    alive vertices whose counts are at most zero. A vertex is pushed when its
+    count falls to exactly zero, so one that starts at or below zero, alive or
+    not, is never pushed again. All alive vertices are popped iff they have a
+    topological order (with counts one below the degree, iff a Graph is a forest).
     """
     popped = 0
     while stack:

@@ -1,4 +1,5 @@
-"""Explicit hitting set machinery: subset families, exact and greedy solvers.
+"""Explicit hitting set machinery: subset families, the exact solver and the
+greedy absorb-whole-subset scan.
 
 The exact solver keeps on a ``SubsetFamily`` what it proved about it, so
 repeated calls on one growing family do not prove it again.
@@ -9,7 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,9 +34,9 @@ class SubsetFamily:
     """A growing, duplicate-free list of nonempty subsets of ``0..universe_size-1``.
 
     Duplicate insertions are silently ignored; an empty subset is rejected
-    because it would make every instance infeasible. ``subsets`` holds each
-    subset as a sorted tuple and ``masks`` the same subset as an int with bit
-    ``e`` set for element ``e``, both in insertion order.
+    because it would make every instance infeasible. ``masks`` holds each
+    subset, in insertion order, as an int with bit ``e`` set for element
+    ``e``; ``subsets`` derives the same subsets as sorted tuples.
 
     ``add`` is the only mutator, so each later state of a family contains
     each earlier one. ``exact_min_hitting_set`` keeps on the family the last
@@ -47,9 +48,8 @@ class SubsetFamily:
         if universe_size < 0:
             raise ValueError("universe size must be nonnegative")
         self.universe_size = universe_size
-        self.subsets: list[tuple[int, ...]] = []
         self.masks: list[int] = []
-        self._seen: set[tuple[int, ...]] = set()
+        self._seen: set[int] = set()
         self._bound = 0
         self._refuted: set[tuple[tuple[int, ...], int]] = set()
         for s in subsets:
@@ -58,26 +58,27 @@ class SubsetFamily:
     def add(self, subset: Iterable[int]) -> bool:
         """Append ``subset``, its elements as Python ints; returns False when
         it was already present."""
-        canon = tuple(sorted(set(map(operator.index, subset))))
-        if not canon:
+        elements = set(map(operator.index, subset))
+        if not elements:
             raise ValueError("empty subsets are infeasible and cannot be inserted")
-        if canon[0] < 0 or canon[-1] >= self.universe_size:
+        if min(elements) < 0 or max(elements) >= self.universe_size:
             raise ValueError(f"element out of range [0, {self.universe_size})")
-        if canon in self._seen:
+        m = _mask(elements)
+        if m in self._seen:
             return False
-        self._seen.add(canon)
-        self.subsets.append(canon)
-        self.masks.append(_mask(canon))
+        self._seen.add(m)
+        self.masks.append(m)
         return True
 
+    @property
+    def subsets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(_unmask, self.masks))
+
     def __len__(self) -> int:
-        return len(self.subsets)
+        return len(self.masks)
 
     def __iter__(self):
-        return iter(self.subsets)
-
-    def __contains__(self, subset) -> bool:
-        return tuple(sorted(set(subset))) in self._seen
+        return map(_unmask, self.masks)
 
 
 def _mask(elements: Iterable[int]) -> int:
@@ -120,20 +121,6 @@ def _hit(taken: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for j in range(1, rows.shape[1]):
         hit |= taken[rows[:, j]]
     return hit
-
-
-def greedy_hitting_set(fam: SubsetFamily, order: Sequence[int] | None = None) -> HittingSet:
-    """Process subsets in ``order`` (defaults to insertion order); whenever the
-    current subset is unhit, take all of its elements.
-
-    The result hits every processed subset, and when every subset has at most
-    k elements it is within a factor k of optimal.
-    """
-    subsets = fam.subsets if order is None else [fam.subsets[i] for i in order]
-    width = max(map(len, subsets), default=1)
-    rows = np.array([s + s[-1:] * (width - len(s)) for s in subsets], dtype=np.int64)
-    taken = absorb_unhit(rows.reshape(-1, width), np.zeros(fam.universe_size, dtype=bool))
-    return HittingSet(tuple(np.flatnonzero(taken).tolist()))
 
 
 def _drop_supersets(masks: list[int]) -> list[int]:

@@ -77,11 +77,11 @@ def available_memory() -> int | None:
         return None
 
 
-def memory_shortfall(model: str, pairs: float, n: int) -> str | None:
-    """None when a ``model`` instance with ``pairs`` edges or arcs on ``n``
-    vertices fits in the available memory, else what it needs and what is
-    available."""
-    need = _BYTES_PER_PAIR[model] * pairs + _BYTES_PER_VERTEX * n + _FIXED_BYTES
+def memory_shortfall(model: str, pairs: float, n: int, copies: int = 1) -> str | None:
+    """None when ``copies`` ``model`` instances, each with ``pairs`` edges or
+    arcs on ``n`` vertices, fit in the available memory together, else what
+    they need and what is available."""
+    need = copies * (_BYTES_PER_PAIR[model] * pairs + _BYTES_PER_VERTEX * n + _FIXED_BYTES)
     have = available_memory()
     if have is not None and need > have:
         return f"needs about {need / 2**20:,.0f} MB; {have / 2**20:,.0f} MB is available"
@@ -111,7 +111,8 @@ class ModelParams:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
-    def validate(self, model: str) -> None:
+    def validate(self, model: str, copies: int = 1) -> None:
+        """Check one model's rules, and that ``copies`` instances drawn at once fit in memory."""
         if model not in _BYTES_PER_PAIR:
             raise ValueError(f"unknown model {model!r}")
         if self.n <= 0:
@@ -123,9 +124,10 @@ class ModelParams:
                 raise ValueError("planted model requires delta in (0, 1]")
             if math.floor(self.delta * self.n) < 1:
                 raise ValueError("planted model requires floor(delta * n) >= 1")
-        short = memory_shortfall(model, self.expected_pairs(model), self.n)
+        short = memory_shortfall(model, self.expected_pairs(model), self.n, copies)
         if short:
-            raise ValueError(f"a {model} instance with n={self.n}, p={self.p} {short}")
+            many = f"running {copies} {model} instances at once" if copies > 1 else f"a {model} instance"
+            raise ValueError(f"{many} with n={self.n}, p={self.p} {short}")
 
     def expected_pairs(self, model: str) -> float:
         """Expected edge or arc count of a ``model`` instance."""

@@ -6,10 +6,10 @@ vertex sets of simple cycles; a verdict of feasible means the candidate is a
 feedback vertex set. Traversal orders are pinned (components by smallest
 surviving id, neighbors ascending) so repeated runs return identical cycles.
 
-The shortest-cycle oracle decides feasibility by union-find or Kahn's
-algorithm over its own successor lists, then tries the lengths ascending with
-``walk_cycles``, the one cycle walker: every path shorter than the girth is
-walked once per length.
+The shortest-cycle oracle decides feasibility with one ``drain_sources`` peel
+over its own successor lists, for both graph kinds, then tries the lengths
+ascending with ``walk_cycles``, the one cycle walker, over the vertices the
+peel leaves: every path there shorter than the girth is walked once per length.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Digraph, Graph, GraphError, _gather, _removed_mask, _transposed_rows, drain_sources, union_edges
-from .hitting import SubsetFamily
+from .graphs import Digraph, Graph, GraphError, _gather, _removed_mask, _transposed_rows, drain_sources
+from .hitting import SubsetFamily, _mask, _unmask
 
 
 class OracleProtocolError(RuntimeError):
@@ -60,10 +60,10 @@ def explicit_family_oracle(fam: SubsetFamily) -> OracleContract:
     """Wrap an explicit family: returns the first unhit subset in insertion order."""
 
     def check(h: Iterable[int]) -> OracleVerdict:
-        hs = set(h)
-        for s in fam.subsets:
-            if hs.isdisjoint(s):
-                return OracleVerdict.miss(s)
+        hm = _mask(map(operator.index, h))
+        for m in fam.masks:
+            if not hm & m:
+                return OracleVerdict(_unmask(m))
         return OracleVerdict.ok()
 
     return OracleContract(check=check, universe_size=fam.universe_size)
@@ -90,8 +90,8 @@ def walk_cycles(adj, succ, start: int, length: int, min_id: int = 0, allowed=Non
     vertex has an arc back to ``start``, in lexicographic path order.
 
     ``adj``/``succ`` come from ``successor_lists``. Vertices after ``start``
-    have ids of at least ``min_id`` and are set in the bool mask ``allowed``
-    (None allows all). Callers that want the first hit take ``next(...)``;
+    have ids of at least ``min_id`` and are set in ``allowed``, a bool array or
+    list (None allows all). Callers that want the first hit take ``next(...)``;
     ``start = a, min_id = a + 1`` over ascending ``a`` lists each cycle once,
     anchored at its minimum vertex. The yielded list is the walk's own path:
     copy it to keep it. Iterative, with one successor iterator per path vertex
@@ -103,7 +103,7 @@ def walk_cycles(adj, succ, start: int, length: int, min_id: int = 0, allowed=Non
     if allowed is None:
         free = bytearray(b"\x01") * len(adj)
     else:
-        free = bytearray(np.asarray(allowed, dtype=bool))
+        free = bytearray(allowed)
     free[:min_id] = bytes(min_id)
     free[start] = 0
     path = [start]
@@ -186,38 +186,35 @@ def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> list[int
 def shortest_cycle_oracle(g_or_d: Graph | Digraph) -> OracleContract:
     """Cycle oracle in increasing length order.
 
-    ``check(h)`` is feasible iff the surviving (di)graph is acyclic, by
-    ``union_edges`` on a Graph or ``drain_sources`` on a Digraph, both over the
-    successor lists the oracle holds. Else it returns the first path
-    ``walk_cycles`` yields over the lengths from 3 (2 on a Digraph) up, then
-    the surviving anchors ascending: a minimum-length cycle, ties broken by
-    smallest minimum vertex, then lexicographically first path. Every path
-    shorter than the girth is walked once per length.
+    ``check(h)`` peels the surviving (di)graph with ``drain_sources`` over the
+    successor lists the oracle holds: a vertex's count is its alive in-degree,
+    less one on a Graph, so the peel drops sources from a Digraph and vertices
+    of degree at most one from a Graph while there are any; a blocked vertex
+    starts at -n and is never pushed. It is feasible iff the peel takes every
+    surviving vertex. Else the vertices left hold every cycle, and it returns
+    the first path ``walk_cycles`` yields among them over the lengths from 3
+    (2 on a Digraph) up, then the anchors ascending: a minimum-length cycle,
+    ties broken by smallest minimum vertex, then lexicographically first path.
+    Every path there shorter than the girth is walked once per length.
     """
+    n = g_or_d.n
     directed = isinstance(g_or_d, Digraph)
     adj, succ = successor_lists(g_or_d)
+    start = 0 if directed else -1
 
     def check(h: Iterable[int]) -> OracleVerdict:
-        blocked = _removed_mask(g_or_d.n, h)
-        allowed = ~blocked
-        alive = np.flatnonzero(allowed).tolist()
-        if directed:
-            indeg = [0] * g_or_d.n
-            for u in alive:
-                for v in adj[u]:
-                    indeg[v] += 1
-            for v in np.flatnonzero(blocked).tolist():
-                indeg[v] = -1  # below zero for good: a blocked vertex is never pushed
-            stack = [v for v in alive if not indeg[v]]
-            acyclic = drain_sources(adj.__getitem__, indeg, stack) == len(alive)
-        else:
-            gone = blocked.tolist()
-            edges = ((u, v) for u in alive for v in adj[u] if v > u and not gone[v])
-            acyclic = union_edges(list(range(g_or_d.n)), edges)
-        if acyclic:
+        blocked = _removed_mask(n, h).tolist()
+        count = [-n if b else start for b in blocked]
+        alive = [v for v in range(n) if not blocked[v]]
+        for u in alive:
+            for v in adj[u]:
+                count[v] += 1
+        if drain_sources(adj.__getitem__, count, [v for v in alive if count[v] <= 0]) == len(alive):
             return OracleVerdict.ok()
-        for length in range(2 if directed else 3, len(alive) + 1):
-            for a in alive:
+        allowed = [c > 0 for c in count]  # the vertices left unpeeled hold every cycle
+        left = [v for v in alive if allowed[v]]
+        for length in range(2 if directed else 3, len(left) + 1):
+            for a in left:
                 # an undirected path's reverse has its other end second: the first runs the smaller way
                 path = next(walk_cycles(adj, succ, a, length, a + 1, allowed), None)
                 if path is not None:
@@ -225,7 +222,7 @@ def shortest_cycle_oracle(g_or_d: Graph | Digraph) -> OracleContract:
         # acyclicity check and enumeration disagree: internal bug
         raise OracleProtocolError("cyclic remainder but no cycle found")
 
-    return OracleContract(check=check, universe_size=g_or_d.n)
+    return OracleContract(check=check, universe_size=n)
 
 
 def cycles_of_length(d: Digraph, k: int, limit: int | None = None) -> np.ndarray:

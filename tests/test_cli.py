@@ -164,6 +164,39 @@ def test_jobs_parallel_matches_serial(capsys):
     assert strip_runtime(serial) == strip_runtime(parallel)
 
 
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records each worker count asked
+    for and maps in this process, so no worker is started."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers: int):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("seeds, jobs, pools", [
+    ("0..0", "500", []), ("0..2", "500", [3]), ("0..3", "2", [2]), ("0..3", "1", []),
+])
+def test_jobs_start_at_most_one_worker_per_seed(monkeypatch, capsys, seeds, jobs, pools):
+    # under the fork start an executor forks all of its workers at the first submit
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    base = ["solve-fvs", "--model", "gnp", "--n", "30", "--p", "0.1", "--seeds", seeds]
+    code, rows = run_cli(capsys, *base, "--jobs", jobs)
+    assert code == 0 and RecordingPool.created == pools
+    _, serial = run_cli(capsys, *base)
+    assert strip_runtime(rows) == strip_runtime(serial)
+
+
 def test_theorem5_and_ladder_rungs_start_no_thread(capsys, monkeypatch):
     # their pair lists and scans stay below two slices, where the helper is a plain call
     started = thread_starts(monkeypatch)
@@ -508,6 +541,29 @@ def test_instance_too_large_for_memory_exits_2(monkeypatch, capsys):
         assert "needs about" in err and "MB is available" in err
 
 
+def test_memory_guard_counts_one_instance_per_worker(monkeypatch, capsys):
+    # two workers each draw an instance at once: instances that fit one at a
+    # time do not fit two at a time
+    params = models.ModelParams(n=2000, p=0.1)
+    need = (models._BYTES_PER_PAIR["gnp"] * params.expected_pairs("gnp")
+            + models._BYTES_PER_VERTEX * params.n + models._FIXED_BYTES)
+    monkeypatch.setattr(models, "available_memory", lambda: int(1.5 * need))
+    drawn = []
+    monkeypatch.setattr(models, "_draw_pairs", lambda *args: drawn.append(args))
+    gnp = ["--model", "gnp", "--n", "2000", "--p", "0.1"]
+    for argv in (["solve-fvs", *gnp, "--seeds", "0..1", "--jobs", "2"],
+                 ["experiment", "--recipe", "theorem1", "--n", "2000", "--p", "0.1",
+                  "--seeds", "0..3", "--jobs", "3"]):
+        code, rows, err = run_cli_with_err(capsys, *argv)
+        assert code == 2 and rows == []
+        assert "instances at once" in err and "MB is available" in err
+    for argv in (["solve-fvs", *gnp, "--seeds", "0..1", "--jobs", "1"],
+                 ["solve-fvs", *gnp, "--seeds", "0..0", "--jobs", "2"],
+                 ["generate", *gnp, "--seed", "0", "--out", "unused.txt"]):
+        assert refusal(argv) is None
+    assert drawn == []
+
+
 def test_instance_file_too_large_for_memory_exits_2(monkeypatch, capsys, tmp_path):
     # the header alone sizes the instance, so it is refused before anything
     # is allocated; the shrunk memory keeps a broken guard at a few megabytes
@@ -549,6 +605,10 @@ REFUSED = {
     "--seed --seeds": ["solve-fvs", *GNP, "--seed", "0", "--seeds", "0..9"],
     "--jobs 0": ["solve-fvs", *GNP, "--seeds", "0..1", "--jobs", "0"],
     "--jobs -1": ["solve-fvs", *GNP, "--seeds", "0..1", "--jobs", "-1"],
+    "generate gnp --k": ["generate", *GNP, "--seed", "0", "--k", "3", "--out", FILE],
+    "shortest-cycle --root": ["solve-generic", "--model", "dnp", "--n", "12", "--p", "0.1", "--seed", "1",
+                              "--oracle", "shortest-cycle", "--root", "50"],
+    "shortest-cycle file --root": ["solve-generic", FILE, "--oracle", "shortest-cycle", "--root", "0"],
     "theorem2 --root": [*THEOREM2, "--root", "7"],
     "theorem5 --root": [*THEOREM5, "--root", "7"],
 }

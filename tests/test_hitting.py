@@ -16,11 +16,11 @@ from ihs import (
     exact_min_hitting_set,
     explicit_family_oracle,
     gen_gnp,
-    greedy_hitting_set,
     shortest_cycle_oracle,
     solve_implicit_hitting_set,
 )
 from ihs.hitting import _columns, _mask, _search
+from ihs.planted import greedy_hit_cycles
 
 
 def brute_force_optima(universe: int, subsets: list[tuple[int, ...]]):
@@ -72,7 +72,7 @@ def test_numpy_ids_are_stored_as_python_ints():
     assert fam.masks == plain.masks
     assert exact_min_hitting_set(fam) == exact_min_hitting_set(plain)
     assert exact_min_hitting_set(fam).members == (3, 65, 70)
-    assert greedy_hitting_set(fam) == greedy_hitting_set(plain)
+    assert greedy(fam) == greedy(plain)
     with pytest.raises(TypeError):
         fam.add([1.5])
 
@@ -127,15 +127,24 @@ def test_exact_matches_brute_force(seed):
     assert got.members == min(optima)
 
 
+def greedy(fam: SubsetFamily, order=None) -> tuple[int, ...]:
+    """``greedy_hit_cycles`` over the subsets in ``order`` (insertion order by
+    default), passed as one array of rows, each padded with its last element."""
+    subsets = fam.subsets if order is None else [fam.subsets[i] for i in order]
+    width = max(map(len, subsets), default=1)
+    rows = np.array([s + s[-1:] * (width - len(s)) for s in subsets], dtype=np.int64)
+    return tuple(greedy_hit_cycles([rows.reshape(-1, width)], fam.universe_size))
+
+
 def test_greedy_forced_trace():
     fam = SubsetFamily(6, [(1, 2, 3), (3, 4, 5)])
-    assert greedy_hitting_set(fam).members == (1, 2, 3)
-    assert greedy_hitting_set(SubsetFamily(6)).members == ()
+    assert greedy(fam) == (1, 2, 3)
+    assert greedy(SubsetFamily(6)) == ()
 
 
 def test_greedy_respects_order():
     fam = SubsetFamily(6, [(1, 2, 3), (3, 4, 5)])
-    assert greedy_hitting_set(fam, order=[1, 0]).members == (3, 4, 5)
+    assert greedy(fam, order=[1, 0]) == (3, 4, 5)
 
 
 def tuple_greedy(subsets):
@@ -160,10 +169,10 @@ def test_array_greedy_matches_tuple_loop(monkeypatch, seed, block):
     fam = SubsetFamily(universe)
     for _ in range(int(rng.integers(1, 80))):
         fam.add(rng.choice(universe, size=int(rng.integers(1, min(5, universe) + 1)), replace=False).tolist())
-    assert greedy_hitting_set(fam).members == tuple_greedy(fam.subsets)
+    assert greedy(fam) == tuple_greedy(fam.subsets)
     order = rng.permutation(len(fam)).tolist()
     want = tuple_greedy(fam.subsets[i] for i in order)
-    assert greedy_hitting_set(fam, order=order).members == want
+    assert greedy(fam, order=order) == want
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -173,10 +182,10 @@ def test_greedy_k_approximation(seed):
     fam = SubsetFamily(20)
     for _ in range(50):
         fam.add(rng.choice(20, size=3, replace=False).tolist())
-    greedy = greedy_hitting_set(fam)
+    taken = greedy(fam)
     exact = exact_min_hitting_set(fam)
-    assert explicit_family_oracle(fam).check(greedy.members).feasible
-    assert greedy.size <= 3 * exact.size
+    assert explicit_family_oracle(fam).check(taken).feasible
+    assert len(taken) <= 3 * exact.size
 
 
 @given(st.integers(0, 100_000))
@@ -186,15 +195,15 @@ def test_solver_properties(seed):
     universe = int(rng.integers(2, 13))
     fam = random_family(rng, universe, int(rng.integers(1, 7)), min(4, universe))
     exact = exact_min_hitting_set(fam)
-    greedy = greedy_hitting_set(fam)
+    taken = greedy(fam)
     assert explicit_family_oracle(fam).check(exact.members).feasible
-    assert explicit_family_oracle(fam).check(greedy.members).feasible
-    assert exact.size <= greedy.size
+    assert explicit_family_oracle(fam).check(taken).feasible
+    assert exact.size <= len(taken)
     max_size = max(len(s) for s in fam.subsets)
-    assert greedy.size <= max_size * exact.size
+    assert len(taken) <= max_size * exact.size
     # determinism
     assert exact_min_hitting_set(fam).members == exact.members
-    assert greedy_hitting_set(fam).members == greedy.members
+    assert greedy(fam) == taken
 
 
 def test_hitting_set_container():

@@ -150,6 +150,21 @@ def first_shortest_cycle(g: Graph | Digraph, blocked: set[int]) -> tuple[int, ..
     return None
 
 
+def with_hanging_paths(core: Graph | Digraph, n: int, seed: int) -> Graph | Digraph:
+    """``core`` grown to ``n`` vertices, each new vertex joined to one earlier
+    vertex (by an arc either way on a Digraph), with the ids shuffled: trees
+    hang off a Graph's cycles, and paths run into and out of a Digraph's. The
+    new vertices close no cycle, so the peel removes them all."""
+    rng = np.random.default_rng(seed)
+    directed = isinstance(core, Digraph)
+    pairs = (core.arc_list if directed else core.edge_list).tolist()
+    for v in range(core.n, n):
+        u = int(rng.integers(0, v))
+        pairs.append((v, u) if directed and rng.random() < 0.5 else (u, v))
+    relabel = rng.permutation(n).tolist()
+    return type(core)(n, [(relabel[u], relabel[v]) for u, v in pairs])
+
+
 @pytest.mark.parametrize("seed", range(80))
 def test_shortest_cycle_verdict_is_the_first_shortest_cycle(seed):
     rng = np.random.default_rng(seed)
@@ -158,6 +173,13 @@ def test_shortest_cycle_verdict_is_the_first_shortest_cycle(seed):
     # random_digraph draws both orientations of a pair independently: antiparallel arcs occur
     for g in (random_graph(n, float(rng.uniform(0.15, 0.5)), 1_000 + seed),
               random_digraph(n, float(rng.uniform(0.05, 0.3)), 2_000 + seed)):
+        assert shortest_cycle_oracle(g).check(blocked).missed == first_shortest_cycle(g, blocked)
+    # cores whose cycles the hanging vertices leave alone: fewer vertices are
+    # left after the peel than survive the query
+    m = int(rng.integers(3, 8))
+    for core in (random_graph(m, 0.6, 3_000 + seed), random_digraph(m, 0.35, 4_000 + seed)):
+        g = with_hanging_paths(core, m + n, 5_000 + seed)
+        blocked = {v for v in range(g.n) if rng.random() < 0.1}
         assert shortest_cycle_oracle(g).check(blocked).missed == first_shortest_cycle(g, blocked)
 
 
