@@ -60,19 +60,28 @@ def _swap_proposal(current: int, outside: int, masks: list[int]) -> int | None:
     that hits every subset mask in ``masks``, as a mask; None when no swap applies.
 
     ``current`` and ``outside`` are disjoint element masks. Removing ``Y``
-    leaves a mask unhit iff its trace ``mask & current`` lies in ``Y``, so one
-    pass groups the masks by traces of at most two elements. ``Y = {a}`` works
-    iff no trace lies in ``{a}``; when none does, ``Y = {a, b}`` needs
-    ``X = {x}``, the lowest ``x`` outside in every mask whose trace lies in ``{a, b}``.
+    leaves a mask unhit iff its trace ``mask & current`` lies in ``Y``. A
+    first pass ORs the one-element traces and stops at an empty one; if none
+    is empty, ``Y = {a}`` works for each ``a`` that no trace names, the lowest
+    first. When that finds none, a second pass groups the masks by traces of at
+    most two elements: ``Y = {a, b}`` needs ``X = {x}``, the lowest ``x``
+    outside in every mask whose trace lies in ``{a, b}``.
     """
+    single = 0
+    for s in masks:
+        t = s & current
+        if not t & (t - 1):
+            if not t:  # current misses this mask, and so does every removal
+                break
+            single |= t
+    else:
+        if free := current & ~single:
+            return current ^ (free & -free)
     need: dict[int, int] = {}  # trace -> the AND of the masks with that trace
     for s in masks:
         t = s & current
         if t.bit_count() <= 2:
             need[t] = need.get(t, -1) & s
-    free = current & ~sum(t for t in need if t.bit_count() == 1)  # distinct bits: the sum is their union
-    if free and 0 not in need:
-        return current ^ (free & -free)
     inside = [1 << e for e in _unmask(current)]
     base = outside & need.get(0, -1)
     for i, a in enumerate(inside):

@@ -36,7 +36,8 @@ class SubsetFamily:
     Duplicate insertions are silently ignored; an empty subset is rejected
     because it would make every instance infeasible. ``masks`` holds each
     subset, in insertion order, as an int with bit ``e`` set for element
-    ``e``; ``subsets`` derives the same subsets as sorted tuples.
+    ``e``; ``subsets`` derives the same subsets as sorted tuples. ``minimal``
+    lists, in no set order, the masks that contain no other one.
 
     ``add`` is the only mutator, so each later state of a family contains
     each earlier one. ``exact_min_hitting_set`` keeps on the family the last
@@ -49,6 +50,7 @@ class SubsetFamily:
             raise ValueError("universe size must be nonnegative")
         self.universe_size = universe_size
         self.masks: list[int] = []
+        self.minimal: list[int] = []
         self._seen: set[int] = set()
         self._bound = 0
         self._refuted: set[tuple[tuple[int, ...], int]] = set()
@@ -68,6 +70,8 @@ class SubsetFamily:
             return False
         self._seen.add(m)
         self.masks.append(m)
+        if not any(k & m == k for k in self.minimal):
+            self.minimal = [k for k in self.minimal if k & m != m] + [m]
         return True
 
     @property
@@ -86,12 +90,7 @@ def _mask(elements: Iterable[int]) -> int:
 
 
 def _unmask(m: int) -> tuple[int, ...]:
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return tuple(out)
+    return tuple([e for e, bit in enumerate(bin(m)[:1:-1]) if bit == "1"])
 
 
 _BLOCK = 1 << 12  # rows per block of the greedy scan
@@ -123,26 +122,16 @@ def _hit(taken: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _drop_supersets(masks: list[int]) -> list[int]:
-    # hitting a subset also hits its supersets, so only minimal subsets matter
-    masks = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for m in masks:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
-
-
 def _columns(masks: list[int]) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
     """The bitset form of ``masks`` for ``_search``: ``col``, ``kill`` and ``elems``.
 
-    The masks, stably sorted by size, become the bit positions of an int, so a
-    set of subsets is one int. ``elems[i]`` lists the elements of subset
+    The masks, sorted by ``(size, mask)``, become the bit positions of an int,
+    so a set of subsets is one int. ``elems[i]`` lists the elements of subset
     ``i``, ``col[e]`` is the int of the subsets that contain element ``e``,
     and ``kill[i]`` is the union of subset ``i``'s columns: the subsets that
     share an element with it.
     """
-    masks = sorted(masks, key=int.bit_count)
+    masks = sorted(masks, key=lambda m: (m.bit_count(), m))
     elems = [_unmask(m) for m in masks]
     col = [0] * max(masks, default=0).bit_length()
     for i, es in enumerate(elems):
@@ -163,28 +152,24 @@ def _search(
     is zero is retired and never taken. The bound counts pairwise disjoint
     alive subsets greedily, taking the lowest alive bit ``i`` and clearing
     ``kill[i]``, until the count exceeds the budget. A node branches on its
-    lowest alive bit, a smallest unhit subset, over that subset's elements by
-    descending ``(col[e] & alive).bit_count()``, ties by id. ``failed`` maps an
-    alive set to the largest budget at which its branching found no cover.
+    lowest alive bit, a smallest unhit subset, over that subset's elements in
+    ascending id order, skipping the retired ones. ``failed`` maps an alive set
+    to the largest budget at which its branching found no cover.
     """
     if not alive:
         return 0
     if failed.get(alive, -1) >= budget:
         return None
-    lb = 0
-    rest = alive
+    lb, rest = 0, alive
     while rest:
         lb += 1
         if lb > budget:
             return None
         rest &= ~kill[(rest & -rest).bit_length() - 1]
-    pick = elems[(alive & -alive).bit_length() - 1]
-    # stable on ascending ids, so ties keep the smaller element first; the
-    # retired elements of ``pick`` hit nothing and sort last
-    for e in sorted(pick, key=lambda e: -(col[e] & alive).bit_count()):
+    for e in elems[(alive & -alive).bit_length() - 1]:
         c = col[e]
         if not c:
-            break
+            continue
         rest = alive & ~c
         if not rest:
             return 1 << e
@@ -198,7 +183,8 @@ def exact_min_hitting_set(fam: SubsetFamily) -> HittingSet:
     """Minimum-cardinality hitting set; among optima, the lexicographically
     smallest sorted member list.
 
-    One ``_columns`` build and one failure memo serve the whole call. The
+    Hitting a subset hits its supersets, so one ``_columns`` build over the
+    family's ``minimal`` masks and one failure memo serve the whole call. The
     optimum is the smallest budget for which ``_search`` finds a cover, the
     witness. The reconstruction then walks the elements in ascending order,
     retiring each (its column set to zero) and keeping it when the subsets it
@@ -215,9 +201,8 @@ def exact_min_hitting_set(fam: SubsetFamily) -> HittingSet:
     search (its element is still retired). The stored steps are dropped when
     the optimum rises. The answer is the one a fresh family would get.
     """
-    masks = _drop_supersets(fam.masks)
-    col, kill, elems = _columns(masks)
-    alive = (1 << len(masks)) - 1
+    col, kill, elems = _columns(fam.minimal)
+    alive = (1 << len(elems)) - 1
     failed: dict[int, int] = {}
     budget = fam._bound
     while (witness := _search(alive, budget, col, kill, elems, failed)) is None:

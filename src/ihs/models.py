@@ -51,11 +51,10 @@ _SPARE_SIGMAS = 8  # a skip draw's pair array starts at the mean plus this many 
 # (p=0.001), 21.7-28 B for solve-fvs at 2-5 M arcs, 21.6 B to read and solve a
 # 2.5 M-arc file; the planted model: 22.1 B at n=2*10^4, p=0.05, and 20.4-32 B
 # to generate 2-5 M arcs (delta=0.1). The fixed term is what small instances
-# carry whatever their arc count: the naive sampler's block of up to
-# _SKIP_THRESHOLD uniforms and their mask (9 B per pair), or the skip sampler's
-# chunk buffers and a slice of pairs as text. `generate` and `solve-fvs` at
-# 0.2-5 M arcs (n=2896, 6000 and 20000, all three models) peak at most 36.9 MB
-# above the other two terms, at 0.2 M edges with n=2896 (naive, 4.2 M pairs).
+# carry whatever their arc count: the skip sampler's chunk buffers and a slice
+# of pairs as text. `generate` and `solve-fvs` at 0.2-5 M arcs (n=2896, 6000
+# and 20000, all three models) peaked at most 36.9 MB above the other two terms
+# (0.2 M edges, n=2896), 18 MB once the naive sampler drew by slices.
 _BYTES_PER_PAIR = {"gnp": 25, "dnp": 32, "planted": 25}
 _BYTES_PER_VERTEX = 64
 _FIXED_BYTES = 10 * _SKIP_THRESHOLD
@@ -169,13 +168,16 @@ def _gaps(rng: np.random.Generator, prob: float, out: np.ndarray, cap: int) -> n
 
 def _indices(rng: np.random.Generator, count: int, prob: float, first: int):
     """Ascending chunks of the lex indices ``first + t``, t in [0, count), each included with
-    probability ``prob``, and whether the chunk is the last. The skip sampler fills two int64
+    probability ``prob``, and whether the chunk is the last. The naive sampler yields a chunk per
+    slice of pairs, with one uniform per pair (none at ``prob`` 1). The skip sampler fills two int64
     chunks in turn, a slice of gaps at a time: decode each chunk before the one after it is drawn.
     The gaps past the block's end, which the stream still holds, go to one slice of scratch, so no
     chunk touches memory for them. Gaps are cut at ``count + 1``, which already ends the block, so
     the sum cannot wrap int64."""
     if prob >= 1.0 or count <= _SKIP_THRESHOLD:
-        yield np.arange(first, first + count) if prob >= 1.0 else np.flatnonzero(rng.random(count) < prob) + first, True
+        for s in range(first, first + count, _SLICE):
+            k = min(_SLICE, first + count - s)
+            yield np.arange(s, s + k) if prob >= 1.0 else np.flatnonzero(rng.random(k) < prob) + s, s + k == first + count
         return
     size = max(1024, min(_CHUNK, int(count * prob * 1.1) + 64))
     t, spare, past = (np.empty(k, dtype=np.int64) for k in (size, size, min(size, _SLICE)))

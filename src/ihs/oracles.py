@@ -60,7 +60,10 @@ def explicit_family_oracle(fam: SubsetFamily) -> OracleContract:
     """Wrap an explicit family: returns the first unhit subset in insertion order."""
 
     def check(h: Iterable[int]) -> OracleVerdict:
-        hm = _mask(map(operator.index, h))
+        ids = list(map(operator.index, h))
+        if ids and not 0 <= min(ids) <= max(ids) < fam.universe_size:
+            raise ValueError(f"element id out of range [0, {fam.universe_size})")
+        hm = _mask(ids)
         for m in fam.masks:
             if not hm & m:
                 return OracleVerdict(_unmask(m))

@@ -250,6 +250,9 @@ def swap_states(draw):
 # every element of {0, 1} is critical: no swap applies, or Y = {0, 1} with X = {2}
 NO_SWAP = (0b011, 0b100, [0b001, 0b010])
 SWAP_IN_ONE = (0b011, 0b100, [0b101, 0b110])
+# no trace names 0 or 1, but the current set misses the one mask: no single
+# removal applies, and Y = {0, 1} with X = {2} does
+FREE_BUT_MISSED = (0b011, 0b100, [0b100])
 
 
 @given(swap_states())
@@ -257,6 +260,7 @@ SWAP_IN_ONE = (0b011, 0b100, [0b101, 0b110])
 @example(SWAP_IN_ONE)
 @example((0b111, 0, []))
 @example((0, 0b11, [0b01]))
+@example(FREE_BUT_MISSED)
 @settings(max_examples=400, deadline=None)
 def test_swap_proposal_matches_the_enumeration(state):
     assert _swap_proposal(*state) == _ref_swap_proposal(*state)
@@ -265,6 +269,7 @@ def test_swap_proposal_matches_the_enumeration(state):
 def test_pinned_swap_states_reach_both_phase_two_outcomes():
     assert _swap_proposal(*NO_SWAP) is None
     assert _swap_proposal(*SWAP_IN_ONE) == 0b100
+    assert _swap_proposal(*FREE_BUT_MISSED) == 0b100
 
 
 @pytest.mark.parametrize("ymax", [1, 2, 3])

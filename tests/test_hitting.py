@@ -438,6 +438,20 @@ def test_carried_answers_match_fresh_solves(case):
     carried_answers(*case)
 
 
+@given(growing_families())
+@example(SUPERSET_CASE)
+@example((3, [(0, 1), (1,), (0, 1), (1,), (2,), (0, 1, 2)]))
+@settings(max_examples=200, deadline=None)
+def test_minimal_list_drops_exactly_the_supersets(case):
+    # repeats, and subsets that arrive after their supersets
+    universe, subsets = case
+    fam = SubsetFamily(universe)
+    for s in subsets:
+        fam.add(s)
+        assert len(fam.minimal) == len(set(fam.minimal))
+        assert set(fam.minimal) == set(_ref_drop_supersets(fam.masks))
+
+
 def test_pinned_growth_cases_cover_supersets_and_rising_optima():
     universe, subsets = SUPERSET_CASE
     assert set(subsets[4]) < set(subsets[0])

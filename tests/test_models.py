@@ -147,6 +147,25 @@ def test_pair_decode_is_exact(monkeypatch, slice_size):
             assert np.array_equal(got[:, 0], u[t]) and np.array_equal(got[:, 1], v[t])
 
 
+@pytest.mark.parametrize("slice_size", [7, 1000, 1 << 16])
+def test_naive_block_drawn_by_slices_keeps_the_stream(monkeypatch, slice_size):
+    # n=300: 44,850 pairs, one block of the naive sampler cut into many slices
+    # (one slice at 2^16); its pairs and the stream after it are the one-call draw's
+    monkeypatch.setattr(models_mod, "_SLICE", slice_size)
+    n, p = 300, 0.05
+    u, v = np.triu_indices(n, 1)
+    for seed in range(3):
+        ref = models_mod._rng(seed)
+        t = np.flatnonzero(ref.random(u.size) < p)
+        ours = models_mod._rng(seed)
+        got = models_mod._draw_pairs(ours, n, u.size, p)
+        assert np.array_equal(got, np.stack([u[t], v[t]], axis=1))
+        assert ours.random() == ref.random()
+        chunks = list(models_mod._indices(models_mod._rng(seed), u.size, p, 0))
+        assert len(chunks) == -(-u.size // slice_size)
+        assert [last for _, last in chunks] == [False] * (len(chunks) - 1) + [True]
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("p", [1e-9, 1e-6, 0.005, 0.3, 1 / 3 - 1e-12, 1 / 3, 0.4])
 def test_bulk_gaps_are_numpys_geometric_stream(p, seed):

@@ -63,6 +63,14 @@ def test_cycle_oracles_reject_ids_out_of_range(bad):
         is_acyclic_undirected(tri, bad)
 
 
+@pytest.mark.parametrize("bad", [[2, 7], [3], (-1,), np.array([0, -4]), np.array([3], dtype=np.int32)])
+def test_explicit_family_oracle_rejects_ids_out_of_range(bad):
+    oracle = explicit_family_oracle(SubsetFamily(3, [(0, 1), (2,)]))
+    with pytest.raises(ValueError, match="out of range"):
+        oracle.check(bad)
+    assert oracle.check([0, 2]).feasible and oracle.check(()).missed == (0, 1)
+
+
 def test_shortest_cycle_oracle_trivial():
     d = Digraph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 0)])
     oracle = shortest_cycle_oracle(d)
