@@ -10,7 +10,8 @@ subset to the collection, one ``SubsetFamily`` that holds each subset as an
 int mask. When no swap applies, it solves the explicit
 minimum hitting set over the collection: matching sizes or a feasible
 explicit optimum certify global optimality, otherwise the collection grows
-and the climb restarts. Every round hands the exact solver the same growing
+and the climb restarts, replaying the last one up to its first step that
+fails. Every round hands the exact solver the same growing
 ``SubsetFamily``, so it starts from the last optimum and skips the
 reconstruction steps it refuted in earlier rounds.
 """
@@ -108,6 +109,12 @@ def solve_implicit_hitting_set(oracle: OracleContract, max_iterations: int | Non
     of the current set, then X empty or one element of the complement, the
     smallest first; the first feasible candidate is accepted. The current set
     and the collected subsets are kept as int masks.
+
+    Each later round replays the last descent: an accepted step stays the
+    first candidate while it hits the subsets collected since it was last
+    checked (each earlier one misses a subset still collected), so its query
+    is asked again, and the scan resumes at the first step that misses one or
+    that the oracle rejects; a fully replayed descent still admits no swap.
     """
     universe_size = oracle.universe_size
     if universe_size <= 0:
@@ -129,18 +136,32 @@ def solve_implicit_hitting_set(oracle: OracleContract, max_iterations: int | Non
         if not collected.add(subset):
             raise OracleProtocolError(f"oracle repeated an already collected subset {subset}")
 
+    # the last descent: [proposal mask, its query, family length when last
+    # checked] per accepted step, then [None, None, 0] where no swap applied
+    trail: list[list] = []
     while True:
-        current = universe
+        current, step = universe, 0
         # bounded-swap descent: keep the collected family hit at every step
         while True:
-            proposal = _swap_proposal(current, universe ^ current, collected.masks)
+            if step < len(trail):
+                proposal, query, seen = trail[step]
+                if proposal is not None and any(not proposal & s for s in collected.masks[seen:]):
+                    del trail[step:]
+                    continue
+            else:
+                proposal = _swap_proposal(current, universe ^ current, collected.masks)
+                query = None if proposal is None else frozenset(_unmask(proposal))
+                trail.append([proposal, query, 0])
             if proposal is None:
                 break
-            verdict = ask(frozenset(_unmask(proposal)))
+            verdict = ask(query)
             if verdict.feasible:
                 current = proposal
+                trail[step][2] = len(collected)
+                step += 1
             else:
                 collect(verdict.missed)
+                del trail[step:]
         optimum = exact_min_hitting_set(collected)
         if len(optimum.members) == current.bit_count():
             return SolveCertificate(HittingSet(_unmask(current)), collected, "size_match", oracle_calls)

@@ -10,6 +10,9 @@ The shortest-cycle oracle decides feasibility with one ``drain_sources`` peel
 over its own successor lists, for both graph kinds, then tries the lengths
 ascending with ``walk_cycles``, the one cycle walker, over the vertices the
 peel leaves: every path there shorter than the girth is walked once per length.
+
+Both cycle oracles keep each verdict by query, so a query asked again (the
+generic solver replays its last descent every round) costs a dict lookup.
 """
 
 from __future__ import annotations
@@ -70,6 +73,21 @@ def explicit_family_oracle(fam: SubsetFamily) -> OracleContract:
         return OracleVerdict.ok()
 
     return OracleContract(check=check, universe_size=fam.universe_size)
+
+
+def _memoized(check: Callable[[frozenset[int]], OracleVerdict]) -> Callable[[Iterable[int]], OracleVerdict]:
+    """``check`` with its verdicts kept by query, as a frozenset of ints: a
+    repeated query is answered from the dict. Exceptions are not kept."""
+    verdicts: dict[frozenset[int], OracleVerdict] = {}
+
+    def memo(h: Iterable[int]) -> OracleVerdict:
+        key = h if isinstance(h, frozenset) else frozenset(map(operator.index, h))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = check(key)
+        return verdict
+
+    return memo
 
 
 def successor_lists(g: Graph | Digraph) -> tuple[list[list[int]], list[set[int]]]:
@@ -169,7 +187,7 @@ def bfs_cycle_oracle(g: Graph, root: int = 0) -> OracleContract:
                         return OracleVerdict.miss(_tree_cycle(parent, depth, u, v))
         return OracleVerdict.ok()
 
-    return OracleContract(check=check, universe_size=g.n)
+    return OracleContract(check=_memoized(check), universe_size=g.n)
 
 
 def _tree_cycle(parent: list[int], depth: list[int], u: int, v: int) -> list[int]:
@@ -225,7 +243,7 @@ def shortest_cycle_oracle(g_or_d: Graph | Digraph) -> OracleContract:
         # acyclicity check and enumeration disagree: internal bug
         raise OracleProtocolError("cyclic remainder but no cycle found")
 
-    return OracleContract(check=check, universe_size=n)
+    return OracleContract(check=_memoized(check), universe_size=n)
 
 
 def cycles_of_length(d: Digraph, k: int, limit: int | None = None) -> np.ndarray:

@@ -321,3 +321,91 @@ def test_query_sequence_matches_set_descent_on_the_aborting_ladder_rung():
     # the generic-ladder rung that exits 3 at its default cap of 1,600 queries;
     # 800 queries take it through 15 exact solves
     assert_same_abort(bfs_cycle_oracle(gen_gnp(ModelParams(n=60, p=0.07, seed=1))), 800)
+
+
+@pytest.fixture
+def solver_steps(monkeypatch):
+    """The solver's swap scans and exact solves, by name, in call order."""
+    import ihs.generic
+
+    steps = []
+    for name in ("_swap_proposal", "exact_min_hitting_set"):
+        fn = getattr(ihs.generic, name)
+        monkeypatch.setattr(ihs.generic, name, lambda *args, _fn=fn, _name=name: steps.append(_name) or _fn(*args))
+    return steps
+
+
+@pytest.mark.parametrize("oracle", [bfs_cycle_oracle, shortest_cycle_oracle])
+def test_later_rounds_replay_the_descent_on_the_n40_ladder_rung(oracle, solver_steps):
+    # every round after the first adds the optimum's miss, which the whole
+    # last descent still hits: it is replayed without a swap scan
+    solve_implicit_hitting_set(oracle(gen_gnp(ModelParams(n=40, p=0.1, seed=1))))
+    first_exact = solver_steps.index("exact_min_hitting_set")
+    assert first_exact > 50
+    assert "_swap_proposal" not in solver_steps[first_exact:]
+    assert solver_steps.count("exact_min_hitting_set") > 20
+
+
+def test_query_sequence_matches_set_descent_at_a_cap_inside_a_replay(solver_steps):
+    # round 1 asks 63 queries (its descent, then the optimum); round 2
+    # replays the next 22 and the cap stops it at the eighth
+    assert_same_abort(bfs_cycle_oracle(gen_gnp(ModelParams(n=30, p=0.15, seed=1))), 70)
+    assert solver_steps[-1] == "exact_min_hitting_set"
+    assert solver_steps.count("exact_min_hitting_set") == 1
+
+
+def fickle(contract, answer, period=None):
+    """A stateful oracle that may break its contract: ``contract``, except
+    where ``answer(log, query)`` returns a verdict. ``log`` lists this run's
+    ``(query, verdict)`` pairs; it restarts after ``period`` calls, so that
+    each run of ``assert_same_run`` meets the oracle fresh."""
+    log = []
+
+    def check(h):
+        if len(log) == period:
+            log.clear()
+        query = frozenset(h)
+        verdict = answer(log, query) or contract.check(query)
+        log.append((query, verdict))
+        return verdict
+
+    return OracleContract(check=check, universe_size=contract.universe_size)
+
+
+def assert_same_fickle_run(contract, answer):
+    calls = reference_descent(fickle(contract, answer))[3]
+    return assert_same_run(fickle(contract, answer, period=calls))
+
+
+def test_query_sequence_matches_set_descent_when_a_step_misses_a_late_subset(solver_steps):
+    # from the 20th call on the oracle reports {0, 1} to every query missing
+    # it: round 1 has accepted steps without 0 and 1 by then, and round 2's
+    # replay finds the first of them unhit and scans for a swap there
+    late = (0, 1)
+    accepted_without = []
+
+    def answer(log, query):
+        if len(log) == 20:
+            accepted_without.append(any(v.feasible and q.isdisjoint(late) for q, v in log))
+        return OracleVerdict.miss(late) if len(log) >= 20 and query.isdisjoint(late) else None
+
+    cert = assert_same_fickle_run(bfs_cycle_oracle(gen_gnp(ModelParams(n=30, p=0.15, seed=1))), answer)
+    assert accepted_without and all(accepted_without) and late in list(cert.collected)
+    assert "_swap_proposal" in solver_steps[solver_steps.index("exact_min_hitting_set"):]
+
+
+def test_query_sequence_matches_set_descent_when_a_replayed_query_misses(solver_steps):
+    # round 1 asks 63 queries; the sixth query of round 2's replay, accepted
+    # in round 1, is answered with the lowest element outside it
+    contract = bfs_cycle_oracle(gen_gnp(ModelParams(n=30, p=0.15, seed=1)))
+    replayed = []
+
+    def answer(log, query):
+        if len(log) != 68:
+            return None
+        replayed.append(query in {q for q, v in log if v.feasible})
+        return OracleVerdict.miss([min(set(range(contract.universe_size)) - query)])
+
+    assert_same_fickle_run(contract, answer)
+    assert replayed and all(replayed)
+    assert "_swap_proposal" in solver_steps[solver_steps.index("exact_min_hitting_set"):]

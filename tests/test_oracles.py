@@ -9,10 +9,13 @@ from ihs import (
     Graph,
     GraphError,
     OracleProtocolError,
+    ModelParams,
     SubsetFamily,
     bfs_cycle_oracle,
     cycles_of_length,
     explicit_family_oracle,
+    gen_dnp,
+    gen_gnp,
     is_acyclic_directed,
     is_acyclic_undirected,
     shortest_cycle_oracle,
@@ -69,6 +72,31 @@ def test_explicit_family_oracle_rejects_ids_out_of_range(bad):
     with pytest.raises(ValueError, match="out of range"):
         oracle.check(bad)
     assert oracle.check([0, 2]).feasible and oracle.check(()).missed == (0, 1)
+
+
+QUERY_FORMS = [list, tuple, frozenset, lambda ids: np.array(ids, dtype=np.int64), lambda ids: (v for v in ids)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (bfs_cycle_oracle, gen_gnp(ModelParams(n=30, p=0.15, seed=1))),
+    lambda: (shortest_cycle_oracle, gen_gnp(ModelParams(n=30, p=0.15, seed=1))),
+    lambda: (shortest_cycle_oracle, gen_dnp(ModelParams(n=30, p=0.1, seed=1))),
+], ids=["bfs-gnp", "shortest-gnp", "shortest-dnp"])
+def test_cycle_oracle_memo_answers_every_query_form_as_a_fresh_oracle(make):
+    factory, g = make()
+    rng = np.random.default_rng(23)
+    memo = factory(g)
+    queries = [rng.choice(30, size=int(rng.integers(0, 20)), replace=False).tolist() for _ in range(40)]
+    want = [factory(g).check(ids) for ids in queries]
+    assert any(v.feasible for v in want) and not all(v.feasible for v in want)
+    asks = [(i, form) for i in range(len(queries)) for form in QUERY_FORMS] * 2
+    for k in rng.permutation(len(asks)).tolist():
+        i, form = asks[k]
+        assert memo.check(form(rng.permutation(queries[i]).tolist())) == want[i]
+    for _ in range(3):  # a failed call is not memoised
+        for form in QUERY_FORMS:
+            with pytest.raises(GraphError, match="out of range"):
+                memo.check(form([3, 30]))
 
 
 def test_shortest_cycle_oracle_trivial():
