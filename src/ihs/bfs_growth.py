@@ -38,6 +38,7 @@ from .graphs import (
     _gather,
     _gather_blocks,
     _in_halves,
+    _induced_edges,
     _pack,
     _removed_mask,
     _transposed_rows,
@@ -207,10 +208,7 @@ def break_two_cycles(d: Digraph, fvs: np.ndarray) -> np.ndarray:
     are a forest of the shadow and its two-cycles, so the sort that pairs them
     is short."""
     in_fvs = _removed_mask(d.n, fvs)
-    alive = np.flatnonzero(~in_fvs)
-    nbrs, rep = _gather(d.out_indptr, d.out_indices, alive)
-    keep = ~in_fvs[nbrs]
-    tails, heads = alive[rep[keep]], nbrs[keep]
+    tails, heads = _induced_edges(d.out_indptr, d.out_indices, np.flatnonzero(~in_fvs), ~in_fvs)
     keys = np.sort(_pack(d.n, np.minimum(tails, heads), np.maximum(tails, heads)))
     dup = keys[1:][keys[1:] == keys[:-1]]  # a key occurs at most twice: for (u, v) and for (v, u)
     if dup.size == 0:
@@ -233,10 +231,9 @@ def prune_fvs(g: Graph, fvs) -> np.ndarray:
     removed = set(int(v) for v in fvs)
     gone = _removed_mask(g.n, removed)
     parent = np.arange(g.n, dtype=np.int64)
-    # the edges between survivors, a slice of the edge list at a time
-    slices = (g.edge_list[s:s + _CHUNK] for s in range(0, g.num_edges, _CHUNK))
-    kept = (e for part in slices for e in part[~gone[part].any(axis=1)].tolist())
-    if not union_edges(parent, kept):
+    # the edges between survivors, in lex order
+    eu, ev = _induced_edges(g.up_indptr, g.up_indices, np.flatnonzero(~gone), ~gone)
+    if not union_edges(parent, zip(eu.tolist(), ev.tolist())):
         raise ValueError("input is not a feedback vertex set")
 
     lower_ptr, lower = _transposed_rows(g.n, g.edge_list)

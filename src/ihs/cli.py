@@ -358,8 +358,10 @@ def _median_size(rows: list[dict]) -> float:
 
 def _theorem1_cells(args, rows: list[dict]) -> dict:
     bound = fvs_upper_bound(args.n, args.p)
-    passes = sum(1 for row in rows if bound is not None and row["fvs_size"] <= bound)
-    return dict(fvs_size=_median_size(rows), bound_value=bound or "", exact_match=passes / len(rows))
+    if bound is None:  # n p <= 1: no bound, so its check does not apply
+        return dict(fvs_size=_median_size(rows), bound_value="", exact_match="")
+    passes = sum(1 for row in rows if row["fvs_size"] <= bound)
+    return dict(fvs_size=_median_size(rows), bound_value=bound, exact_match=passes / len(rows))
 
 
 def _lemma1_cells(args, rows: list[dict]) -> dict:

@@ -10,8 +10,8 @@ subset to the collection, one ``SubsetFamily`` that holds each subset as an
 int mask. When no swap applies, it solves the explicit
 minimum hitting set over the collection: matching sizes or a feasible
 explicit optimum certify global optimality, otherwise the collection grows
-and the climb restarts, replaying the last one up to its first step that
-fails. Every round hands the exact solver the same growing
+and the climb restarts from the universe, reusing the swap found at each set
+it reaches again. Every round hands the exact solver the same growing
 ``SubsetFamily``, so it starts from the last optimum and skips the
 reconstruction steps it refuted in earlier rounds.
 """
@@ -19,7 +19,6 @@ reconstruction steps it refuted in earlier rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .hitting import HittingSet, SubsetFamily, _unmask, exact_min_hitting_set
 from .oracles import OracleContract, OracleProtocolError, OracleVerdict
@@ -110,11 +109,11 @@ def solve_implicit_hitting_set(oracle: OracleContract, max_iterations: int | Non
     smallest first; the first feasible candidate is accepted. The current set
     and the collected subsets are kept as int masks.
 
-    Each later round replays the last descent: an accepted step stays the
-    first candidate while it hits the subsets collected since it was last
-    checked (each earlier one misses a subset still collected), so its query
-    is asked again, and the scan resumes at the first step that misses one or
-    that the oracle rejects; a fully replayed descent still admits no swap.
+    The swap found at each set is kept by that set, on any descent of any
+    round: it stays the first candidate while it hits the subsets collected
+    since it was last checked (each earlier one misses a subset still
+    collected), so its query is asked again; only a set never reached, or
+    whose swap misses a newer subset, is scanned. "No swap applies" stays true.
     """
     universe_size = oracle.universe_size
     if universe_size <= 0:
@@ -136,32 +135,24 @@ def solve_implicit_hitting_set(oracle: OracleContract, max_iterations: int | Non
         if not collected.add(subset):
             raise OracleProtocolError(f"oracle repeated an already collected subset {subset}")
 
-    # the last descent: [proposal mask, its query, family length when last
-    # checked] per accepted step, then [None, None, 0] where no swap applied
-    trail: list[list] = []
+    # per current set: [its swap proposal or None, the proposal's query, family length when last checked]
+    steps: dict[int, list] = {}
     while True:
-        current, step = universe, 0
+        current = universe
         # bounded-swap descent: keep the collected family hit at every step
         while True:
-            if step < len(trail):
-                proposal, query, seen = trail[step]
-                if proposal is not None and any(not proposal & s for s in collected.masks[seen:]):
-                    del trail[step:]
-                    continue
-            else:
+            step = steps.get(current)
+            if step is None or step[0] is not None and any(not step[0] & s for s in collected.masks[step[2]:]):
                 proposal = _swap_proposal(current, universe ^ current, collected.masks)
                 query = None if proposal is None else frozenset(_unmask(proposal))
-                trail.append([proposal, query, 0])
-            if proposal is None:
+                step = steps[current] = [proposal, query, len(collected)]
+            if step[0] is None:
                 break
-            verdict = ask(query)
+            verdict = ask(step[1])
             if verdict.feasible:
-                current = proposal
-                trail[step][2] = len(collected)
-                step += 1
+                current, step[2] = step[0], len(collected)
             else:
                 collect(verdict.missed)
-                del trail[step:]
         optimum = exact_min_hitting_set(collected)
         if len(optimum.members) == current.bit_count():
             return SolveCertificate(HittingSet(_unmask(current)), collected, "size_match", oracle_calls)
@@ -171,15 +162,11 @@ def solve_implicit_hitting_set(oracle: OracleContract, max_iterations: int | Non
         collect(verdict.missed)
 
 
-def online_augment(
-    oracle: OracleContract,
-    pick: Callable[[tuple[int, ...], frozenset[int]], int] | None = None,
-) -> tuple[HittingSet, int]:
-    """Online mode: start empty, commit one new element per missed subset.
+def online_augment(oracle: OracleContract) -> tuple[HittingSet, int]:
+    """Online mode: start empty, add the minimum id of each missed subset.
 
-    ``pick(missed, current)`` chooses the element to add (default: the minimum
-    id in the missed subset). Elements are never removed. Returns the feasible
-    set and the number of oracle misses.
+    Elements are never removed. Returns the feasible set and the number of
+    oracle misses.
     """
     chosen: set[int] = set()
     misses = 0
@@ -188,7 +175,4 @@ def online_augment(
         if verdict.feasible:
             return HittingSet.of(chosen), misses
         misses += 1
-        element = pick(verdict.missed, frozenset(chosen)) if pick is not None else min(verdict.missed)
-        if element not in verdict.missed:
-            raise OracleProtocolError("pick rule chose an element outside the missed subset")
-        chosen.add(element)
+        chosen.add(min(verdict.missed))

@@ -255,12 +255,13 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, verts) -> tuple[np.ndarray,
     return nbrs, rep
 
 
-def _induced_edges(g: Graph, verts: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (u, v), u < v, in lex order, from the ascending ``verts`` to
-    upper neighbors where the mask ``inside`` holds, as two int32 arrays, cut block by block."""
+def _induced_edges(indptr: np.ndarray, indices: np.ndarray, verts, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (u, v) of the CSR ``(indptr, indices)`` from the ascending ``verts`` to neighbors
+    where the mask ``inside`` holds, as two int32 arrays, cut block by block: in lex order, the
+    induced edges of a Graph's upper CSR or the induced arcs of a Digraph's out-CSR."""
     verts = np.asarray(verts, dtype=np.int32)
     tails, heads = [], []
-    for _, nbrs, rep in _gather_blocks(g.up_indptr, g.up_indices, verts)[1]:
+    for _, nbrs, rep in _gather_blocks(indptr, indices, verts)[1]:
         pick = inside[nbrs]
         tails.append(verts[rep[pick]])
         heads.append(nbrs[pick])
@@ -340,7 +341,7 @@ def is_acyclic_undirected(g: Graph, removed=()) -> bool:
     alive = np.flatnonzero(~gone)
     if alive.size == 0:
         return True
-    eu, ev = _induced_edges(g, alive, ~gone)
+    eu, ev = _induced_edges(g.up_indptr, g.up_indices, alive, ~gone)
     if eu.size >= alive.size:
         return False
     # at most |alive| - 1 unions can succeed, so this loop is short
@@ -372,21 +373,19 @@ def union_edges(parent, edges) -> bool:
 def is_acyclic_directed(d: Digraph, removed=()) -> bool:
     """True iff the sub-digraph induced on V minus ``removed`` has a topological order.
 
-    One ``_gather`` of the alive rows gives the alive arcs; ``drain_sources``
+    One ``_induced_edges`` of the alive rows gives the alive arcs; ``drain_sources``
     then pops sources off one stack over their CSR, visiting each arc once.
     """
     gone = _removed_mask(d.n, removed)
     alive = np.flatnonzero(~gone)
     if alive.size == 0:
         return True
-    nbrs, rep = _gather(d.out_indptr, d.out_indices, alive)
-    keep = ~gone[nbrs]
-    heads = nbrs[keep]
+    tails, heads = _induced_edges(d.out_indptr, d.out_indices, alive, ~gone)
     indeg = np.bincount(heads, minlength=d.n)
     # the sub-CSR of the alive arcs: row v is heads[ptr[v]:ptr[v + 1]]; memoryviews
     # read both as Python ints without a list of them
     ptr = np.zeros(d.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(alive[rep[keep]], minlength=d.n), out=ptr[1:])
+    np.cumsum(np.bincount(tails, minlength=d.n), out=ptr[1:])
     heads, ptr = memoryview(heads), memoryview(ptr)
     stack = alive[indeg[alive] == 0].tolist()
     return drain_sources(lambda v: heads[ptr[v]:ptr[v + 1]], indeg.tolist(), stack) == alive.size

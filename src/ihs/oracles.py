@@ -11,12 +11,14 @@ over its own successor lists, for both graph kinds, then tries the lengths
 ascending with ``walk_cycles``, the one cycle walker, over the vertices the
 peel leaves: every path there shorter than the girth is walked once per length.
 
-Both cycle oracles keep each verdict by query, so a query asked again (the
-generic solver replays its last descent every round) costs a dict lookup.
+Both cycle oracles keep each verdict by query in a ``functools.cache``, so a
+query asked again (the generic solver asks a kept swap's query again at each
+set it reaches again) costs a lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -76,18 +78,10 @@ def explicit_family_oracle(fam: SubsetFamily) -> OracleContract:
 
 
 def _memoized(check: Callable[[frozenset[int]], OracleVerdict]) -> Callable[[Iterable[int]], OracleVerdict]:
-    """``check`` with its verdicts kept by query, as a frozenset of ints: a
-    repeated query is answered from the dict. Exceptions are not kept."""
-    verdicts: dict[frozenset[int], OracleVerdict] = {}
-
-    def memo(h: Iterable[int]) -> OracleVerdict:
-        key = h if isinstance(h, frozenset) else frozenset(map(operator.index, h))
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = verdicts[key] = check(key)
-        return verdict
-
-    return memo
+    """``check`` behind a ``functools.cache`` keyed by the query as a frozenset
+    (other input is normalised with ``operator.index``). Exceptions are not kept."""
+    cached = functools.cache(check)
+    return lambda h: cached(h if isinstance(h, frozenset) else frozenset(map(operator.index, h)))
 
 
 def successor_lists(g: Graph | Digraph) -> tuple[list[list[int]], list[set[int]]]:

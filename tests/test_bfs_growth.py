@@ -384,10 +384,12 @@ def test_growth_matches_frozen_reference_across_gather_blocks(monkeypatch, block
 
 
 def test_growth_never_lists_the_edges_of_a_unique_set(monkeypatch):
+    # growth only counts those edges; prune_fvs and break_two_cycles share the gather through bfs_growth
     calls = []
     induced = graphs_mod._induced_edges
-    monkeypatch.setattr(graphs_mod, "_induced_edges", lambda *args: calls.append(args) or induced(*args))
+    for module in (graphs_mod, bfs_mod):
+        monkeypatch.setattr(module, "_induced_edges", lambda *args: calls.append(args) or induced(*args))
     g = gen_gnp(ModelParams(n=2000, p=0.05, seed=1))
     res = grow_induced_bfs(g)
-    assert not calls and not hasattr(bfs_mod, "_induced_edges")
+    assert not calls
     assert is_acyclic_undirected(g, res.fvs) and calls  # the acyclicity check still lists them

@@ -331,6 +331,19 @@ def test_experiment_theorem1_aggregate(capsys):
     assert agg["bound_value"] != ""
 
 
+def test_experiment_theorem1_aggregate_leaves_the_check_empty_without_a_bound(capsys):
+    # n p = 0.5 <= 1: there is no size bound, so the aggregate claims no pass fraction
+    code, rows = run_cli(
+        capsys, "experiment", "--recipe", "theorem1", "--n", "100", "--p", "0.005",
+        "--seeds", "0..2",
+    )
+    assert code == 0
+    agg = rows[-1]
+    assert agg["algorithm"] == "theorem1-aggregate"
+    assert (agg["bound_value"], agg["exact_match"]) == ("", "")
+    assert agg["fvs_size"] == "99.0"
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code, rows = run_cli(

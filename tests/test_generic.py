@@ -126,13 +126,6 @@ def test_online_augment_traces():
     assert hs3.members == (0,) and misses3 == 1
 
 
-def test_online_augment_custom_pick():
-    fam = SubsetFamily(5, [(1, 2), (2, 3)])
-    hs, misses = online_augment(explicit_family_oracle(fam), pick=lambda s, _h: max(s))
-    assert hs.members == (2,)  # max of {1,2} already hits both
-    assert misses == 1
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_online_augment_feasible_with_bounded_misses(seed):
     rng = np.random.default_rng(seed)

@@ -392,16 +392,64 @@ def test_gather_matches_concatenated_rows(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [1, 5, 1 << 20])
 def test_induced_edges_match_the_filtered_edge_list(monkeypatch, block):
+    # the upper CSR of a Graph gives its edges, the out-CSR of a Digraph its arcs, both in lex order
     monkeypatch.setattr(graphs_mod, "_BLOCK", block)
-    g = random_graph(40, 0.3, 11)
+    g, d = random_graph(40, 0.3, 11), random_digraph(40, 0.15, 12)
     rng = np.random.default_rng(block)
-    for verts in ([], [7], np.flatnonzero(rng.random(40) < 0.5), list(range(40))):
-        verts = np.asarray(verts, dtype=np.int64)
-        inside = rng.random(40) < 0.6
-        eu, ev = graphs_mod._induced_edges(g, verts, inside)
-        want = [(u, v) for u, v in g.edge_list.tolist() if u in set(verts.tolist()) and inside[v]]
-        assert eu.dtype == ev.dtype == np.int32
-        assert list(zip(eu.tolist(), ev.tolist())) == want
+    for pairs, indptr, indices in ((g.edge_list, g.up_indptr, g.up_indices), (d.arc_list, d.out_indptr, d.out_indices)):
+        for verts in ([], [7], np.flatnonzero(rng.random(40) < 0.5), list(range(40))):
+            verts = np.asarray(verts, dtype=np.int64)
+            inside = rng.random(40) < 0.6
+            eu, ev = graphs_mod._induced_edges(indptr, indices, verts, inside)
+            want = [(u, v) for u, v in pairs.tolist() if u in set(verts.tolist()) and inside[v]]
+            assert eu.dtype == ev.dtype == np.int32
+            assert list(zip(eu.tolist(), ev.tolist())) == want
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 20])
+def test_survivor_readers_match_references_across_gather_blocks(monkeypatch, block):
+    # prune_fvs, break_two_cycles and is_acyclic_directed read the survivors' pairs from one
+    # gather; blocks of one neighbor, of a few and of every row give what plain loops give
+    monkeypatch.setattr(graphs_mod, "_BLOCK", block)
+    unions = []
+
+    def union_edges(parent, edges):
+        unions.append([tuple(e) for e in edges])
+        return graphs_mod.union_edges(parent, unions[-1])
+
+    monkeypatch.setattr(bfs_mod, "union_edges", union_edges)
+    for n, p, seed in [(1, 0.3, 0), (12, 0.4, 1), (40, 0.15, 2), (60, 0.08, 3)]:
+        rng = np.random.default_rng(seed)
+        g = random_graph(n, p, 500 + seed)
+        fvs = grow_induced_bfs(g).fvs
+        gone = np.zeros(n, dtype=bool)
+        gone[fvs] = True
+        # the union order of the slice scan prune_fvs made before, slices of three edges
+        slices = (g.edge_list[s:s + 3] for s in range(0, g.num_edges, 3))
+        old_order = [tuple(e) for part in slices for e in part[~gone[part].any(axis=1)].tolist()]
+        ref = nx.Graph(g.edge_list.tolist())
+        ref.add_nodes_from(range(n))
+        removed = set(fvs.tolist())
+        for v in sorted(removed):  # move v back while the complement stays a forest
+            if nx.is_forest(ref.subgraph([w for w in range(n) if w not in removed or w == v])):
+                removed.discard(v)
+        unions.clear()
+        assert prune_fvs(g, fvs).tolist() == sorted(removed)
+        assert unions == [old_order]
+
+        d = random_digraph(n, 3 * p, 600 + seed)  # dense enough for antiparallel pairs
+        arcs = set(map(tuple, d.arc_list.tolist()))
+        cut = np.flatnonzero(rng.random(n) < 0.3)
+        in_cut = set(cut.tolist())
+        for u, v in sorted(arcs):
+            if u < v and (v, u) in arcs and u not in in_cut and v not in in_cut:
+                in_cut.add(v)
+        assert break_two_cycles(d, cut).tolist() == sorted(in_cut)
+        ref = nx.DiGraph(list(arcs))
+        ref.add_nodes_from(range(n))
+        for removed_set in (cut.tolist(), sorted(in_cut), bfs_mod.fvs_directed(d).fvs.tolist(), list(range(0, n, 2))):
+            alive = [v for v in range(n) if v not in set(removed_set)]
+            assert is_acyclic_directed(d, removed_set) == nx.is_directed_acyclic_graph(ref.subgraph(alive))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 40])
