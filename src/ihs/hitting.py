@@ -1,5 +1,4 @@
-"""Explicit hitting set machinery: subset families, the exact solver and the
-greedy absorb-whole-subset scan.
+"""Explicit hitting set machinery: subset families and the exact solver.
 
 The exact solver keeps on a ``SubsetFamily`` what it proved about it, so
 repeated calls on one growing family do not prove it again.
@@ -11,8 +10,6 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -91,35 +88,6 @@ def _mask(elements: Iterable[int]) -> int:
 
 def _unmask(m: int) -> tuple[int, ...]:
     return tuple([e for e, bit in enumerate(bin(m)[:1:-1]) if bit == "1"])
-
-
-_BLOCK = 1 << 12  # rows per block of the greedy scan
-
-
-def absorb_unhit(rows: np.ndarray, taken: np.ndarray) -> np.ndarray:
-    """Take, whole and in row order, every row of the int array ``rows`` that
-    has no element set in the bool mask ``taken`` yet, setting its elements
-    there; returns ``taken``. A row of a set may repeat its elements, so sets
-    of mixed sizes fit one array by padding each with its last element.
-
-    Rows are scanned a block at a time: the block's unhit rows are found in
-    one pass, and after each take only the rows still unhit are checked again.
-    """
-    for s in range(0, rows.shape[0], _BLOCK):
-        block = rows[s:s + _BLOCK]
-        unhit = np.flatnonzero(~_hit(taken, block))
-        while unhit.size:
-            taken[block[unhit[0]]] = True
-            unhit = unhit[1:][~_hit(taken, block[unhit[1:]])]
-    return taken
-
-
-def _hit(taken: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Whether each row has an element set in ``taken``, a column at a time."""
-    hit = taken[rows[:, 0]]
-    for j in range(1, rows.shape[1]):
-        hit |= taken[rows[:, j]]
-    return hit
 
 
 def _columns(masks: list[int]) -> tuple[list[int], list[int], list[tuple[int, ...]]]:

@@ -240,43 +240,24 @@ def shortest_cycle_oracle(g_or_d: Graph | Digraph) -> OracleContract:
     return OracleContract(check=_memoized(check), universe_size=n)
 
 
-def cycles_of_length(d: Digraph, k: int, limit: int | None = None) -> np.ndarray:
+def cycles_of_length(d: Digraph, k: int, limit: int | None = None, allowed=None) -> np.ndarray:
     """Every simple directed cycle on exactly ``k`` vertices, as the rows of
     an int32 ``(C, k)`` array, each row the cycle's vertex ids sorted; with
-    ``limit``, only the first ``limit`` of them.
+    ``limit``, only the first ``limit`` of them; with the bool array
+    ``allowed``, only those of the subgraph it induces.
 
-    Each cycle is found once, anchored at its minimum vertex ``a`` and closed
-    by an arc ``(u, a)``, ``u > a``: only those arcs are sorted by head, once
-    per call. Row order: anchor ascending, then path lexicographic, the order
-    of ``walk_cycles``. Per anchor the paths grow one level at a time over the
-    out-CSR, keeping successors above ``a`` and off the path; the last level
-    keeps only successors with an arc back to ``a``. Cost grows with
-    out-degree**(k-1) per anchor; intended for small constant k.
+    Row order: anchor ascending, then path lexicographic, the order of
+    ``walk_cycles``. Cost grows with out-degree**(k-1) per anchor; intended
+    for small constant k.
     """
-    if k < 2:
-        raise ValueError("cycle length must be at least 2")
-    arcs, indptr, indices = d.arc_list, d.out_indptr, d.out_indices
-    back_ptr, back = _transposed_rows(d.n, arcs[arcs[:, 0] > arcs[:, 1]])  # row a: the u of the arcs (u, a), u > a
-    closes = np.zeros(d.n, dtype=bool)  # arc back to the anchor
-    blocks: list[list[np.ndarray]] = []  # per anchor, its paths column by column
+    blocks: list[list[np.ndarray]] = []  # per anchor, its cycles column by column
     found = 0
-    for a in np.flatnonzero(np.diff(back_ptr)).tolist():
+    for path, nbrs, rep, keep in _closing_levels(d, k, allowed):
+        rep = rep[keep]
+        blocks.append([col[rep] for col in path] + [nbrs[keep]])
+        found += rep.size
         if limit is not None and found >= limit:
             break
-        into = back[back_ptr[a]:back_ptr[a + 1]]
-        closes[into] = True
-        path = [np.full(1, a, dtype=np.int32)]
-        for level in range(1, k):
-            nbrs, rep = _gather(indptr, indices, path[-1])
-            keep = closes[nbrs] if level == k - 1 else nbrs > a
-            for col in path[1:-1]:  # the last vertex is no successor of itself
-                keep &= nbrs != col[rep]
-            rep = rep[keep]
-            path = [col[rep] for col in path] + [nbrs[keep]]
-        closes[into] = False
-        if path[0].size:
-            blocks.append(path)
-            found += path[0].size
     if not blocks:
         return np.empty((0, k), dtype=np.int32)
     cols = [np.concatenate([b[j] for b in blocks])[:limit] for j in range(k)]
@@ -286,3 +267,43 @@ def cycles_of_length(d: Digraph, k: int, limit: int | None = None) -> np.ndarray
             lo, hi = cols[j], cols[j + 1]
             cols[j], cols[j + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
     return np.stack(cols, axis=1)
+
+
+def _closing_levels(d: Digraph, k: int, allowed=None):
+    """The level expansion behind ``cycles_of_length``: per anchor ascending,
+    ``(path, nbrs, rep, keep)``, the columns of its paths of ``k - 1``
+    vertices, the gather of their last vertices' successors with each one's
+    path position, and the mask of those that close a ``k``-cycle.
+
+    Each cycle is found once, anchored at its minimum vertex ``a`` and closed
+    by an arc ``(u, a)``, ``u > a``: only those arcs are sorted by head, once
+    per call, and only their heads are anchors. Per anchor the paths grow one
+    level at a time over the out-CSR, keeping successors above ``a``, off the
+    path and set in ``allowed`` (None allows all); the last level keeps only
+    successors with an arc back to ``a``.
+    """
+    if k < 2:
+        raise ValueError("cycle length must be at least 2")
+    arcs, indptr, indices = d.arc_list, d.out_indptr, d.out_indices
+    back_ptr, back = _transposed_rows(d.n, arcs[arcs[:, 0] > arcs[:, 1]])  # row a: the u of the arcs (u, a), u > a
+    anchors = np.diff(back_ptr) > 0
+    if allowed is not None:
+        allowed = np.asarray(allowed, dtype=bool)
+        anchors &= allowed
+    closes = np.zeros(d.n, dtype=bool)  # arc back to the anchor
+    for a in np.flatnonzero(anchors).tolist():
+        into = back[back_ptr[a]:back_ptr[a + 1]]
+        closes[into] = True
+        path = [np.full(1, a, dtype=np.int32)]
+        for level in range(1, k):
+            if level > 1:
+                rep = rep[keep]
+                path = [col[rep] for col in path] + [nbrs[keep]]
+            nbrs, rep = _gather(indptr, indices, path[-1])
+            keep = closes[nbrs] if level == k - 1 else nbrs > a
+            if allowed is not None:
+                keep &= allowed[nbrs]
+            for col in path[1:-1]:  # the last vertex is no successor of itself
+                keep &= nbrs != col[rep]
+        closes[into] = False
+        yield path, nbrs, rep, keep

@@ -1,8 +1,9 @@
 """Exact recovery of a planted feedback vertex set from short directed cycles.
 
-The pipeline enumerates every simple cycle of length at most k, builds a
-greedy hitting set S by absorbing whole unhit cycles (a k-approximation), and
-then filters: a vertex of S is kept iff some cycle of exactly k vertices runs
+The pipeline counts the simple cycles of length at most k, builds a greedy
+hitting set S by absorbing whole unhit cycles (a k-approximation), each one
+walked to on demand instead of listed, checks that S hits them all, and then
+filters: a vertex of S is kept iff some cycle of exactly k vertices runs
 through it inside the graph restricted to (V minus S) plus that vertex. On
 in-regime planted instances the complement of S is cycle-free precisely for
 non-planted vertices, so the filter returns the planted set exactly.
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Digraph
-from .hitting import absorb_unhit
 from .models import PlantedInstance
-from .oracles import cycles_of_length, successor_lists, walk_cycles
+from .oracles import OracleProtocolError, _closing_levels, cycles_of_length, successor_lists, walk_cycles
 
 
 class CycleBudgetExceeded(RuntimeError):
@@ -33,37 +33,42 @@ class RecoveryReport:
     exact_match: bool | None  # None when no ground truth was supplied
 
 
-def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000) -> list[np.ndarray]:
-    """All simple cycles with at most k vertices: one int32 ``(C, length)``
-    array from ``cycles_of_length`` per length 2..k, shortest first.
-
-    Within a length, cycles appear anchored at ascending minimum vertex and in
-    path-lexicographic order, which fixes the greedy processing order. Raises
+def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000) -> list[int]:
+    """The number of simple cycles of each length 2..k, shortest first, counted
+    by the level expansion of ``cycles_of_length`` without listing them. Raises
     CycleBudgetExceeded as soon as the running total passes ``max_cycles``:
-    enumeration stops at the first cycle over the cap.
-    """
+    counting stops at the first anchor over the cap."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    found: list[np.ndarray] = []
-    total = 0
+    counts: list[int] = []
     for length in range(2, k + 1):
-        found.append(cycles_of_length(d, length, limit=max_cycles + 1 - total))
-        total += len(found[-1])
-        if total > max_cycles:
-            raise CycleBudgetExceeded(
-                f"more than {max_cycles} cycles of length <= {length}; "
-                "n*p is too large for this cycle length"
-            )
-    return found
+        counts.append(0)
+        for *_, keep in _closing_levels(d, length):
+            counts[-1] += int(np.count_nonzero(keep))
+            if sum(counts) > max_cycles:
+                raise CycleBudgetExceeded(
+                    f"more than {max_cycles} cycles of length <= {length}; "
+                    "n*p is too large for this cycle length"
+                )
+    return counts
 
 
-def greedy_hit_cycles(cycles: list[np.ndarray], n: int) -> list[int]:
-    """Absorb every cycle that the vertices taken so far miss, over the arrays
-    of ``collect_short_cycles`` in order; returns the sorted vertices taken."""
-    taken = np.zeros(n, dtype=bool)
-    for rows in cycles:
-        absorb_unhit(rows, taken)
-    return np.flatnonzero(taken).tolist()
+def greedy_hit_cycles(d: Digraph, k: int, adj, succ) -> list[int]:
+    """The sorted vertices the greedy takes by absorbing, over the lengths 2..k
+    in ``cycles_of_length`` order, each cycle the vertices taken so far miss,
+    in one lazy pass over ``adj, succ = successor_lists(d)``: an anchor's
+    cycles are contiguous in that order and all hit once it is taken, so per
+    length and per untaken anchor (a vertex with an arc from a higher id) the
+    cycle absorbed is the first path ``walk_cycles`` yields among untaken ones."""
+    arcs = d.arc_list
+    anchors = np.flatnonzero(np.bincount(arcs[arcs[:, 0] > arcs[:, 1], 1])).tolist()
+    untaken = bytearray(b"\x01") * d.n
+    for length in range(2, k + 1):
+        for a in anchors:
+            if untaken[a] and (path := next(walk_cycles(adj, succ, a, length, a + 1, untaken), None)):
+                for v in path:
+                    untaken[v] = 0
+    return [v for v in range(d.n) if not untaken[v]]
 
 
 def recover_planted_fvs(
@@ -72,25 +77,27 @@ def recover_planted_fvs(
     planted: list[int] | None = None,
     max_cycles: int = 10_000_000,
 ) -> RecoveryReport:
-    """Run enumeration, greedy hitting, and the through-vertex filter.
+    """Run the count, greedy hitting, its certificate and the through-vertex filter.
 
     ``planted`` is optional ground truth used only to fill ``exact_match``.
     """
     if k < 3:
         raise ValueError("recovery needs k >= 3")
-    cycles = collect_short_cycles(d, k, max_cycles=max_cycles)
-    greedy = greedy_hit_cycles(cycles, d.n)
-
+    counts = collect_short_cycles(d, k, max_cycles=max_cycles)
     adj, succ = successor_lists(d)
+    greedy = greedy_hit_cycles(d, k, adj, succ)
+
     allowed = np.ones(d.n, dtype=bool)
     allowed[greedy] = False
+    if any(len(cycles_of_length(d, length, limit=1, allowed=allowed)) for length in range(2, k + 1)):
+        raise OracleProtocolError("a short cycle misses the greedy set")  # walk and enumeration disagree: a bug
     recovered = [v for v in greedy if any(walk_cycles(adj, succ, v, k, 0, allowed))]
 
     match = None if planted is None else recovered == sorted(planted)
     return RecoveryReport(
         recovered=recovered,
         greedy_set=greedy,
-        cycles_found=sum(map(len, cycles)),
+        cycles_found=sum(counts),
         exact_match=match,
     )
 
@@ -153,7 +160,8 @@ def planted_diagnostics(
             "edge probability is likely below the recovery regime for this k"
         )
 
-    greedy_size = len(greedy_hit_cycles(collect_short_cycles(d, k), d.n))
+    collect_short_cycles(d, k)  # out of regime, the cycle budget stops it as it stops recovery
+    greedy_size = len(greedy_hit_cycles(d, k, adj, succ))
     bound = k * len(planted)
     return PlantedDiagnostics(
         coverage=coverage,

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import ihs.generic as generic_mod
 from ihs import (
+    CycleBudgetExceeded,
+    Digraph,
     HittingSet,
     ModelParams,
     OracleContract,
@@ -13,14 +15,19 @@ from ihs import (
     SolverAbort,
     SubsetFamily,
     bfs_cycle_oracle,
+    cycles_of_length,
     exact_min_hitting_set,
     explicit_family_oracle,
     gen_gnp,
+    recover_planted_fvs,
     shortest_cycle_oracle,
     solve_implicit_hitting_set,
 )
 from ihs.hitting import _columns, _mask, _search
+from ihs.oracles import successor_lists
 from ihs.planted import greedy_hit_cycles
+
+from test_graphs import random_digraph
 
 
 def brute_force_optima(universe: int, subsets: list[tuple[int, ...]]):
@@ -72,7 +79,6 @@ def test_numpy_ids_are_stored_as_python_ints():
     assert fam.masks == plain.masks
     assert exact_min_hitting_set(fam) == exact_min_hitting_set(plain)
     assert exact_min_hitting_set(fam).members == (3, 65, 70)
-    assert greedy(fam) == greedy(plain)
     with pytest.raises(TypeError):
         fam.add([1.5])
 
@@ -127,24 +133,23 @@ def test_exact_matches_brute_force(seed):
     assert got.members == min(optima)
 
 
-def greedy(fam: SubsetFamily, order=None) -> tuple[int, ...]:
-    """``greedy_hit_cycles`` over the subsets in ``order`` (insertion order by
-    default), passed as one array of rows, each padded with its last element."""
-    subsets = fam.subsets if order is None else [fam.subsets[i] for i in order]
-    width = max(map(len, subsets), default=1)
-    rows = np.array([s + s[-1:] * (width - len(s)) for s in subsets], dtype=np.int64)
-    return tuple(greedy_hit_cycles([rows.reshape(-1, width)], fam.universe_size))
+def lazy_greedy(d: Digraph, k: int) -> list[int]:
+    return greedy_hit_cycles(d, k, *successor_lists(d))
 
 
 def test_greedy_forced_trace():
-    fam = SubsetFamily(6, [(1, 2, 3), (3, 4, 5)])
-    assert greedy(fam) == (1, 2, 3)
-    assert greedy(SubsetFamily(6)) == ()
+    # triangles 1->2->3 and 3->4->5: the first is absorbed whole and hits the second
+    d = Digraph(6, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 3)])
+    assert lazy_greedy(d, 3) == [1, 2, 3]
+    assert lazy_greedy(Digraph(6, [(0, 1), (1, 2)]), 3) == []
 
 
 def test_greedy_respects_order():
-    fam = SubsetFamily(6, [(1, 2, 3), (3, 4, 5)])
-    assert greedy(fam, order=[1, 0]) == (3, 4, 5)
+    # shorter cycles first: the 2-cycle {3, 4} is absorbed before the triangle
+    # {1, 2, 3}, which it hits
+    d = Digraph(6, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 3)])
+    assert lazy_greedy(d, 3) == [3, 4]
+    assert lazy_greedy(d, 2) == [3, 4]
 
 
 def tuple_greedy(subsets):
@@ -156,23 +161,20 @@ def tuple_greedy(subsets):
     return tuple(sorted(chosen))
 
 
-@pytest.mark.parametrize("block", [1, 3, 4096])
+@pytest.mark.parametrize("budget", [1, 3, 4096])
 @pytest.mark.parametrize("seed", range(20))
-def test_array_greedy_matches_tuple_loop(monkeypatch, seed, block):
-    # subsets of sizes 1..5 become rows padded with their last element; small
-    # blocks move the scan's block boundaries through the family
-    import ihs.hitting as hitting_mod
-
-    monkeypatch.setattr(hitting_mod, "_BLOCK", block)
+def test_array_greedy_matches_tuple_loop(seed, budget):
+    # recovery's greedy set equals the tuple loop over the cycle arrays of
+    # cycles_of_length, lengths 2..4 in order; more cycles than the budget
+    # raise instead
     rng = np.random.default_rng(20_000 + seed)
-    universe = int(rng.integers(5, 40))
-    fam = SubsetFamily(universe)
-    for _ in range(int(rng.integers(1, 80))):
-        fam.add(rng.choice(universe, size=int(rng.integers(1, min(5, universe) + 1)), replace=False).tolist())
-    assert greedy(fam) == tuple_greedy(fam.subsets)
-    order = rng.permutation(len(fam)).tolist()
-    want = tuple_greedy(fam.subsets[i] for i in order)
-    assert greedy(fam, order=order) == want
+    d = random_digraph(int(rng.integers(3, 14)), float(rng.uniform(0.15, 0.5)), 21_000 + seed)
+    listed = [tuple(c) for length in (2, 3, 4) for c in cycles_of_length(d, length).tolist()]
+    if len(listed) > budget:
+        with pytest.raises(CycleBudgetExceeded):
+            recover_planted_fvs(d, 4, max_cycles=budget)
+    else:
+        assert tuple(recover_planted_fvs(d, 4, max_cycles=budget).greedy_set) == tuple_greedy(listed)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -182,7 +184,7 @@ def test_greedy_k_approximation(seed):
     fam = SubsetFamily(20)
     for _ in range(50):
         fam.add(rng.choice(20, size=3, replace=False).tolist())
-    taken = greedy(fam)
+    taken = tuple_greedy(fam.subsets)
     exact = exact_min_hitting_set(fam)
     assert explicit_family_oracle(fam).check(taken).feasible
     assert len(taken) <= 3 * exact.size
@@ -195,7 +197,7 @@ def test_solver_properties(seed):
     universe = int(rng.integers(2, 13))
     fam = random_family(rng, universe, int(rng.integers(1, 7)), min(4, universe))
     exact = exact_min_hitting_set(fam)
-    taken = greedy(fam)
+    taken = tuple_greedy(fam.subsets)
     assert explicit_family_oracle(fam).check(exact.members).feasible
     assert explicit_family_oracle(fam).check(taken).feasible
     assert exact.size <= len(taken)
@@ -203,7 +205,6 @@ def test_solver_properties(seed):
     assert len(taken) <= max_size * exact.size
     # determinism
     assert exact_min_hitting_set(fam).members == exact.members
-    assert greedy(fam) == taken
 
 
 def test_hitting_set_container():

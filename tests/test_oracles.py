@@ -340,6 +340,20 @@ def test_cycles_of_length_in_walk_order(seed, k):
         assert _rows(cycles_of_length(d, k, limit=limit)) == walked[:limit]
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_cycles_of_length_allowed_matches_induced_brute_force(seed):
+    # only the cycles of the subgraph the mask induces, in the unmasked order
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    d = random_digraph(n, float(rng.uniform(0.2, 0.6)), 50_000 + seed)
+    allowed = rng.random(n) < 0.7
+    for k in (2, 3, 4, 5):
+        got = _rows(cycles_of_length(d, k, allowed=allowed))
+        assert sorted(got) == [c for c in brute_force_k_cycles(d, k) if allowed[list(c)].all()]
+        assert got == [c for c in _rows(cycles_of_length(d, k)) if allowed[list(c)].all()]
+        assert _rows(cycles_of_length(d, k, limit=1, allowed=allowed)) == got[:1]
+
+
 def test_cycles_deterministic_order():
     d = Digraph(5, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1), (2, 3), (3, 0)])
     assert _rows(cycles_of_length(d, 3)) == _rows(cycles_of_length(d, 3))

@@ -3,17 +3,24 @@ import math
 import numpy as np
 import pytest
 
+import ihs.planted as planted_mod
 from ihs import (
     CycleBudgetExceeded,
     Digraph,
     ModelParams,
+    OracleProtocolError,
+    RecoveryReport,
     cycles_of_length,
+    gen_dnp,
     gen_gnp,
     gen_planted,
     is_acyclic_directed,
     planted_diagnostics,
     recover_planted_fvs,
 )
+from ihs.oracles import _closing_levels, successor_lists, walk_cycles
+
+from test_graphs import random_digraph
 
 
 def test_acyclic_digraph_recovers_nothing():
@@ -65,23 +72,67 @@ def test_recovery_exact_on_model_instances(seed):
     assert len(report.greedy_set) <= 3 * len(inst.planted)
 
 
+def reference_recovery(d, k, planted=None) -> RecoveryReport:
+    """Recovery over listed cycles: every cycle of length 2..k from
+    ``cycles_of_length``, the tuple greedy over them in order, then the walk
+    filter."""
+    listed = [tuple(c) for length in range(2, k + 1) for c in cycles_of_length(d, length).tolist()]
+    chosen = set()
+    for cyc in listed:
+        if chosen.isdisjoint(cyc):
+            chosen.update(cyc)
+    greedy = sorted(chosen)
+    adj, succ = successor_lists(d)
+    allowed = [v not in chosen for v in range(d.n)]
+    recovered = [v for v in greedy if any(walk_cycles(adj, succ, v, k, 0, allowed))]
+    return RecoveryReport(recovered, greedy, len(listed), None if planted is None else recovered == sorted(planted))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_greedy_hit_cycles_matches_tuple_loop(seed):
-    # the array greedy over one array per length takes the same vertices as
-    # absorbing the cycle tuples one by one, 2-cycles first
-    import ihs.planted as planted_mod
-
+    # the lazy pass takes the same vertices as absorbing the listed cycle
+    # tuples one by one in cycles_of_length order, 2-cycles first
     inst = gen_planted(ModelParams(n=80, p=0.5, delta=0.1, k=4, seed=seed))
     arcs = inst.digraph.arc_list.tolist()
     d = Digraph(inst.digraph.n, arcs + [(v, u) for u, v in arcs[:2]])  # two 2-cycles
-    cycles = planted_mod.collect_short_cycles(d, 4)
-    assert [c.shape[1] for c in cycles] == [2, 3, 4] and len(cycles[0]) > 0
-    chosen = set()
-    for rows in cycles:
-        for cyc in rows.tolist():
-            if chosen.isdisjoint(cyc):
-                chosen.update(cyc)
-    assert planted_mod.greedy_hit_cycles(cycles, d.n) == sorted(chosen)
+    assert len(cycles_of_length(d, 2)) > 0
+    assert planted_mod.greedy_hit_cycles(d, 4, *successor_lists(d)) == reference_recovery(d, 4).greedy_set
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_recovery_matches_listed_reference(seed):
+    # 60 random digraphs with antiparallel arcs per seed, k = 3..5
+    rng = np.random.default_rng(70_000 + seed)
+    for _ in range(60):
+        d = random_digraph(int(rng.integers(3, 20)), float(rng.uniform(0.05, 0.4)), int(rng.integers(1 << 30)))
+        k = int(rng.integers(3, 6))
+        assert recover_planted_fvs(d, k) == reference_recovery(d, k)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_recovery_matches_listed_reference_on_models(seed):
+    d = gen_dnp(ModelParams(n=60, p=0.1, seed=seed))
+    for k in (3, 4, 5):
+        assert recover_planted_fvs(d, k) == reference_recovery(d, k)
+    inst = gen_planted(ModelParams(n=60, p=0.4, delta=0.1, k=3, seed=seed))
+    report = recover_planted_fvs(inst.digraph, 3, planted=inst.planted)
+    assert report == reference_recovery(inst.digraph, 3, planted=inst.planted)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cycle_counts_match_listed_rows(seed):
+    rng = np.random.default_rng(seed)
+    d = random_digraph(int(rng.integers(2, 12)), float(rng.uniform(0.1, 0.6)), 60_000 + seed)
+    for k in (2, 3, 4, 5):
+        counts = planted_mod.collect_short_cycles(d, k)
+        assert counts == [len(cycles_of_length(d, length)) for length in range(2, k + 1)]
+
+
+def test_greedy_misses_a_cycle_raises(monkeypatch):
+    # the certificate catches a greedy set that leaves a short cycle unhit
+    monkeypatch.setattr(planted_mod, "greedy_hit_cycles", lambda d, k, adj, succ: [])
+    with pytest.raises(OracleProtocolError, match="misses the greedy set"):
+        recover_planted_fvs(Digraph(3, [(0, 1), (1, 2), (2, 0)]), 3)
 
 
 def test_cycle_budget_guard():
@@ -143,22 +194,20 @@ def test_diagnostics_reject_fewer_than_one_sample(samples):
 
 
 def test_cycle_budget_stops_enumeration_at_cap(monkeypatch):
-    # a complete digraph on 10 vertices has 45 two-cycles: the first length
-    # alone passes a cap of 10, and enumeration stops at the 11th cycle
-    import ihs.planted as planted_mod
+    # a complete digraph on 10 vertices has 45 two-cycles, 9 anchored at 0 and
+    # 8 at 1: the count passes a cap of 10 at anchor 1 and stops there
+    counted = []
 
-    lengths = []
+    def levels(d, k, allowed=None):
+        for path, nbrs, rep, keep in _closing_levels(d, k, allowed):
+            counted.append(int(np.count_nonzero(keep)))
+            yield path, nbrs, rep, keep
 
-    def counted(d, k, limit=None):
-        cycles = cycles_of_length(d, k, limit=limit)
-        lengths.append(len(cycles))
-        return cycles
-
-    monkeypatch.setattr(planted_mod, "cycles_of_length", counted)
+    monkeypatch.setattr(planted_mod, "_closing_levels", levels)
     d = Digraph(10, [(u, v) for u in range(10) for v in range(10) if u != v])
-    with pytest.raises(CycleBudgetExceeded):
+    with pytest.raises(CycleBudgetExceeded, match="more than 10 cycles of length <= 2"):
         planted_mod.collect_short_cycles(d, 3, max_cycles=10)
-    assert lengths == [11]
+    assert counted == [9, 8]
 
 
 def test_enumeration_leaves_no_garbage_cycles():
