@@ -43,9 +43,7 @@ from .oracles import (
 )
 from .planted import (
     CycleBudgetExceeded,
-    PlantedDiagnostics,
     RecoveryReport,
-    planted_diagnostics,
     recover_planted_fvs,
 )
 

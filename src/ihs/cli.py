@@ -33,9 +33,9 @@ from .bfs_growth import (
 from .generic import SolverAbort, solve_implicit_hitting_set
 from .graphs import Digraph, GraphError, is_acyclic_directed, is_acyclic_undirected, shadow_undirected
 from .instance_io import Instance, InstanceFormatError, read_instance, write_instance
-from .models import ModelParams, PlantedInstance, gen_dnp, gen_gnp, gen_planted
+from .models import ModelParams, gen_dnp, gen_gnp, gen_planted
 from .oracles import OracleProtocolError, bfs_cycle_oracle, shortest_cycle_oracle
-from .planted import CycleBudgetExceeded, planted_diagnostics, recover_planted_fvs
+from .planted import CycleBudgetExceeded, recover_planted_fvs
 
 COLUMNS = [
     "run_id", "seed", "algorithm", "n", "p", "delta", "k",
@@ -215,19 +215,14 @@ def _run_generic(seed, *, source: Source, oracle: str, root: int) -> dict:
     )
 
 
-def _planted_k(k: int | None, params: ModelParams | None) -> int:
-    k = k if k is not None else _param(params, "k")
-    if k is None:
-        raise ValueError("--k is required (or a params trailer carrying k)")
-    return k
-
-
 def _run_planted(seed, *, source: Source, k: int | None) -> dict:
     t0 = time.perf_counter()
     graph, planted, params = source.load(seed)
     if not isinstance(graph, Digraph):
         raise ValueError("planted recovery needs a directed instance")
-    k = _planted_k(k, params)
+    k = k if k is not None else _param(params, "k")
+    if k is None:
+        raise ValueError("--k is required (or a params trailer carrying k)")
     delta = _param(params, "delta")
     ids = dict(seed=_param(params, "seed"), algorithm="recover-planted", n=graph.n,
                p=_param(params, "p"), delta=delta, k=k)
@@ -239,30 +234,6 @@ def _run_planted(seed, *, source: Source, k: int | None) -> dict:
         acyclic_ok=bool(is_acyclic_directed(graph, report.recovered)),
         exact_match=report.exact_match,
         cycles_found=report.cycles_found,
-        runtime_ms=_ms(t0),
-    )
-
-
-def _run_verify(seed, *, source: Source, k: int | None, samples: int) -> dict:
-    t0 = time.perf_counter()
-    graph, planted, params = source.load(seed)
-    if not isinstance(graph, Digraph) or planted is None:
-        raise ValueError("verification needs a directed instance with a planted trailer")
-    if params is None:
-        raise ValueError("verification needs a params trailer")
-    k = _planted_k(k, params)
-    inst = PlantedInstance(digraph=graph, planted=planted, params=params)
-    ids = dict(seed=params.seed, algorithm="verify-planted", n=graph.n,
-               p=params.p, delta=params.delta, k=k)
-    diag = _solve(ids, planted_diagnostics, inst, samples=samples, k=k)
-    if diag.hypothesis_note:
-        print(f"warning: {diag.hypothesis_note}", file=sys.stderr)
-    return make_row(
-        **ids,
-        fvs_size=diag.greedy_size,
-        bound_value=diag.greedy_bound,
-        acyclic_ok=bool(is_acyclic_directed(graph, planted)),
-        exact_match=bool(diag.all_covered and diag.greedy_ok),
         runtime_ms=_ms(t0),
     )
 
@@ -343,10 +314,6 @@ def cmd_solve_generic(args) -> int:
 
 def cmd_solve_planted(args) -> int:
     return _run_command(args, _run_planted, ("planted", "dnp"), k=args.k)
-
-
-def cmd_verify_planted(args) -> int:
-    return _run_command(args, _run_verify, ("planted",), k=args.k, samples=args.samples)
 
 
 # ----------------------------------------------------------------------------
@@ -437,7 +404,7 @@ def check_options(args) -> None:
         if missing:
             note = "" if given(("seed", "seeds")) else " (no wall-clock seeding)"
             raise ValueError(f"recipe {args.recipe} requires {_flags(missing)}{note}")
-    elif hasattr(args, "instance"):  # the solve and verify commands
+    elif hasattr(args, "instance"):  # the solve commands
         if args.instance is not None and given(FILE_REFUSES):
             raise ValueError(f"an instance file takes no {_flags(given(FILE_REFUSES))}")
         if args.instance is None and args.model is None:
@@ -499,13 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_model(pla, planted=True)
     pla.add_argument("--k", type=int)
     pla.set_defaults(fn=cmd_solve_planted)
-
-    ver = subs.add_parser("verify-planted", help="statistical checks of the planted structure")
-    ver.add_argument("instance", nargs="?")
-    _add_common_model(ver, planted=True)
-    ver.add_argument("--k", type=int)
-    ver.add_argument("--samples", type=int, default=5)
-    ver.set_defaults(fn=cmd_verify_planted)
 
     exp = subs.add_parser("experiment", help="named experiment recipes with an aggregate row")
     exp.add_argument("--recipe", choices=list(RECIPES), required=True)

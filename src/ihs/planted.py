@@ -11,13 +11,11 @@ non-planted vertices, so the filter returns the planted set exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Digraph
-from .models import PlantedInstance
 from .oracles import OracleProtocolError, _closing_levels, cycles_of_length, successor_lists, walk_cycles
 
 
@@ -59,7 +57,11 @@ def greedy_hit_cycles(d: Digraph, k: int, adj, succ) -> list[int]:
     in one lazy pass over ``adj, succ = successor_lists(d)``: an anchor's
     cycles are contiguous in that order and all hit once it is taken, so per
     length and per untaken anchor (a vertex with an arc from a higher id) the
-    cycle absorbed is the first path ``walk_cycles`` yields among untaken ones."""
+    cycle absorbed is the first path ``walk_cycles`` yields among untaken ones.
+
+    On the planted model, size <= k * |P| holds by construction: V minus P is a
+    DAG, so each absorbed cycle holds an untaken planted vertex, and at most |P|
+    cycles are absorbed."""
     arcs = d.arc_list
     anchors = np.flatnonzero(np.bincount(arcs[arcs[:, 0] > arcs[:, 1], 1])).tolist()
     untaken = bytearray(b"\x01") * d.n
@@ -99,75 +101,4 @@ def recover_planted_fvs(
         greedy_set=greedy,
         cycles_found=sum(counts),
         exact_match=match,
-    )
-
-
-@dataclass
-class PlantedDiagnostics:
-    """Statistical spot-checks of the structure recovery relies on.
-
-    ``coverage``: per sampled complement subset, how many planted vertices had
-    a k-cycle inside the subset plus that vertex. Recovery needs all of them.
-    ``greedy_size`` vs ``greedy_bound`` checks the k-approximation bound
-    k * |planted|.
-    """
-
-    coverage: list[tuple[int, int]]  # (covered planted vertices, planted count) per sample
-    all_covered: bool
-    hypothesis_note: str | None
-    greedy_size: int
-    greedy_bound: int
-    greedy_ok: bool
-
-
-def planted_diagnostics(
-    inst: PlantedInstance,
-    samples: int = 5,
-    seed: int | None = None,
-    k: int | None = None,
-) -> PlantedDiagnostics:
-    """Sample subsets of the non-planted part and verify every planted vertex
-    closes a k-cycle inside them; also check the greedy hitting set size bound."""
-    d = inst.digraph
-    planted = inst.planted
-    if k is None:
-        k = inst.params.k
-    if k is None or k < 3:
-        raise ValueError("diagnostics need k >= 3")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if seed is None:
-        seed = (inst.params.seed + 0x9E3779B9) % 2**64
-    rng = np.random.Generator(np.random.PCG64(seed))
-
-    others = np.asarray(sorted(set(range(d.n)) - set(planted)), dtype=np.int64)
-    take = math.ceil(others.size / 10) if others.size else 0
-    adj, succ = successor_lists(d)
-    coverage: list[tuple[int, int]] = []
-    allowed = np.zeros(d.n, dtype=bool)
-    for _ in range(samples):
-        subset = rng.choice(others, size=take, replace=False) if take else others
-        allowed[:] = False
-        allowed[subset] = True
-        covered = sum(any(walk_cycles(adj, succ, v, k, 0, allowed)) for v in planted)
-        coverage.append((covered, len(planted)))
-
-    all_covered = bool(coverage) and all(c == total for c, total in coverage)
-    note = None
-    if not all_covered:
-        note = (
-            "some planted vertices close no short cycle in sampled subsets; "
-            "edge probability is likely below the recovery regime for this k"
-        )
-
-    collect_short_cycles(d, k)  # out of regime, the cycle budget stops it as it stops recovery
-    greedy_size = len(greedy_hit_cycles(d, k, adj, succ))
-    bound = k * len(planted)
-    return PlantedDiagnostics(
-        coverage=coverage,
-        all_covered=all_covered,
-        hypothesis_note=note,
-        greedy_size=greedy_size,
-        greedy_bound=bound,
-        greedy_ok=greedy_size <= bound,
     )

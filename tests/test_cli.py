@@ -429,22 +429,6 @@ def test_experiment_theorem5_cycle_budget_abort(monkeypatch, capsys):
     assert "solver abort" in err
 
 
-def test_verify_planted_cycle_budget_abort(monkeypatch, capsys):
-    import ihs.cli as cli_mod
-
-    def explode(*args, **kwargs):
-        raise cli_mod.CycleBudgetExceeded("too many")
-
-    monkeypatch.setattr(cli_mod, "planted_diagnostics", explode)
-    code, rows = run_cli(
-        capsys, "verify-planted", "--model", "planted", "--n", "50", "--p", "0.5",
-        "--delta", "0.1", "--k", "3", "--seed", "1",
-    )
-    assert code == 3
-    assert rows[0]["algorithm"] == "verify-planted"
-    assert rows[0]["fvs_size"] == ""
-
-
 def test_solve_generic_oracle_protocol_abort(monkeypatch, capsys):
     import ihs.cli as cli_mod
 
@@ -496,17 +480,6 @@ def test_solve_generic_out_of_universe_abort(monkeypatch, tmp_path, capsys):
     assert "outside" in err
 
 
-@pytest.mark.parametrize("samples", ["0", "-1"])
-def test_verify_planted_rejects_fewer_than_one_sample(capsys, samples):
-    code, rows, err = run_cli_with_err(
-        capsys, "verify-planted", "--model", "planted", "--n", "100", "--p", "0.6",
-        "--delta", "0.1", "--k", "3", "--seed", "1", "--samples", samples,
-    )
-    assert code == 2
-    assert rows == []
-    assert "sample" in err and "recovery regime" not in err
-
-
 def test_params_trailer_out_of_range_exits_2(tmp_path, capsys):
     path = tmp_path / "tri.txt"
     path.write_text("ihs-graph 1 undirected 3 3\n0 1\n0 2\n1 2\nparams p=nan seed=0\n")
@@ -528,6 +501,14 @@ def test_solve_generic_has_no_swap_width_option(tmp_path, capsys):
         main(["solve-generic", triangle_file(tmp_path), "--oracle", "bfs-cycle", "--ymax", "2"])
     assert info.value.code == 2
     assert "unrecognized arguments: --ymax" in capsys.readouterr().err
+
+
+def test_verify_planted_is_retired(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify-planted", "--model", "planted", "--n", "100", "--p", "0.6",
+              "--delta", "0.1", "--k", "3", "--seed", "1"])
+    assert info.value.code == 2
+    assert "invalid choice: 'verify-planted'" in capsys.readouterr().err
 
 
 def test_instance_too_large_for_memory_exits_2(monkeypatch, capsys):
@@ -590,9 +571,9 @@ def test_instance_file_too_large_for_memory_exits_2(monkeypatch, capsys, tmp_pat
     assert "needs about" in err and "MB is available" in err
 
 
-# replaced by instance files the tests write: the undirected triangle, a
-# directed triangle, and the directed triangle with a planted trailer only
-FILE, DIRECTED, PLANTED = "{file}", "{directed}", "{planted}"
+# replaced by instance files the tests write: the undirected triangle and a
+# directed triangle
+FILE, DIRECTED = "{file}", "{directed}"
 GNP = ["--model", "gnp", "--n", "30", "--p", "0.1"]
 THEOREM1 = ["experiment", "--recipe", "theorem1", "--n", "50", "--p", "0.1", "--seeds", "0..1"]
 THEOREM2 = ["experiment", "--recipe", "theorem2", "--n", "50", "--p", "0.05", "--r", "5",
@@ -635,8 +616,6 @@ UNRUNNABLE = {
     "solve-planted dnp no --k": ["solve-planted", "--model", "dnp", "--n", "30", "--p", "0.1",
                                  "--seed", "0"],
     "solve-planted undirected file": ["solve-planted", FILE],
-    "verify-planted no planted trailer": ["verify-planted", FILE],
-    "verify-planted no params trailer": ["verify-planted", PLANTED],
 }
 
 
@@ -644,9 +623,7 @@ def instance_files(tmp_path) -> dict[str, str]:
     """The file behind each placeholder of ``REFUSED`` and ``UNRUNNABLE``."""
     directed = tmp_path / "directed.txt"
     directed.write_text("ihs-graph 1 directed 3 3\n0 1\n1 2\n2 0\n")
-    planted = tmp_path / "planted.txt"
-    planted.write_text("ihs-graph 1 directed 3 3\n0 1\n1 2\n2 0\nplanted 1 0\n")
-    return {FILE: triangle_file(tmp_path), DIRECTED: str(directed), PLANTED: str(planted)}
+    return {FILE: triangle_file(tmp_path), DIRECTED: str(directed)}
 
 
 @pytest.mark.parametrize("argv", [*REFUSED.values(), *UNRUNNABLE.values()],

@@ -58,10 +58,6 @@ CASES = {
     "solve-generic file": (
         ["--model", "gnp", "--n", "16", "--p", "0.2", "--seed", "5"],
         ["solve-generic", FILE, "--oracle", "bfs-cycle"]),
-    "verify-planted model": (
-        None, ["verify-planted", "--model", "planted", *PLANTED_100, "--seed", "1", "--samples", "2"]),
-    "verify-planted file": (
-        ["--model", "planted", *PLANTED_100, "--seed", "3"], ["verify-planted", FILE, "--samples", "2"]),
     "experiment lemma1 applicable": (
         None, ["experiment", "--recipe", "lemma1", "--n", "13000", "--p", "0.03125", "--seeds", "0..0"]),
     "experiment lemma1 n2000": (
