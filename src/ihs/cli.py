@@ -19,7 +19,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .bfs_growth import (
@@ -433,7 +433,9 @@ def _add_common_model(sub, planted: bool = False) -> None:
     sub.add_argument("--out", type=str, default=None)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ihs`` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="ihs", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -1,12 +1,14 @@
 """Exact recovery of a planted feedback vertex set from short directed cycles.
 
-The pipeline counts the simple cycles of length at most k, builds a greedy
-hitting set S by absorbing whole unhit cycles (a k-approximation), each one
-walked to on demand instead of listed, checks that S hits them all, and then
-filters: a vertex of S is kept iff some cycle of exactly k vertices runs
-through it inside the graph restricted to (V minus S) plus that vertex. On
-in-regime planted instances the complement of S is cycle-free precisely for
-non-planted vertices, so the filter returns the planted set exactly.
+The pipeline counts the simple cycles of length at most k (lengths 2 and 3 by
+traces of the dense adjacency where it fits the memory charged to the arcs,
+the rest per anchor), builds a greedy hitting set S by absorbing whole unhit
+cycles (a k-approximation), each one walked to on demand instead of listed,
+checks that S hits them all, and then filters: a vertex of S is kept iff some
+cycle of exactly k vertices runs through it inside the graph restricted to
+(V minus S) plus that vertex. On in-regime planted instances the complement
+of S is cycle-free precisely for non-planted vertices, so the filter returns
+the planted set exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Digraph
+from .graphs import _BLOCK, Digraph
+from .models import _BYTES_PER_PAIR
 from .oracles import OracleProtocolError, _closing_levels, cycles_of_length, successor_lists, walk_cycles
 
 
@@ -33,22 +36,61 @@ class RecoveryReport:
 
 def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000) -> list[int]:
     """The number of simple cycles of each length 2..k, shortest first, counted
-    by the level expansion of ``cycles_of_length`` without listing them. Raises
-    CycleBudgetExceeded as soon as the running total passes ``max_cycles``:
-    counting stops at the first anchor over the cap."""
+    without listing them. Raises CycleBudgetExceeded as soon as the running
+    total passes ``max_cycles``, with the same decision and message on either
+    path below.
+
+    Where the float32 adjacency A fits what the memory guard charges the arcs
+    (4 n^2 <= ``_BYTES_PER_PAIR["planted"]`` m), lengths 2 and 3 come from A:
+    the 2-cycles are the arcs with a reverse arc, halved, and the 3-cycles
+    tr(A^3) / 3, summed over row blocks of A^2 that hold at most
+    ``graphs._BLOCK`` floats. This is exact: an entry of A^2 is at most n < 2^24,
+    which float32 holds, and the float64 sum of integers stays exact below
+    2^53. Each block's partial trace bounds the 3-cycles from below, so the
+    budget stops at the first block over the cap. Longer lengths, and every
+    length on sparser digraphs, are counted by the level expansion of
+    ``cycles_of_length``, which stops at the first anchor over the cap."""
     if k < 2:
         raise ValueError("k must be at least 2")
+    a = None
+    if 4 * d.n**2 <= _BYTES_PER_PAIR["planted"] * d.num_arcs:
+        a = np.zeros((d.n, d.n), dtype=np.float32)
+        a[d.arc_list[:, 0], d.arc_list[:, 1]] = 1
     counts: list[int] = []
     for length in range(2, k + 1):
         counts.append(0)
-        for *_, keep in _closing_levels(d, length):
-            counts[-1] += int(np.count_nonzero(keep))
+        if a is not None and length <= 3:
+            rises = _trace_counts(a, d.arc_list, length)
+        else:
+            rises = (int(np.count_nonzero(keep)) for *_, keep in _closing_levels(d, length))
+        for rise in rises:
+            counts[-1] += rise
             if sum(counts) > max_cycles:
                 raise CycleBudgetExceeded(
                     f"more than {max_cycles} cycles of length <= {length}; "
                     "n*p is too large for this cycle length"
                 )
     return counts
+
+
+def _trace_counts(a: np.ndarray, arcs: np.ndarray, length: int):
+    """The cycles of ``length`` 2 or 3 in the digraph of adjacency ``a`` and
+    arc list ``arcs``, yielded in parts: one for length 2, one per row block
+    of A^2 for length 3. The parts sum to the count, and each running sum is a
+    lower bound on it."""
+    if length == 2:
+        yield int(np.count_nonzero(a[arcs[:, 1], arcs[:, 0]])) // 2
+        return
+    rows = max(1, _BLOCK // a.shape[0])
+    walks = found = 0  # closed 3-walks so far: each 3-cycle is three of them
+    for r in range(0, a.shape[0], rows):
+        blk = a[r:r + rows] @ a  # paths of two arcs out of the block's rows
+        blk *= a.T[r:r + rows]  # ... closed by an arc back
+        walks += int(blk.sum(dtype=np.float64))
+        # whole 3-cycles: at least ceil(walks / 3), and c + bound > cap iff c + walks / 3 > cap
+        bound = -(-walks // 3)
+        yield bound - found
+        found = bound
 
 
 def greedy_hit_cycles(d: Digraph, k: int, adj, succ) -> list[int]:

@@ -197,6 +197,44 @@ def test_jobs_start_at_most_one_worker_per_seed(monkeypatch, capsys, seeds, jobs
     assert strip_runtime(rows) == strip_runtime(serial)
 
 
+def fresh_cli(*argv) -> tuple[int, list[dict]]:
+    """Exit code and rows of one ``ihs`` command in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "ihs", *argv], capture_output=True, text=True, env=child_env())
+    return proc.returncode, list(csv.DictReader(io.StringIO(proc.stdout))) if proc.stdout else []
+
+
+def test_calls_in_one_process_match_fresh_calls(monkeypatch, capsys, tmp_path):
+    # the parser is built once per process: one call's options, defaults
+    # included, never carry over to the next
+    assert build_parser() is build_parser()
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    sweep = ["solve-fvs", "--model", "gnp", "--n", "30", "--p", "0.1", "--seeds", "0..2"]
+    planted = ["solve-planted", "--model", "planted", "--n", "60", "--p", "0.3", "--delta", "0.1", "--k", "4",
+               "--seed", "1"]
+    out = tmp_path / "sweep.csv"
+    assert run_cli(capsys, *sweep, "--jobs", "2", "--out", str(out)) == (0, [])
+    assert RecordingPool.created == [2]
+    in_process = [run_cli(capsys, *planted), run_cli(capsys, *sweep), run_cli(capsys, *THEOREM5, "--root", "7")]
+    assert RecordingPool.created == [2]
+    assert in_process[2] == (2, [])
+    for (code, rows), argv in zip(in_process, [planted, sweep, [*THEOREM5, "--root", "7"]]):
+        fresh_code, fresh_rows = fresh_cli(*argv)
+        assert code == fresh_code and strip_runtime(rows) == strip_runtime(fresh_rows)
+    assert strip_runtime(list(csv.DictReader(out.open()))) == strip_runtime(in_process[1][1])
+
+
+def test_theorem5_past_the_cycle_budget_exits_3(capsys):
+    # no stand-in: n=1,200 has 12.5 M cycles of length <= 3, past the 10 M budget
+    code, rows, err = run_cli_with_err(
+        capsys, "experiment", "--recipe", "theorem5", "--n", "1200", "--p", "0.6",
+        "--delta", "0.1", "--k", "3", "--seeds", "0..0",
+    )
+    assert code == 3
+    assert len(rows) == 1 and rows[0]["fvs_size"] == "" and rows[0]["algorithm"] == "recover-planted"
+    assert "solver abort: more than 10000000 cycles of length <= 3;" in err and "Traceback" not in err
+
+
 def test_theorem5_and_ladder_rungs_start_no_thread(capsys, monkeypatch):
     # their pair lists and scans stay below two slices, where the helper is a plain call
     started = thread_starts(monkeypatch)

@@ -172,21 +172,111 @@ def test_every_planted_vertex_closes_a_cycle_in_a_tenth_of_the_rest():
         assert all(any(walk_cycles(adj, succ, v, 3, 0, allowed)) for v in planted)
 
 
-def test_cycle_budget_stops_enumeration_at_cap(monkeypatch):
-    # a complete digraph on 10 vertices has 45 two-cycles, 9 anchored at 0 and
-    # 8 at 1: the count passes a cap of 10 at anchor 1 and stops there
-    counted = []
+def spy_counts(monkeypatch) -> dict[str, list]:
+    """Record the lengths ``collect_short_cycles`` counts by traces of the
+    dense adjacency and by the per-anchor expansion, and the per-anchor
+    counts of the latter."""
+    seen = {"traces": [], "levels": [], "per_anchor": []}
+    traces = planted_mod._trace_counts
 
     def levels(d, k, allowed=None):
+        seen["levels"].append(k)
         for path, nbrs, rep, keep in _closing_levels(d, k, allowed):
-            counted.append(int(np.count_nonzero(keep)))
+            seen["per_anchor"].append(int(np.count_nonzero(keep)))
             yield path, nbrs, rep, keep
 
     monkeypatch.setattr(planted_mod, "_closing_levels", levels)
-    d = Digraph(10, [(u, v) for u in range(10) for v in range(10) if u != v])
+    monkeypatch.setattr(planted_mod, "_trace_counts", lambda a, arcs, k: seen["traces"].append(k) or traces(a, arcs, k))
+    return seen
+
+
+def is_dense(d: Digraph) -> bool:
+    return 4 * d.n**2 <= 25 * d.num_arcs
+
+
+def test_cycle_budget_stops_enumeration_at_cap(monkeypatch):
+    # 50 antiparallel pairs on 100 vertices, too sparse for the dense count:
+    # one 2-cycle per anchor, so a cap of 10 stops the count at the 11th anchor
+    seen = spy_counts(monkeypatch)
+    d = Digraph(100, [(u, u ^ 1) for u in range(100)])
+    assert not is_dense(d)
     with pytest.raises(CycleBudgetExceeded, match="more than 10 cycles of length <= 2"):
         planted_mod.collect_short_cycles(d, 3, max_cycles=10)
-    assert counted == [9, 8]
+    assert seen == {"traces": [], "levels": [2], "per_anchor": [1] * 11}
+
+
+def test_dense_cycle_budget_stops_before_a_product(monkeypatch):
+    # the complete digraph on 10 vertices has 45 two-cycles: the dense count
+    # raises at length 2 and never starts the length-3 product
+    seen = spy_counts(monkeypatch)
+    d = Digraph(10, [(u, v) for u in range(10) for v in range(10) if u != v])
+    assert is_dense(d)
+    with pytest.raises(CycleBudgetExceeded, match="more than 10 cycles of length <= 2"):
+        planted_mod.collect_short_cycles(d, 3, max_cycles=10)
+    assert seen == {"traces": [2], "levels": [], "per_anchor": []}
+
+
+# n, p, seed: a digraph on each side of 4 n^2 <= 25 m, antiparallel arcs allowed
+SIDES = {"dense": (23, 0.45, 5), "sparse": (40, 0.1, 6)}
+
+
+@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("side", SIDES)
+def test_count_matches_listed_cycles_on_both_sides(monkeypatch, side, block):
+    # with block=5, A^2 is summed in row blocks of 5 rows, which do not divide n
+    d = random_digraph(*SIDES[side])
+    assert is_dense(d) == (side == "dense")
+    assert np.any(np.isin(d.arc_list[:, 0] * d.n + d.arc_list[:, 1], d.arc_list[:, 1] * d.n + d.arc_list[:, 0]))
+    if block is not None:
+        monkeypatch.setattr(planted_mod, "_BLOCK", block * d.n)
+    seen = spy_counts(monkeypatch)
+    counts = planted_mod.collect_short_cycles(d, 5)
+    assert counts == [len(cycles_of_length(d, length)) for length in range(2, 6)]
+    assert sum(counts[:2]) > 0
+    assert seen["traces"] == ([2, 3] if side == "dense" else [])
+    assert seen["levels"] == ([4, 5] if side == "dense" else [2, 3, 4, 5])
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_cycle_budget_decision_and_message_on_both_sides(side):
+    # a cap raises iff the total passes it, naming the first length whose
+    # running total does, at and around every running total
+    d = random_digraph(*SIDES[side])
+    counts = [len(cycles_of_length(d, length)) for length in range(2, 5)]
+    totals = np.cumsum(counts).tolist()
+    for cap in sorted({max(0, t + e) for t in totals for e in (-1, 0, 1)}):
+        over = [t > cap for t in totals]
+        if not any(over):
+            assert planted_mod.collect_short_cycles(d, 4, max_cycles=cap) == counts
+            continue
+        with pytest.raises(CycleBudgetExceeded, match=f"^more than {cap} cycles of length <= {2 + over.index(True)};"):
+            planted_mod.collect_short_cycles(d, 4, max_cycles=cap)
+
+
+def test_theorem5_k4_counts_by_both_paths(monkeypatch):
+    # the golden case theorem5 k4 (n=60, p=0.3): lengths 2 and 3 by traces,
+    # length 4 by the per-anchor expansion, in one call
+    d = gen_planted(ModelParams(n=60, p=0.3, delta=0.1, k=4, seed=0)).digraph
+    seen = spy_counts(monkeypatch)
+    counts = planted_mod.collect_short_cycles(d, 4)
+    assert (seen["traces"], seen["levels"]) == ([2, 3], [4])
+    assert counts == [len(cycles_of_length(d, length)) for length in range(2, 5)]
+    assert sum(counts) == 1987
+
+
+def test_dense_count_is_exact_past_float32_integers():
+    # the complete digraph on 500 vertices: tr(A^3) = 500 * 499 * 498 is far
+    # past 2^24, and the count matches the closed forms C(500, 2), 2 C(500, 3)
+    d = Digraph(500, [(u, v) for u in range(500) for v in range(500) if u != v])
+    assert planted_mod.collect_short_cycles(d, 3, max_cycles=10**9) == [math.comb(500, 2), 2 * math.comb(500, 3)]
+
+
+def test_theorem5_reference_count_skips_the_per_anchor_expansion(monkeypatch):
+    inst = gen_planted(ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=0))
+    seen = spy_counts(monkeypatch)
+    report = recover_planted_fvs(inst.digraph, 3, planted=inst.planted)
+    assert report.exact_match and report.cycles_found == 458_596
+    assert seen == {"traces": [2, 3], "levels": [], "per_anchor": []}
 
 
 def test_enumeration_leaves_no_garbage_cycles():
