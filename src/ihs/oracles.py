@@ -11,6 +11,9 @@ over its own successor lists, for both graph kinds, then tries the lengths
 ascending with ``walk_cycles``, the one cycle walker, over the vertices the
 peel leaves: every path there shorter than the girth is walked once per length.
 
+``cycles_of_length`` lists the cycles of one length with the same walker,
+from each cycle's minimum vertex, one of the anchors of ``_cycle_anchors``.
+
 Both cycle oracles keep each verdict by query in a ``functools.cache``, so a
 query asked again (the generic solver asks a kept swap's query again at each
 set it reaches again) costs a lookup.
@@ -19,6 +22,7 @@ set it reaches again) costs a lookup.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -26,7 +30,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Digraph, Graph, GraphError, _gather, _removed_mask, _transposed_rows, drain_sources
+from .graphs import Digraph, Graph, GraphError, _removed_mask, _transposed_rows, drain_sources
 from .hitting import SubsetFamily, _mask, _unmask
 
 
@@ -247,63 +251,25 @@ def cycles_of_length(d: Digraph, k: int, limit: int | None = None, allowed=None)
     ``allowed``, only those of the subgraph it induces.
 
     Row order: anchor ascending, then path lexicographic, the order of
-    ``walk_cycles``. Cost grows with out-degree**(k-1) per anchor; intended
-    for small constant k.
-    """
-    blocks: list[list[np.ndarray]] = []  # per anchor, its cycles column by column
-    found = 0
-    for path, nbrs, rep, keep in _closing_levels(d, k, allowed):
-        rep = rep[keep]
-        blocks.append([col[rep] for col in path] + [nbrs[keep]])
-        found += rep.size
-        if limit is not None and found >= limit:
-            break
-    if not blocks:
-        return np.empty((0, k), dtype=np.int32)
-    cols = [np.concatenate([b[j] for b in blocks])[:limit] for j in range(k)]
-    # the anchor is the row minimum: sort the rest with a compare-exchange network
-    for i in range(k - 1, 1, -1):
-        for j in range(1, i):
-            lo, hi = cols[j], cols[j + 1]
-            cols[j], cols[j + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
-    return np.stack(cols, axis=1)
-
-
-def _closing_levels(d: Digraph, k: int, allowed=None):
-    """The level expansion behind ``cycles_of_length``: per anchor ascending,
-    ``(path, nbrs, rep, keep)``, the columns of its paths of ``k - 1``
-    vertices, the gather of their last vertices' successors with each one's
-    path position, and the mask of those that close a ``k``-cycle.
-
-    Each cycle is found once, anchored at its minimum vertex ``a`` and closed
-    by an arc ``(u, a)``, ``u > a``: only those arcs are sorted by head, once
-    per call, and only their heads are anchors. Per anchor the paths grow one
-    level at a time over the out-CSR, keeping successors above ``a``, off the
-    path and set in ``allowed`` (None allows all); the last level keeps only
-    successors with an arc back to ``a``.
+    ``walk_cycles``; a row is a walked path with the ids after its anchor
+    sorted. Successor lists are built only if some anchor exists: with no arc
+    from a higher to a lower id, the call costs one arc mask. Cost grows with
+    out-degree**(k-1) per anchor; intended for small constant k.
     """
     if k < 2:
         raise ValueError("cycle length must be at least 2")
-    arcs, indptr, indices = d.arc_list, d.out_indptr, d.out_indices
-    back_ptr, back = _transposed_rows(d.n, arcs[arcs[:, 0] > arcs[:, 1]])  # row a: the u of the arcs (u, a), u > a
-    anchors = np.diff(back_ptr) > 0
+    allowed = None if allowed is None else np.asarray(allowed, dtype=bool)
+    anchors = _cycle_anchors(d, allowed)
+    adj, succ = successor_lists(d) if anchors else (None, None)
+    rows = ([a, *sorted(path[1:])] for a in anchors for path in walk_cycles(adj, succ, a, k, a + 1, allowed))
+    return np.array(list(itertools.islice(rows, limit)), dtype=np.int32).reshape(-1, k)
+
+
+def _cycle_anchors(d: Digraph, allowed=None) -> list[int]:
+    """The heads ``a``, ascending, of the arcs ``(u, a)``, ``u > a``, with both
+    ends set in the bool array ``allowed`` (None allows all): the minimum
+    vertex of each cycle inside ``allowed`` is one, closed by such an arc."""
+    arcs = d.arc_list[d.arc_list[:, 0] > d.arc_list[:, 1]]
     if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-        anchors &= allowed
-    closes = np.zeros(d.n, dtype=bool)  # arc back to the anchor
-    for a in np.flatnonzero(anchors).tolist():
-        into = back[back_ptr[a]:back_ptr[a + 1]]
-        closes[into] = True
-        path = [np.full(1, a, dtype=np.int32)]
-        for level in range(1, k):
-            if level > 1:
-                rep = rep[keep]
-                path = [col[rep] for col in path] + [nbrs[keep]]
-            nbrs, rep = _gather(indptr, indices, path[-1])
-            keep = closes[nbrs] if level == k - 1 else nbrs > a
-            if allowed is not None:
-                keep &= allowed[nbrs]
-            for col in path[1:-1]:  # the last vertex is no successor of itself
-                keep &= nbrs != col[rep]
-        closes[into] = False
-        yield path, nbrs, rep, keep
+        arcs = arcs[allowed[arcs[:, 0]] & allowed[arcs[:, 1]]]
+    return np.flatnonzero(np.bincount(arcs[:, 1])).tolist()

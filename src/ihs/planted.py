@@ -1,14 +1,14 @@
 """Exact recovery of a planted feedback vertex set from short directed cycles.
 
 The pipeline counts the simple cycles of length at most k (lengths 2 and 3 by
-traces of the dense adjacency where it fits the memory charged to the arcs,
-the rest per anchor), builds a greedy hitting set S by absorbing whole unhit
-cycles (a k-approximation), each one walked to on demand instead of listed,
-checks that S hits them all, and then filters: a vertex of S is kept iff some
-cycle of exactly k vertices runs through it inside the graph restricted to
-(V minus S) plus that vertex. On in-regime planted instances the complement
-of S is cycle-free precisely for non-planted vertices, so the filter returns
-the planted set exactly.
+traces of the dense adjacency where it fits the memory charged to the arcs),
+builds a greedy hitting set S by absorbing whole unhit cycles (a
+k-approximation), checks that S hits them all, and then filters: a vertex of S
+is kept iff some cycle of exactly k vertices runs through it inside the graph
+restricted to (V minus S) plus that vertex. The other steps enumerate with
+``oracles.walk_cycles`` and keep no cycle list. On in-regime planted
+instances the complement of S is cycle-free precisely for non-planted
+vertices, so the filter returns the planted set exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .graphs import _BLOCK, Digraph
 from .models import _BYTES_PER_PAIR
-from .oracles import OracleProtocolError, _closing_levels, cycles_of_length, successor_lists, walk_cycles
+from .oracles import OracleProtocolError, _cycle_anchors, cycles_of_length, successor_lists, walk_cycles
 
 
 class CycleBudgetExceeded(RuntimeError):
@@ -41,19 +41,19 @@ def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000) -> li
     path below.
 
     Where the float32 adjacency A fits what the memory guard charges the arcs
-    (4 n^2 <= ``_BYTES_PER_PAIR["planted"]`` m), lengths 2 and 3 come from A:
+    (0 < 4 n^2 <= ``_BYTES_PER_PAIR["planted"]`` m), lengths 2 and 3 come from A:
     the 2-cycles are the arcs with a reverse arc, halved, and the 3-cycles
     tr(A^3) / 3, summed over row blocks of A^2 that hold at most
     ``graphs._BLOCK`` floats. This is exact: an entry of A^2 is at most n < 2^24,
     which float32 holds, and the float64 sum of integers stays exact below
     2^53. Each block's partial trace bounds the 3-cycles from below, so the
     budget stops at the first block over the cap. Longer lengths, and every
-    length on sparser digraphs, are counted by the level expansion of
-    ``cycles_of_length``, which stops at the first anchor over the cap."""
+    length on sparser digraphs, count the paths ``walk_cycles`` yields per
+    anchor, stopping at the first anchor over the cap."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    a = None
-    if 4 * d.n**2 <= _BYTES_PER_PAIR["planted"] * d.num_arcs:
+    a = lists = None
+    if 0 < 4 * d.n**2 <= _BYTES_PER_PAIR["planted"] * d.num_arcs:
         a = np.zeros((d.n, d.n), dtype=np.float32)
         a[d.arc_list[:, 0], d.arc_list[:, 1]] = 1
     counts: list[int] = []
@@ -62,7 +62,10 @@ def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000) -> li
         if a is not None and length <= 3:
             rises = _trace_counts(a, d.arc_list, length)
         else:
-            rises = (int(np.count_nonzero(keep)) for *_, keep in _closing_levels(d, length))
+            anchors = _cycle_anchors(d)
+            if anchors and lists is None:
+                lists = successor_lists(d)
+            rises = (sum(1 for _ in walk_cycles(*lists, v, length, v + 1)) for v in anchors)
         for rise in rises:
             counts[-1] += rise
             if sum(counts) > max_cycles:
@@ -104,8 +107,7 @@ def greedy_hit_cycles(d: Digraph, k: int, adj, succ) -> list[int]:
     On the planted model, size <= k * |P| holds by construction: V minus P is a
     DAG, so each absorbed cycle holds an untaken planted vertex, and at most |P|
     cycles are absorbed."""
-    arcs = d.arc_list
-    anchors = np.flatnonzero(np.bincount(arcs[arcs[:, 0] > arcs[:, 1], 1])).tolist()
+    anchors = _cycle_anchors(d)
     untaken = bytearray(b"\x01") * d.n
     for length in range(2, k + 1):
         for a in anchors:

@@ -113,6 +113,40 @@ def test_solve_planted_file_reports_exact_match(tmp_path, capsys):
     assert rows[0]["cycles_found"] != ""
 
 
+def test_solve_planted_on_an_empty_digraph_file(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("ihs-graph 1 directed 0 0\n")
+    code = main(["solve-planted", str(path), "--k", "3"])
+    assert code == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.rsplit(",", 1)[0] == "0,,recover-planted,0,,,3,0,,1,,,0"  # all but runtime_ms
+
+
+# every solve command, as run on the degenerate files below
+SOLVES = {
+    "solve-fvs": ["solve-fvs"],
+    "solve-fvs --prune": ["solve-fvs", "--prune"],
+    "bfs-cycle": ["solve-generic", "--oracle", "bfs-cycle"],
+    "shortest-cycle": ["solve-generic", "--oracle", "shortest-cycle"],
+    "solve-planted": ["solve-planted", "--k", "3"],
+}
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("kind", ["directed", "undirected"])
+@pytest.mark.parametrize("argv", SOLVES.values(), ids=SOLVES)
+def test_solve_commands_on_empty_and_single_vertex_files(tmp_path, capsys, argv, kind, n):
+    # each either solves the instance or refuses it as an input error
+    path = tmp_path / "tiny.txt"
+    path.write_text(f"ihs-graph 1 {kind} {n} 0\n")
+    code, rows, err = run_cli_with_err(capsys, argv[0], str(path), *argv[1:])
+    assert "Traceback" not in err
+    if code == 0:
+        assert len(rows) == 1 and rows[0]["n"] == str(n) and rows[0]["acyclic_ok"] == "1"
+    else:
+        assert code == 2 and rows == [] and err.startswith("error:")
+
+
 def test_solve_planted_cycle_budget_abort(monkeypatch, capsys):
     import ihs.cli as cli_mod
 

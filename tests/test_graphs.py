@@ -210,7 +210,7 @@ def assert_digraph_matches(d, n, arcs):
     arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
     out_ptr, out_idx = reference_csr(n, arcs[:, 0], arcs[:, 1])
     in_ptr, in_idx = reference_csr(n, arcs[:, 1], arcs[:, 0])
-    # the rows of the transpose, as cycles_of_length sorts them for its closing arcs
+    # the rows of the transpose, as _transposed_rows gives them (no Digraph reader sorts them today)
     tr_ptr, tr_idx = graphs_mod._transposed_rows(n, d.arc_list)
     assert d.arc_list.tolist() == arcs.tolist()
     assert np.array_equal(d.out_indptr, out_ptr) and np.array_equal(d.out_indices, out_idx)

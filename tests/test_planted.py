@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ihs.oracles as oracles_mod
 import ihs.planted as planted_mod
 from ihs import (
     CycleBudgetExceeded,
@@ -17,7 +18,7 @@ from ihs import (
     is_acyclic_directed,
     recover_planted_fvs,
 )
-from ihs.oracles import _closing_levels, successor_lists, walk_cycles
+from ihs.oracles import successor_lists, walk_cycles
 
 from test_graphs import random_digraph
 
@@ -174,20 +175,25 @@ def test_every_planted_vertex_closes_a_cycle_in_a_tenth_of_the_rest():
 
 def spy_counts(monkeypatch) -> dict[str, list]:
     """Record the lengths ``collect_short_cycles`` counts by traces of the
-    dense adjacency and by the per-anchor expansion, and the per-anchor
-    counts of the latter."""
-    seen = {"traces": [], "levels": [], "per_anchor": []}
+    dense adjacency, and the ``(length, cycles)`` of each walk of the
+    planted module's cycle walker that runs to its end."""
+    seen = {"traces": [], "walks": []}
     traces = planted_mod._trace_counts
 
-    def levels(d, k, allowed=None):
-        seen["levels"].append(k)
-        for path, nbrs, rep, keep in _closing_levels(d, k, allowed):
-            seen["per_anchor"].append(int(np.count_nonzero(keep)))
-            yield path, nbrs, rep, keep
+    def walks(adj, succ, start, length, *rest):
+        found = 0
+        for path in walk_cycles(adj, succ, start, length, *rest):
+            found += 1
+            yield path
+        seen["walks"].append((length, found))
 
-    monkeypatch.setattr(planted_mod, "_closing_levels", levels)
+    monkeypatch.setattr(planted_mod, "walk_cycles", walks)
     monkeypatch.setattr(planted_mod, "_trace_counts", lambda a, arcs, k: seen["traces"].append(k) or traces(a, arcs, k))
     return seen
+
+
+def walked_lengths(seen: dict[str, list]) -> list[int]:
+    return sorted({length for length, _ in seen["walks"]})
 
 
 def is_dense(d: Digraph) -> bool:
@@ -202,18 +208,18 @@ def test_cycle_budget_stops_enumeration_at_cap(monkeypatch):
     assert not is_dense(d)
     with pytest.raises(CycleBudgetExceeded, match="more than 10 cycles of length <= 2"):
         planted_mod.collect_short_cycles(d, 3, max_cycles=10)
-    assert seen == {"traces": [], "levels": [2], "per_anchor": [1] * 11}
+    assert seen == {"traces": [], "walks": [(2, 1)] * 11}
 
 
 def test_dense_cycle_budget_stops_before_a_product(monkeypatch):
     # the complete digraph on 10 vertices has 45 two-cycles: the dense count
-    # raises at length 2 and never starts the length-3 product
+    # raises at length 2 and never starts the length-3 product, nor any walk
     seen = spy_counts(monkeypatch)
     d = Digraph(10, [(u, v) for u in range(10) for v in range(10) if u != v])
     assert is_dense(d)
     with pytest.raises(CycleBudgetExceeded, match="more than 10 cycles of length <= 2"):
         planted_mod.collect_short_cycles(d, 3, max_cycles=10)
-    assert seen == {"traces": [2], "levels": [], "per_anchor": []}
+    assert seen == {"traces": [2], "walks": []}
 
 
 # n, p, seed: a digraph on each side of 4 n^2 <= 25 m, antiparallel arcs allowed
@@ -234,7 +240,7 @@ def test_count_matches_listed_cycles_on_both_sides(monkeypatch, side, block):
     assert counts == [len(cycles_of_length(d, length)) for length in range(2, 6)]
     assert sum(counts[:2]) > 0
     assert seen["traces"] == ([2, 3] if side == "dense" else [])
-    assert seen["levels"] == ([4, 5] if side == "dense" else [2, 3, 4, 5])
+    assert walked_lengths(seen) == ([4, 5] if side == "dense" else [2, 3, 4, 5])
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -255,11 +261,12 @@ def test_cycle_budget_decision_and_message_on_both_sides(side):
 
 def test_theorem5_k4_counts_by_both_paths(monkeypatch):
     # the golden case theorem5 k4 (n=60, p=0.3): lengths 2 and 3 by traces,
-    # length 4 by the per-anchor expansion, in one call
+    # length 4 by walks, in one call
     d = gen_planted(ModelParams(n=60, p=0.3, delta=0.1, k=4, seed=0)).digraph
     seen = spy_counts(monkeypatch)
     counts = planted_mod.collect_short_cycles(d, 4)
-    assert (seen["traces"], seen["levels"]) == ([2, 3], [4])
+    assert (seen["traces"], walked_lengths(seen)) == ([2, 3], [4])
+    assert sum(found for _, found in seen["walks"]) == counts[2]
     assert counts == [len(cycles_of_length(d, length)) for length in range(2, 5)]
     assert sum(counts) == 1987
 
@@ -272,11 +279,37 @@ def test_dense_count_is_exact_past_float32_integers():
 
 
 def test_theorem5_reference_count_skips_the_per_anchor_expansion(monkeypatch):
+    # the count neither walks nor builds successor lists; the greedy and the filter do
     inst = gen_planted(ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=0))
     seen = spy_counts(monkeypatch)
+    monkeypatch.setattr(planted_mod, "successor_lists", lambda d: pytest.fail("successor lists in the count"))
+    assert sum(planted_mod.collect_short_cycles(inst.digraph, 3)) == 458_596
+    assert seen == {"traces": [2, 3], "walks": []}
+    monkeypatch.undo()
     report = recover_planted_fvs(inst.digraph, 3, planted=inst.planted)
     assert report.exact_match and report.cycles_found == 458_596
-    assert seen == {"traces": [2, 3], "levels": [], "per_anchor": []}
+
+
+def test_certificate_on_a_remainder_with_no_back_arc_builds_no_lists(monkeypatch):
+    # the remainder after the greedy has no arc from a higher to a lower id,
+    # so no cycle is anchored there and the certificate walks nothing
+    inst = gen_planted(ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=0))
+    d = inst.digraph
+    allowed = np.ones(d.n, dtype=bool)
+    allowed[recover_planted_fvs(d, 3).greedy_set] = False
+    arcs = d.arc_list[allowed[d.arc_list].all(axis=1)]
+    assert arcs.size and not np.any(arcs[:, 0] > arcs[:, 1])
+    monkeypatch.setattr(oracles_mod, "successor_lists", lambda d: pytest.fail("successor lists built"))
+    for length in range(2, 4):
+        assert cycles_of_length(d, length, limit=1, allowed=allowed).shape == (0, length)
+        assert cycles_of_length(d, length, allowed=allowed).shape == (0, length)
+
+
+def test_empty_digraph_has_no_cycles_to_count():
+    d = Digraph(0, [])
+    assert planted_mod.collect_short_cycles(d, 4) == [0, 0, 0]
+    report = recover_planted_fvs(d, 3, planted=[])
+    assert (report.recovered, report.greedy_set, report.cycles_found, report.exact_match) == ([], [], 0, True)
 
 
 def test_enumeration_leaves_no_garbage_cycles():
