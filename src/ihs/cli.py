@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import io
 import math
 import statistics
@@ -269,11 +270,44 @@ def _workers(jobs: int, seeds: list) -> int:
     return min(jobs, len(seeds))
 
 
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
+                                                      "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+try:  # glibc's; elsewhere a sweep keeps what the C heap holds free
+    _libc = ctypes.CDLL(None)
+    _malloc_trim, _mallinfo2 = _libc.malloc_trim, _libc.mallinfo2
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    _mallinfo2.argtypes, _mallinfo2.restype = [], _MallInfo2
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = _mallinfo2 = None
+
+# free heap bytes past which a sweep trims after a seed: a G(n, p) seed at
+# n = 10^5 leaves 13-40 MB free, a planted n = 400 seed about 2 MB, where a
+# trim costs more than it returns (the next seed faults those pages back in)
+_TRIM_BYTES = 8 << 20
+
+
+def _trim_heap() -> None:
+    """``malloc_trim(0)`` where the C heap holds more than ``_TRIM_BYTES``
+    free: it hands those pages back to the system. glibc serves buffers of up
+    to 32 MB from the heap once one that large was freed, and then keeps up to
+    twice that free at the heap's top, so without it a later seed of a G(n, p)
+    sweep can peak on top of the buffers an earlier one freed."""
+    if _malloc_trim is not None and _mallinfo2().fordblks > _TRIM_BYTES:
+        _malloc_trim(0)
+
+
 def _runs(run, seeds: list, jobs: int) -> list[dict]:
-    """One row of ``run`` per seed, numbered by run_id in seed order."""
+    """One row of ``run`` per seed, numbered by run_id in seed order; in one
+    process, each seed is followed by ``_trim_heap``."""
     workers = _workers(jobs, seeds)
     if workers == 1:
-        rows = [run(seed) for seed in seeds]
+        rows = []
+        for seed in seeds:
+            rows.append(run(seed))
+            _trim_heap()
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run, seeds))  # map preserves seed order

@@ -88,15 +88,29 @@ def _memoized(check: Callable[[frozenset[int]], OracleVerdict]) -> Callable[[Ite
     return lambda h: cached(h if isinstance(h, frozenset) else frozenset(map(operator.index, h)))
 
 
-def successor_lists(g: Graph | Digraph) -> tuple[list[list[int]], list[set[int]]]:
+def successor_lists(g: Graph | Digraph) -> tuple[list[list[int]], _SuccessorSets]:
     """Ascending successor list and successor set of every vertex (neighbors
-    of a Graph, out-neighbors of a Digraph), built once for many walks."""
+    of a Graph, out-neighbors of a Digraph), built once for many walks. The
+    sets are indexed by vertex like the lists, but each is built when first
+    read: a walk that closes few paths reads few of them."""
     if isinstance(g, Digraph):
         lists = _row_lists(g.out_indptr, g.out_indices)
     else:  # lower neighbors, rows of the sorted transpose, then upper ones: still ascending
         low = _row_lists(*_transposed_rows(g.n, g.edge_list))
         lists = [a + b for a, b in zip(low, _row_lists(g.up_indptr, g.up_indices))]
-    return lists, [set(nb) for nb in lists]
+    return lists, _SuccessorSets(lists)
+
+
+class _SuccessorSets(dict):
+    """``set(lists[v])`` by vertex ``v``, built and kept on its first lookup."""
+
+    def __init__(self, lists: list[list[int]]):
+        super().__init__()
+        self.lists = lists
+
+    def __missing__(self, v: int) -> set[int]:
+        nb = self[v] = set(self.lists[v])
+        return nb
 
 
 def _row_lists(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:

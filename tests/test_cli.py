@@ -179,6 +179,22 @@ def test_solve_fvs_seed_sweep_rows(capsys):
     assert all(row["acyclic_ok"] == "1" for row in rows)
 
 
+@pytest.mark.parametrize("limit, trimmed", [(0, 3), (1 << 60, 0)])
+def test_sweep_trims_the_heap_after_each_seed(monkeypatch, capsys, limit, trimmed):
+    # a one-process sweep hands the pages the C heap holds free back to the
+    # system after each seed that leaves more than _TRIM_BYTES free, so a
+    # later seed cannot peak on an earlier one's
+    assert cli._mallinfo2 is None or cli._mallinfo2().arena >= cli._mallinfo2().fordblks > 0
+    if cli._malloc_trim is None:
+        pytest.skip("no glibc malloc_trim")
+    trims = []
+    monkeypatch.setattr(cli, "_malloc_trim", lambda pad: trims.append(pad))
+    monkeypatch.setattr(cli, "_TRIM_BYTES", limit)
+    code, rows = run_cli(capsys, "experiment", "--recipe", "lemma1", "--n", "2000", "--p", "0.05", "--seeds", "0..2")
+    assert code == 0 and [row["seed"] for row in rows[:-1]] == ["0", "1", "2"]
+    assert trims == [0] * trimmed
+
+
 def test_model_requires_seed(capsys):
     code, _ = run_cli(capsys, "solve-fvs", "--model", "gnp", "--n", "10", "--p", "0.1")
     assert code == 2

@@ -25,7 +25,7 @@ from ihs import (
 )
 from ihs.hitting import _columns, _mask, _search
 from ihs.oracles import successor_lists
-from ihs.planted import greedy_hit_cycles
+from ihs.planted import collect_short_cycles, greedy_hit_cycles
 
 from test_graphs import random_digraph
 
@@ -134,7 +134,7 @@ def test_exact_matches_brute_force(seed):
 
 
 def lazy_greedy(d: Digraph, k: int) -> list[int]:
-    return greedy_hit_cycles(d, k, *successor_lists(d))
+    return greedy_hit_cycles(d, k, *successor_lists(d), collect_short_cycles(d, k))
 
 
 def test_greedy_forced_trace():

@@ -96,7 +96,8 @@ def test_greedy_hit_cycles_matches_tuple_loop(seed):
     arcs = inst.digraph.arc_list.tolist()
     d = Digraph(inst.digraph.n, arcs + [(v, u) for u, v in arcs[:2]])  # two 2-cycles
     assert len(cycles_of_length(d, 2)) > 0
-    assert planted_mod.greedy_hit_cycles(d, 4, *successor_lists(d)) == reference_recovery(d, 4).greedy_set
+    counts = planted_mod.collect_short_cycles(d, 4)
+    assert planted_mod.greedy_hit_cycles(d, 4, *successor_lists(d), counts) == reference_recovery(d, 4).greedy_set
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -130,7 +131,7 @@ def test_cycle_counts_match_listed_rows(seed):
 
 def test_greedy_misses_a_cycle_raises(monkeypatch):
     # the certificate catches a greedy set that leaves a short cycle unhit
-    monkeypatch.setattr(planted_mod, "greedy_hit_cycles", lambda d, k, adj, succ: [])
+    monkeypatch.setattr(planted_mod, "greedy_hit_cycles", lambda d, k, adj, succ, counts: [])
     with pytest.raises(OracleProtocolError, match="misses the greedy set"):
         recover_planted_fvs(Digraph(3, [(0, 1), (1, 2), (2, 0)]), 3)
 
@@ -226,10 +227,10 @@ def test_dense_cycle_budget_stops_before_a_product(monkeypatch):
 SIDES = {"dense": (23, 0.45, 5), "sparse": (40, 0.1, 6)}
 
 
-@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("block", [None, 1, 5])
 @pytest.mark.parametrize("side", SIDES)
 def test_count_matches_listed_cycles_on_both_sides(monkeypatch, side, block):
-    # with block=5, A^2 is summed in row blocks of 5 rows, which do not divide n
+    # with block=1 or 5, A^2 is summed in row blocks of that many rows; 5 does not divide n
     d = random_digraph(*SIDES[side])
     assert is_dense(d) == (side == "dense")
     assert np.any(np.isin(d.arc_list[:, 0] * d.n + d.arc_list[:, 1], d.arc_list[:, 1] * d.n + d.arc_list[:, 0]))
@@ -239,8 +240,8 @@ def test_count_matches_listed_cycles_on_both_sides(monkeypatch, side, block):
     counts = planted_mod.collect_short_cycles(d, 5)
     assert counts == [len(cycles_of_length(d, length)) for length in range(2, 6)]
     assert sum(counts[:2]) > 0
-    assert seen["traces"] == ([2, 3] if side == "dense" else [])
-    assert walked_lengths(seen) == ([4, 5] if side == "dense" else [2, 3, 4, 5])
+    assert seen["traces"] == ([2, 3, 4] if side == "dense" else [])
+    assert walked_lengths(seen) == ([5] if side == "dense" else [2, 3, 4, 5])
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -260,22 +261,109 @@ def test_cycle_budget_decision_and_message_on_both_sides(side):
 
 
 def test_theorem5_k4_counts_by_both_paths(monkeypatch):
-    # the golden case theorem5 k4 (n=60, p=0.3): lengths 2 and 3 by traces,
-    # length 4 by walks, in one call
+    # the digraph of golden case theorem5 k4 (n=60, p=0.3), counted up to
+    # k=5: lengths 2 to 4 by traces, length 5 by walks, in one call
     d = gen_planted(ModelParams(n=60, p=0.3, delta=0.1, k=4, seed=0)).digraph
     seen = spy_counts(monkeypatch)
-    counts = planted_mod.collect_short_cycles(d, 4)
-    assert (seen["traces"], walked_lengths(seen)) == ([2, 3], [4])
-    assert sum(found for _, found in seen["walks"]) == counts[2]
-    assert counts == [len(cycles_of_length(d, length)) for length in range(2, 5)]
-    assert sum(counts) == 1987
+    counts = planted_mod.collect_short_cycles(d, 5)
+    assert (seen["traces"], walked_lengths(seen)) == ([2, 3, 4], [5])
+    assert sum(found for _, found in seen["walks"]) == counts[3]
+    assert counts == [len(cycles_of_length(d, length)) for length in range(2, 6)]
+    assert sum(counts[:3]) == 1987
 
 
 def test_dense_count_is_exact_past_float32_integers():
     # the complete digraph on 500 vertices: tr(A^3) = 500 * 499 * 498 is far
     # past 2^24, and the count matches the closed forms C(500, 2), 2 C(500, 3)
+    # and 6 C(500, 4)
     d = Digraph(500, [(u, v) for u in range(500) for v in range(500) if u != v])
-    assert planted_mod.collect_short_cycles(d, 3, max_cycles=10**9) == [math.comb(500, 2), 2 * math.comb(500, 3)]
+    counts = planted_mod.collect_short_cycles(d, 4, max_cycles=10**11)
+    assert counts == [math.comb(500, 2), 2 * math.comb(500, 3), 6 * math.comb(500, 4)]
+
+
+def adjacency(d: Digraph) -> np.ndarray:
+    a = np.zeros((d.n, d.n), dtype=np.float32)
+    a[d.arc_list[:, 0], d.arc_list[:, 1]] = 1
+    return a
+
+
+def walker_filter(d: Digraph, k: int, s: list[int]) -> list[int]:
+    """The through-vertex filter by walks, the reference for the dense one."""
+    adj, succ = successor_lists(d)
+    allowed = np.ones(d.n, dtype=bool)
+    allowed[s] = False
+    return [v for v in s if any(walk_cycles(adj, succ, v, k, 0, allowed))]
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_dense_filter_matches_the_walker_filter(monkeypatch, seed, block):
+    # random digraphs with antiparallel arcs on both sides of the density
+    # rule, k = 3..5; S is the greedy set plus random vertices, so V minus S
+    # holds no cycle of length 2..k, as the filter requires; with block=1 or
+    # 3, S goes in row blocks of that many rows
+    rng = np.random.default_rng(80_000 + seed)
+    sides, kept = set(), 0
+    for _ in range(40):
+        d = random_digraph(int(rng.integers(3, 20)), float(rng.uniform(0.05, 0.5)), int(rng.integers(1 << 30)))
+        k = int(rng.integers(3, 6))
+        greedy = planted_mod.greedy_hit_cycles(d, k, *successor_lists(d), planted_mod.collect_short_cycles(d, k))
+        s = sorted(set(greedy) | set(np.flatnonzero(rng.random(d.n) < 0.2).tolist()))
+        if block is not None:
+            monkeypatch.setattr(planted_mod, "_BLOCK", block * d.n)
+        got = planted_mod._dense_filter(adjacency(d), k, s)
+        assert got == walker_filter(d, k, s)
+        sides.add(is_dense(d))
+        kept += len(got)
+    assert sides == {True, False} and kept > 0
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_dense_filter_of_an_empty_set(k):
+    # with S empty, V must hold no short cycle: a DAG, dense or not
+    for n, p, seed in [(6, 1.0, 0), (30, 0.1, 1)]:
+        d = Digraph(n, [(u, v) for u, v in random_digraph(n, p, seed).arc_list.tolist() if u < v])
+        assert planted_mod._dense_filter(adjacency(d), k, []) == walker_filter(d, k, []) == []
+        assert recover_planted_fvs(d, k) == RecoveryReport([], [], 0, None)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_dense_filter_walks_nothing(monkeypatch, k):
+    # on the dense side the filter is a product over A: after the greedy,
+    # recovery calls the planted module's walker no more
+    inst = gen_planted(ModelParams(n=120, p=0.5, delta=0.1, k=k, seed=3))
+    d = inst.digraph
+    assert is_dense(d)
+    greedy = planted_mod.greedy_hit_cycles(d, k, *successor_lists(d), planted_mod.collect_short_cycles(d, k))
+    monkeypatch.setattr(planted_mod, "greedy_hit_cycles", lambda *args: greedy)
+    monkeypatch.setattr(planted_mod, "walk_cycles", lambda *args: pytest.fail("the dense filter walked"))
+    report = recover_planted_fvs(d, k, planted=inst.planted)
+    assert report.greedy_set == greedy and report.recovered == inst.planted
+
+
+def test_theorem5_recovery_builds_few_successor_sets(monkeypatch):
+    # successor sets are built when a walk first reads them: the count, the
+    # certificate and the dense filter read none, and the greedy skips the
+    # length-2 pass (no 2-cycles) and reads the sets of its walks' last steps
+    built = []
+    lists = planted_mod.successor_lists
+    monkeypatch.setattr(planted_mod, "successor_lists", lambda d: built.append(lists(d)) or built[-1])
+    inst = gen_planted(ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=0))
+    assert recover_planted_fvs(inst.digraph, 3, planted=inst.planted).exact_match
+    [(adj, succ)] = built
+    assert len(adj) == 400 and 0 < len(succ) < 100
+
+
+def test_theorem5_recovery_calls_each_traced_layer(monkeypatch):
+    # perfbench/spans.py times these attributes of the planted module, and
+    # expects each on every theorem5 instance
+    calls = []
+    for name in ("collect_short_cycles", "cycles_of_length", "greedy_hit_cycles"):
+        fn = getattr(planted_mod, name)
+        monkeypatch.setattr(planted_mod, name, lambda *a, name=name, fn=fn, **kw: calls.append(name) or fn(*a, **kw))
+    inst = gen_planted(ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=0))
+    assert recover_planted_fvs(inst.digraph, 3, planted=inst.planted).exact_match
+    assert sorted(set(calls)) == ["collect_short_cycles", "cycles_of_length", "greedy_hit_cycles"]
 
 
 def test_theorem5_reference_count_skips_the_per_anchor_expansion(monkeypatch):
