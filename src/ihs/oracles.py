@@ -7,9 +7,10 @@ feedback vertex set. Traversal orders are pinned (components by smallest
 surviving id, neighbors ascending) so repeated runs return identical cycles.
 
 The shortest-cycle oracle decides feasibility with one ``drain_sources`` peel
-over its own successor lists, for both graph kinds, then tries the lengths
-ascending with ``walk_cycles``, the one cycle walker, over the vertices the
-peel leaves: every path there shorter than the girth is walked once per length.
+over its own successor rows (a Digraph's CSR rows, a Graph's Python lists),
+then tries the lengths ascending with ``walk_cycles``, the one cycle walker,
+over the vertices the peel leaves: every path there shorter than the girth is
+walked once per length. A pass of walks shares one mask, which each restores.
 
 ``cycles_of_length`` lists the cycles of one length with the same walker,
 from each cycle's minimum vertex, one of the anchors of ``_cycle_anchors``.
@@ -30,7 +31,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graphs import Digraph, Graph, GraphError, _removed_mask, _transposed_rows, drain_sources
+from .graphs import Digraph, Graph, GraphError, _CsrRows, _cycle_anchors, _removed_mask, _transposed_rows, drain_sources
 from .hitting import SubsetFamily, _mask, _unmask
 
 
@@ -88,13 +89,13 @@ def _memoized(check: Callable[[frozenset[int]], OracleVerdict]) -> Callable[[Ite
     return lambda h: cached(h if isinstance(h, frozenset) else frozenset(map(operator.index, h)))
 
 
-def successor_lists(g: Graph | Digraph) -> tuple[list[list[int]], _SuccessorSets]:
-    """Ascending successor list and successor set of every vertex (neighbors
-    of a Graph, out-neighbors of a Digraph), built once for many walks. The
-    sets are indexed by vertex like the lists, but each is built when first
-    read: a walk that closes few paths reads few of them."""
+def successor_lists(g: Graph | Digraph) -> tuple[list[list[int]] | _CsrRows, _SuccessorSets]:
+    """Ascending successor row and successor set of every vertex (neighbors of a Graph,
+    out-neighbors of a Digraph). A Digraph's rows are its out-CSR's (``_CsrRows``), a Graph's
+    Python lists, which the undirected oracles reuse over many queries. Each set is built
+    when first read: a walk that closes few paths reads few of them."""
     if isinstance(g, Digraph):
-        lists = _row_lists(g.out_indptr, g.out_indices)
+        lists = _CsrRows(g.out_indptr, g.out_indices)
     else:  # lower neighbors, rows of the sorted transpose, then upper ones: still ascending
         low = _row_lists(*_transposed_rows(g.n, g.edge_list))
         lists = [a + b for a, b in zip(low, _row_lists(g.up_indptr, g.up_indices))]
@@ -104,7 +105,7 @@ def successor_lists(g: Graph | Digraph) -> tuple[list[list[int]], _SuccessorSets
 class _SuccessorSets(dict):
     """``set(lists[v])`` by vertex ``v``, built and kept on its first lookup."""
 
-    def __init__(self, lists: list[list[int]]):
+    def __init__(self, lists):
         super().__init__()
         self.lists = lists
 
@@ -123,42 +124,45 @@ def walk_cycles(adj, succ, start: int, length: int, min_id: int = 0, allowed=Non
     vertex has an arc back to ``start``, in lexicographic path order.
 
     ``adj``/``succ`` come from ``successor_lists``. Vertices after ``start``
-    have ids of at least ``min_id`` and are set in ``allowed``, a bool array or
-    list (None allows all). Callers that want the first hit take ``next(...)``;
-    ``start = a, min_id = a + 1`` over ascending ``a`` lists each cycle once,
-    anchored at its minimum vertex. The yielded list is the walk's own path:
-    copy it to keep it. Iterative, with one successor iterator per path vertex
-    and the closing step done inline.
+    have ids of at least ``min_id`` and are set in ``allowed``, a mutable mask
+    (bytearray, list or bool array; None allows all, with an n-byte mask per
+    call). The walk clears its path in ``allowed`` and sets it again as it
+    unwinds or is closed, so a pass of walks, each run out or dropped before
+    the next starts, shares one mask. Callers that want the first hit take
+    ``next(...)``; ``start = a, min_id = a + 1`` over ascending ``a`` lists
+    each cycle once, anchored at its minimum vertex. The yielded list is the
+    walk's own path: copy it to keep it. Iterative, with one successor
+    iterator per path vertex and the closing step done inline.
     """
     if length < 2:
         raise ValueError("cycle length must be at least 2")
-    # free[v]: v may still join the path
-    if allowed is None:
-        free = bytearray(b"\x01") * len(adj)
-    else:
-        free = bytearray(allowed)
-    free[:min_id] = bytes(min_id)
-    free[start] = 0
+    free = bytearray(b"\x01") * len(adj) if allowed is None else allowed  # free[v]: v may still join the path
+    was, free[start] = free[start], 0
     path = [start]
     stack = [iter(adj[start])]
-    while stack:
-        if len(path) == length - 1:
-            for v in stack.pop():
-                if free[v] and start in succ[v]:
+    try:
+        while stack:
+            if len(path) == length - 1:
+                for v in stack.pop():
+                    if v >= min_id and free[v] and start in succ[v]:
+                        path.append(v)
+                        yield path
+                        path.pop()
+                free[path.pop()] = 1
+                continue
+            for v in stack[-1]:
+                if v >= min_id and free[v]:
+                    free[v] = 0
                     path.append(v)
-                    yield path
-                    path.pop()
-            free[path.pop()] = 1
-            continue
-        for v in stack[-1]:
-            if free[v]:
-                free[v] = 0
-                path.append(v)
-                stack.append(iter(adj[v]))
-                break
-        else:
-            stack.pop()
-            free[path.pop()] = 1
+                    stack.append(iter(adj[v]))
+                    break
+            else:
+                stack.pop()
+                free[path.pop()] = 1
+    finally:
+        for v in path[1:]:  # left marked by an early close
+            free[v] = 1
+        free[start] = was
 
 
 def bfs_cycle_oracle(g: Graph, root: int = 0) -> OracleContract:
@@ -275,15 +279,6 @@ def cycles_of_length(d: Digraph, k: int, limit: int | None = None, allowed=None)
     allowed = None if allowed is None else np.asarray(allowed, dtype=bool)
     anchors = _cycle_anchors(d, allowed)
     adj, succ = successor_lists(d) if anchors else (None, None)
-    rows = ([a, *sorted(path[1:])] for a in anchors for path in walk_cycles(adj, succ, a, k, a + 1, allowed))
+    free = bytearray(b"\x01") * d.n if allowed is None else bytearray(allowed)  # one mask for every walk
+    rows = ([a, *sorted(path[1:])] for a in anchors for path in walk_cycles(adj, succ, a, k, a + 1, free))
     return np.array(list(itertools.islice(rows, limit)), dtype=np.int32).reshape(-1, k)
-
-
-def _cycle_anchors(d: Digraph, allowed=None) -> list[int]:
-    """The heads ``a``, ascending, of the arcs ``(u, a)``, ``u > a``, with both
-    ends set in the bool array ``allowed`` (None allows all): the minimum
-    vertex of each cycle inside ``allowed`` is one, closed by such an arc."""
-    arcs = d.arc_list[d.arc_list[:, 0] > d.arc_list[:, 1]]
-    if allowed is not None:
-        arcs = arcs[allowed[arcs[:, 0]] & allowed[arcs[:, 1]]]
-    return np.flatnonzero(np.bincount(arcs[:, 1])).tolist()

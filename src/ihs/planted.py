@@ -5,12 +5,13 @@ hitting set S by absorbing whole unhit cycles (a k-approximation), checks that
 S hits them all, and then filters: a vertex of S is kept iff some cycle of
 exactly k vertices runs through it inside the graph restricted to (V minus S)
 plus that vertex. Where the float32 adjacency A fits the memory charged to the
-arcs (``_dense_adjacency``), lengths 2 to 4 are counted from traces of powers
-of A and the filter is a boolean path product over A; elsewhere, and for the
-longer lengths, the steps enumerate with ``oracles.walk_cycles``. No step keeps
-a cycle list, and the greedy skips the lengths counted empty. On in-regime
-planted instances the complement of S is cycle-free precisely for non-planted
-vertices, so the filter returns the planted set exactly.
+arcs (``_dense_adjacency``, built once per recovery), lengths 2 to 4 are
+counted from traces of powers of A and the filter is a boolean path product
+over A; elsewhere, and for the longer lengths, the steps enumerate with
+``oracles.walk_cycles``. No step keeps a cycle list, and the greedy skips the
+lengths counted empty. On in-regime planted instances the complement of S is
+cycle-free precisely for non-planted vertices, so the filter returns the
+planted set exactly.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _BLOCK, Digraph
+from .graphs import _BLOCK, Digraph, _cycle_anchors
 from .models import _BYTES_PER_PAIR
-from .oracles import OracleProtocolError, _cycle_anchors, cycles_of_length, successor_lists, walk_cycles
+from .oracles import OracleProtocolError, cycles_of_length, successor_lists, walk_cycles
 
 
 class CycleBudgetExceeded(RuntimeError):
@@ -46,7 +47,7 @@ def _dense_adjacency(d: Digraph) -> np.ndarray | None:
     return a
 
 
-def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000) -> list[int]:
+def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000, *, a=...) -> list[int]:
     """The number of simple cycles of each length 2..k, shortest first, counted
     without listing them. Raises CycleBudgetExceeded as soon as the running
     total passes ``max_cycles``, with the same decision and message on either
@@ -54,11 +55,13 @@ def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000) -> li
 
     Where ``_dense_adjacency`` gives A, lengths 2 to 4 come from traces of its
     powers (``_trace_counts``). Longer lengths, and every length on sparser
-    digraphs, count the paths ``walk_cycles`` yields per anchor, stopping at
-    the first anchor over the cap."""
+    digraphs, count the paths ``walk_cycles`` yields per anchor, over one
+    mask, stopping at the first anchor over the cap. ``a`` is what
+    ``_dense_adjacency(d)`` gives, built here unless the caller passes it."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    a = _dense_adjacency(d)
+    if a is ...:
+        a = _dense_adjacency(d)
     lists = None
     counts: list[int] = []
     for length in range(2, k + 1):
@@ -68,8 +71,8 @@ def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000) -> li
         else:
             anchors = _cycle_anchors(d)
             if anchors and lists is None:
-                lists = successor_lists(d)
-            rises = (sum(1 for _ in walk_cycles(*lists, v, length, v + 1)) for v in anchors)
+                lists, free = successor_lists(d), bytearray(b"\x01") * d.n
+            rises = (sum(1 for _ in walk_cycles(*lists, v, length, v + 1, free)) for v in anchors)
         for rise in rises:
             counts[-1] += rise
             if sum(counts) > max_cycles:
@@ -185,14 +188,16 @@ def recover_planted_fvs(
     max_cycles: int = 10_000_000,
 ) -> RecoveryReport:
     """Run the count, greedy hitting, its certificate and the through-vertex
-    filter: ``_dense_filter`` where ``_dense_adjacency`` gives A, else a walk
-    from each vertex of the greedy set.
+    filter: ``_dense_filter`` where ``_dense_adjacency`` gives A, built once
+    for the count and the filter, else a walk from each vertex of the greedy
+    set.
 
     ``planted`` is optional ground truth used only to fill ``exact_match``.
     """
     if k < 3:
         raise ValueError("recovery needs k >= 3")
-    counts = collect_short_cycles(d, k, max_cycles=max_cycles)
+    a = _dense_adjacency(d)
+    counts = collect_short_cycles(d, k, max_cycles=max_cycles, a=a)
     adj, succ = successor_lists(d)
     greedy = greedy_hit_cycles(d, k, adj, succ, counts)
 
@@ -200,9 +205,9 @@ def recover_planted_fvs(
     allowed[greedy] = False
     if any(len(cycles_of_length(d, length, limit=1, allowed=allowed)) for length in range(2, k + 1)):
         raise OracleProtocolError("a short cycle misses the greedy set")  # walk and enumeration disagree: a bug
-    a = _dense_adjacency(d)
     if a is None:
-        recovered = [v for v in greedy if any(walk_cycles(adj, succ, v, k, 0, allowed))]
+        free = bytearray(allowed)
+        recovered = [v for v in greedy if any(walk_cycles(adj, succ, v, k, 0, free))]
     else:
         recovered = _dense_filter(a, k, greedy)
 

@@ -118,17 +118,66 @@ def test_acyclic_undirected_matches_forest_count_check(seed):
     assert is_acyclic_undirected(g, removed) == expected
 
 
+def networkx_is_dag(d, removed) -> bool:
+    kept = set(range(d.n)) - set(removed)
+    h = nx.DiGraph()
+    h.add_nodes_from(kept)
+    h.add_edges_from((u, v) for u, v in d.arc_list.tolist() if u in kept and v in kept)
+    return nx.is_directed_acyclic_graph(h)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_acyclic_directed_matches_networkx(seed):
     rng = np.random.default_rng(2000 + seed)
     n = int(rng.integers(2, 30))
     d = random_digraph(n, float(rng.uniform(0.02, 0.2)), seed)
     removed = [v for v in range(n) if rng.random() < 0.3]
-    kept = set(range(n)) - set(removed)
-    h = nx.DiGraph()
-    h.add_nodes_from(kept)
-    h.add_edges_from((u, v) for u, v in d.arc_list.tolist() if u in kept and v in kept)
-    assert is_acyclic_directed(d, removed) == nx.is_directed_acyclic_graph(h)
+    assert is_acyclic_directed(d, removed) == networkx_is_dag(d, removed)
+
+
+def kahn_spy(monkeypatch) -> list[int]:
+    """Count the calls of the directed check's Kahn peel, ``drain_sources``."""
+    calls = []
+    drain = graphs_mod.drain_sources
+    monkeypatch.setattr(graphs_mod, "drain_sources", lambda *args: calls.append(1) or drain(*args))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_acyclic_directed_order_witness_and_kahn_match_networkx(monkeypatch, seed):
+    # where every alive arc goes up in id, the order witness decides and Kahn never runs:
+    # digraphs of upward arcs, and digraphs whose back arcs all touch a removed vertex;
+    # with ids permuted the same digraphs stay acyclic, and cyclic ones fall through to Kahn
+    calls = kahn_spy(monkeypatch)
+    rng = np.random.default_rng(6000 + seed)
+    n = int(rng.integers(2, 30))
+    d = random_digraph(n, float(rng.uniform(0.05, 0.4)), 7000 + seed)  # with antiparallel pairs
+    removed = [v for v in range(n) if rng.random() < 0.3]
+    gone = set(removed)
+    arcs = d.arc_list.tolist()
+    up = Digraph(n, [(u, v) for u, v in arcs if u < v])
+    touched = Digraph(n, [(u, v) for u, v in arcs if u < v or u in gone or v in gone])
+    for g in (up, touched):
+        assert is_acyclic_directed(g, removed) and networkx_is_dag(g, removed) and not calls
+    perm = rng.permutation(n)
+    for g in (up, touched, d):
+        h = Digraph(n, perm[g.arc_list])
+        for cut in ([], removed, perm[removed].tolist()):
+            calls.clear()
+            alive = set(range(n)) - set(cut)
+            back = [(u, v) for u, v in h.arc_list.tolist() if u > v and u in alive and v in alive]
+            assert is_acyclic_directed(h, cut) == networkx_is_dag(h, cut)
+            assert len(calls) == bool(back)
+
+
+def test_acyclic_directed_witness_edge_cases(monkeypatch):
+    calls = kahn_spy(monkeypatch)
+    assert is_acyclic_directed(Digraph(0)) and is_acyclic_directed(Digraph(4)) and not calls
+    anti = Digraph(3, [(0, 1), (1, 0), (1, 2)])
+    assert is_acyclic_directed(anti, [0]) and is_acyclic_directed(anti, [1]) and not calls
+    assert not is_acyclic_directed(anti) and calls == [1]
+    tri = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    assert is_acyclic_directed(tri, [0, 1, 2]) and is_acyclic_directed(anti, [0, 1, 2]) and calls == [1]
 
 
 def test_shadow_undirected_cases():

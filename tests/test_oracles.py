@@ -1,3 +1,4 @@
+import itertools
 from itertools import permutations
 
 import networkx as nx
@@ -20,6 +21,7 @@ from ihs import (
     is_acyclic_undirected,
     shortest_cycle_oracle,
 )
+import ihs.oracles as oracles_mod
 from ihs.oracles import successor_lists, walk_cycles
 
 from test_graphs import random_digraph, random_graph
@@ -338,6 +340,44 @@ def test_cycles_of_length_in_walk_order(seed, k):
     inside = [i for i in range(1, len(walked)) if anchors[i] == anchors[i - 1]]
     for limit in inside[:3] + [0, len(walked), len(walked) + 5]:
         assert _rows(cycles_of_length(d, k, limit=limit)) == walked[:limit]
+
+
+def reference_walks(rows, start, length, min_id=0, allowed=None) -> list[list[int]]:
+    """The paths ``walk_cycles`` yields, in order, by a recursive walk over Python list rows."""
+
+    def extend(path):
+        if len(path) == length:
+            if start in rows[path[-1]]:
+                yield path
+            return
+        for v in rows[path[-1]]:
+            if v >= min_id and (allowed is None or allowed[v]) and v not in path:
+                yield from extend(path + [v])
+
+    return list(extend([start]))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_digraph_rows_are_csr_slices_and_walks_keep_their_order(seed):
+    # random digraphs with empty rows, n = 0 and antiparallel arcs: each CSR row reads as the
+    # Python list it replaces, and walks from every start, with and without an anchor bound,
+    # over every kind of mask, yield the reference paths in order, and leave the mask as it
+    # was whether they run out or stop at the first path
+    rng = np.random.default_rng(90_000 + seed)
+    n = int(rng.integers(0, 12)) if seed else 0
+    d = random_digraph(n, float(rng.uniform(0.0, 0.5)), 91_000 + seed)
+    adj, succ = successor_lists(d)
+    lists = oracles_mod._row_lists(d.out_indptr, d.out_indices)
+    assert len(adj) == n and [list(adj[v]) for v in range(n)] == lists
+    masks = (None, bytearray(rng.random(n) < 0.7), (rng.random(n) < 0.7).tolist(), rng.random(n) < 0.7)
+    for k, allowed, start in itertools.product(range(2, 6), masks, range(n)):
+        before = None if allowed is None else list(allowed)
+        for min_id in (0, start + 1):
+            want = reference_walks(lists, start, k, min_id, allowed)
+            assert [list(path) for path in walk_cycles(adj, succ, start, k, min_id, allowed)] == want
+            assert next(walk_cycles(adj, succ, start, k, min_id, allowed), None) == (want[0] if want else None)
+            assert before is None or list(allowed) == before
+    assert [succ[v] for v in range(n)] == [set(row) for row in lists]
 
 
 @pytest.mark.parametrize("seed", range(20))

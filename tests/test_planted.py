@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ihs.graphs as graphs_mod
 import ihs.oracles as oracles_mod
 import ihs.planted as planted_mod
 from ihs import (
@@ -21,6 +22,7 @@ from ihs import (
 from ihs.oracles import successor_lists, walk_cycles
 
 from test_graphs import random_digraph
+from test_oracles import reference_walks
 
 
 def test_acyclic_digraph_recovers_nothing():
@@ -364,6 +366,69 @@ def test_theorem5_recovery_calls_each_traced_layer(monkeypatch):
     inst = gen_planted(ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=0))
     assert recover_planted_fvs(inst.digraph, 3, planted=inst.planted).exact_match
     assert sorted(set(calls)) == ["collect_short_cycles", "cycles_of_length", "greedy_hit_cycles"]
+
+
+def test_theorem5_recovery_builds_one_dense_adjacency(monkeypatch):
+    # the count and the filter share one A
+    built = []
+    dense = planted_mod._dense_adjacency
+    monkeypatch.setattr(planted_mod, "_dense_adjacency", lambda d: built.append(d.n) or dense(d))
+    inst = gen_planted(ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=0))
+    assert recover_planted_fvs(inst.digraph, 3, planted=inst.planted).exact_match
+    assert built == [400]
+
+
+def test_sparse_recovery_takes_the_walker_filter(monkeypatch):
+    # no A on the sparse side: the filter walks once from each greedy vertex
+    d = gen_dnp(ModelParams(n=20_000, p=2e-4, seed=0))
+    assert planted_mod._dense_adjacency(d) is None
+    starts = []
+
+    def walks(adj, succ, start, length, min_id=0, allowed=None):
+        if min_id == 0:
+            starts.append(start)
+        return walk_cycles(adj, succ, start, length, min_id, allowed)
+
+    monkeypatch.setattr(planted_mod, "walk_cycles", walks)
+    monkeypatch.setattr(planted_mod, "_dense_filter", lambda *args: pytest.fail("the dense filter ran"))
+    report = recover_planted_fvs(d, 3)
+    assert report.greedy_set and starts == report.greedy_set
+    assert set(report.recovered) <= set(report.greedy_set)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_theorem5_acyclic_ok_is_settled_by_the_order_witness(monkeypatch, seed):
+    # gen_planted numbers V minus P in topological order, so the check never reaches Kahn's peel
+    inst = gen_planted(ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=seed))
+    report = recover_planted_fvs(inst.digraph, 3, planted=inst.planted)
+    monkeypatch.setattr(graphs_mod, "drain_sources", lambda *args: pytest.fail("Kahn's peel ran"))
+    assert report.exact_match and is_acyclic_directed(inst.digraph, report.recovered)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_csr_rows_keep_listings_counts_and_greedy_sets(seed):
+    # against the reference walker over Python list rows: listings of lengths 2..5 with and
+    # without a mask and a limit, the counts on either side of the density rule, greedy sets
+    rng = np.random.default_rng(95_000 + seed)
+    for _ in range(10):
+        d = random_digraph(int(rng.integers(0, 12)), float(rng.uniform(0.05, 0.5)), int(rng.integers(1 << 30)))
+        lists = oracles_mod._row_lists(d.out_indptr, d.out_indices)
+        listed = {}
+        for k in range(2, 6):
+            for mask in (rng.random(d.n) < 0.7, None):
+                anchors = [a for a in range(d.n) if mask is None or mask[a]]
+                want = [(a, *sorted(p[1:])) for a in anchors for p in reference_walks(lists, a, k, a + 1, mask)]
+                assert [tuple(r) for r in cycles_of_length(d, k, allowed=mask).tolist()] == want
+                assert [tuple(r) for r in cycles_of_length(d, k, limit=2, allowed=mask).tolist()] == want[:2]
+            listed[k] = want
+        counts = [len(listed[k]) for k in range(2, 6)]
+        assert planted_mod.collect_short_cycles(d, 5) == planted_mod.collect_short_cycles(d, 5, a=None) == counts
+        for k in range(3, 6):
+            chosen = set()
+            for cyc in (c for length in range(2, k + 1) for c in listed[length]):
+                if chosen.isdisjoint(cyc):
+                    chosen.update(cyc)
+            assert planted_mod.greedy_hit_cycles(d, k, *successor_lists(d), counts) == sorted(chosen)
 
 
 def test_theorem5_reference_count_skips_the_per_anchor_expansion(monkeypatch):
