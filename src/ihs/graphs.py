@@ -392,13 +392,16 @@ def is_acyclic_directed(d: Digraph, removed=()) -> bool:
     return drain_sources(_CsrRows(ptr, heads).__getitem__, indeg.tolist(), stack) == verts.size
 
 
-def _cycle_anchors(d: Digraph, allowed: np.ndarray | None = None) -> list[int]:
-    """The heads ``a``, ascending, of the arcs ``(u, a)``, ``u > a``, with both
-    ends set in the bool array ``allowed`` (None allows all): the minimum
-    vertex of each cycle inside ``allowed`` is one, closed by such an arc."""
-    tails, heads = d.arc_list[:, 0], d.arc_list[:, 1]
-    back = tails > heads
-    tails, heads = tails[back], heads[back]
+def _back_arcs(d: Digraph) -> np.ndarray:
+    """The back arcs: the rows ``(u, a)``, ``u > a``, of the arc list in order, picked from its int64 view."""
+    return d.arc_list.view(np.int64)[:, 0][d.arc_list[:, 0] > d.arc_list[:, 1]].view(np.int32).reshape(-1, 2)
+
+
+def _cycle_anchors(d: Digraph, allowed: np.ndarray | None = None, back: np.ndarray | None = None) -> list[int]:
+    """The heads ``a``, ascending, of the back arcs ``(u, a)`` (``back``, else ``_back_arcs(d)``) with
+    both ends set in the bool array ``allowed`` (None allows all): the minimum vertex of each cycle
+    inside ``allowed`` is one, closed by such an arc."""
+    tails, heads = (_back_arcs(d) if back is None else back).T
     if allowed is not None:
         heads = heads[allowed[tails] & allowed[heads]]
     return np.flatnonzero(np.bincount(heads)).tolist()

@@ -246,7 +246,9 @@ def _draw_pairs(rng: np.random.Generator, n: int, count: int, prob: float, first
 def _orient(rng: np.random.Generator, pairs: np.ndarray) -> np.ndarray:
     """Flip each pair unless its fair coin (one uniform per pair, in order) keeps it."""
     flip = rng.random(pairs.shape[0]) >= 0.5
-    pairs[flip] = pairs[flip, ::-1]
+    first = pairs[:, 0].copy()
+    np.copyto(pairs[:, 0], pairs[:, 1], where=flip)
+    np.copyto(pairs[:, 1], first, where=flip)
     return pairs
 
 

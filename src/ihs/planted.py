@@ -4,14 +4,18 @@ The pipeline counts the simple cycles of length at most k, builds a greedy
 hitting set S by absorbing whole unhit cycles (a k-approximation), checks that
 S hits them all, and then filters: a vertex of S is kept iff some cycle of
 exactly k vertices runs through it inside the graph restricted to (V minus S)
-plus that vertex. Where the float32 adjacency A fits the memory charged to the
-arcs (``_dense_adjacency``, built once per recovery), lengths 2 to 4 are
-counted from traces of powers of A and the filter is a boolean path product
-over A; elsewhere, and for the longer lengths, the steps enumerate with
-``oracles.walk_cycles``. No step keeps a cycle list, and the greedy skips the
-lengths counted empty. On in-regime planted instances the complement of S is
-cycle-free precisely for non-planted vertices, so the filter returns the
-planted set exactly.
+plus that vertex. The greedy and the counts of lengths 2 and 3 take each
+cycle once, at its minimum vertex q, the head of a back arc (u -> q, u > q);
+recovery lists the back arcs once. With A = U + L, U the forward arcs (u < v)
+and L the back arcs, tr(A^2) = 2 tr(U L) and tr(A^3) = 3 tr(U A L): the
+2-cycles are the back arcs with a reverse arc, and where the float32 adjacency
+A fits the memory charged to the arcs (``_dense_adjacency``, built once per
+recovery) the 3-cycles are sum_q (U A L)_qq over the heads q, in blocks of Q's
+rows, exact while |Q| n^2 < 2^53; the 4-cycles come from traces of powers of A
+and the filter is a boolean path product over A. Elsewhere, and for longer
+lengths, the steps walk with ``oracles.walk_cycles``, and none keeps a cycle
+list. On in-regime planted instances the complement of S is cycle-free
+precisely for non-planted vertices, so the filter returns the planted set.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _BLOCK, Digraph, _cycle_anchors
+from .graphs import _BLOCK, Digraph, _back_arcs, _cycle_anchors, _gather, _pack
 from .models import _BYTES_PER_PAIR
 from .oracles import OracleProtocolError, cycles_of_length, successor_lists, walk_cycles
 
@@ -42,34 +46,38 @@ def _dense_adjacency(d: Digraph) -> np.ndarray | None:
     charges the arcs, 0 < 4 n^2 <= ``_BYTES_PER_PAIR["planted"]`` m, else None."""
     if not 0 < 4 * d.n**2 <= _BYTES_PER_PAIR["planted"] * d.num_arcs:
         return None
-    a = np.zeros((d.n, d.n), dtype=np.float32)
-    a[d.arc_list[:, 0], d.arc_list[:, 1]] = 1
-    return a
+    a = np.zeros(d.n * d.n, dtype=np.float32)
+    a[_pack(d.n, d.arc_list[:, 0], d.arc_list[:, 1]).astype(np.intp, copy=False)] = 1
+    return a.reshape(d.n, d.n)
 
 
-def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000, *, a=...) -> list[int]:
+def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000, *, a=..., back=None) -> list[int]:
     """The number of simple cycles of each length 2..k, shortest first, counted
     without listing them. Raises CycleBudgetExceeded as soon as the running
     total passes ``max_cycles``, with the same decision and message on either
     path below.
 
-    Where ``_dense_adjacency`` gives A, lengths 2 to 4 come from traces of its
-    powers (``_trace_counts``). Longer lengths, and every length on sparser
-    digraphs, count the paths ``walk_cycles`` yields per anchor, over one
-    mask, stopping at the first anchor over the cap. ``a`` is what
-    ``_dense_adjacency(d)`` gives, built here unless the caller passes it."""
+    The 2-cycles come from the back arcs (``_two_cycles``), lengths 3 and 4
+    from products of A where ``_dense_adjacency`` gives it (``_trace_counts``).
+    The rest count the paths ``walk_cycles`` yields per anchor, over one mask,
+    stopping at the first anchor over the cap. ``a`` and ``back`` default to
+    ``_dense_adjacency(d)`` and ``graphs._back_arcs(d)``."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if a is ...:
         a = _dense_adjacency(d)
-    lists = None
+    if back is None:
+        back = _back_arcs(d)
+    anchors = lists = None
     counts: list[int] = []
     for length in range(2, k + 1):
         counts.append(0)
-        if a is not None and length <= 4:
-            rises = _trace_counts(a, d.arc_list, length)
+        if length == 2:
+            rises = [_two_cycles(d, back, a)]
+        elif a is not None and length <= 4:
+            rises = _trace_counts(a, back, length)
         else:
-            anchors = _cycle_anchors(d)
+            anchors = _cycle_anchors(d, back=back) if anchors is None else anchors
             if anchors and lists is None:
                 lists, free = successor_lists(d), bytearray(b"\x01") * d.n
             rises = (sum(1 for _ in walk_cycles(*lists, v, length, v + 1, free)) for v in anchors)
@@ -83,63 +91,80 @@ def collect_short_cycles(d: Digraph, k: int, max_cycles: int = 10_000_000, *, a=
     return counts
 
 
-def _trace_counts(a: np.ndarray, arcs: np.ndarray, length: int):
-    """The cycles of ``length`` 2, 3 or 4 in the digraph of adjacency ``a`` and
-    arc list ``arcs``, yielded in parts: one for length 2, one per row block R
-    of A^2 for the others. The parts sum to the count, and each running sum is
+def _two_cycles(d: Digraph, back: np.ndarray, a: np.ndarray | None) -> int:
+    """The back arcs (t, q) whose reverse q -> t is an arc: read in ``a`` if given,
+    else the keys q n + t that ``np.searchsorted`` finds among the heads' rows."""
+    if a is not None:
+        return int(np.count_nonzero(a[back[:, 1], back[:, 0]]))
+    heads = np.flatnonzero(np.bincount(back[:, 1]))
+    nbrs, src = _gather(d.out_indptr, d.out_indices, heads)
+    keys = np.append(_pack(d.n, heads[src], nbrs), d.n * d.n)  # and a sentinel past every key
+    wanted = np.sort(_pack(d.n, back[:, 1], back[:, 0]))
+    return int(np.count_nonzero(keys[np.searchsorted(keys, wanted)] == wanted))
+
+
+def _trace_counts(a: np.ndarray, back: np.ndarray, length: int):
+    """The cycles of ``length`` 3 or 4 in the digraph of adjacency ``a`` and
+    back arcs ``back``, yielded in parts, one per row block of at most
+    ``graphs._BLOCK`` floats. The parts sum to the count; each running sum is
     a lower bound on it.
 
-    The 2-cycles are the arcs with a reverse arc, halved. Each block adds the
-    simple closed walks of ``length`` arcs that start in R, and each cycle is
-    ``length`` of them, one per vertex. Every closed 3-walk is simple: the
-    block adds sum_{i in R} (A^3)_ii. A closed 4-walk from i repeats a vertex
-    iff it runs i, u, i, w, i or i, u, w, u, i over 2-cycles: with d2(v) the
-    2-cycles through v and S the 2-cycle partner matrix, there are
-    d2(i)^2 + (S d2)_i - d2(i) of them, taken off sum_{i in R} (A^4)_ii =
-    sum_{i in R, j} (A^2)_ij (A^2)_ji. So 4 C4 = tr(A^4) - 2 sum d2^2 + 2 C2.
+    Length 3: a 3-cycle q -> y -> z -> q read from its minimum q starts with a
+    forward arc and ends with a back arc, and read from any other vertex it
+    does not, so tr(A^3) = 3 tr(U A L) (as tr(A^2) = 2 tr(U L)). Each cycle
+    is counted once, at its minimum, by sum_q (U[q] A) . L[:, q] over the
+    heads q of the back arcs, in blocks Q of them at O(|Q| n^2); a block's
+    part is exactly the cycles whose minimum lies in it.
 
-    The blocks hold at most ``graphs._BLOCK`` floats. This is exact: an entry
-    of A^2 is at most n < 2^24, which float32 holds; the products of two are
-    taken in float64, and a block's float64 sum of integers stays below
-    |R| n^3 <= 2^20 n^2 < 2^53 for any n whose A fits in memory."""
-    if length == 2:
-        yield int(np.count_nonzero(a[arcs[:, 1], arcs[:, 0]])) // 2
-        return
+    Length 4: a block R of rows of A adds sum_{i in R} (A^4)_ii, the closed
+    4-walks from R, less those that repeat a vertex (i, u, i, w, i or
+    i, u, w, u, i over 2-cycles): d2(i)^2 + (S d2)_i - d2(i), with d2(v) the
+    2-cycles through v and S the 2-cycle partner matrix. So 4 C4 = tr(A^4) -
+    2 sum d2^2 + 2 C2, and a block yields the rise of ceil(walks / 4).
+
+    Exact: an entry of U A or A^2 is at most n < 2^24, which float32 holds,
+    and a block's float64 sum of their products stays below |Q| n^2 <= 2^20 n
+    or |R| n^3 <= 2^20 n^2, below 2^53 for any n whose A fits in memory."""
     n = a.shape[0]
-    if length == 4:
-        two = arcs[a[arcs[:, 1], arcs[:, 0]] != 0]  # the arcs with a reverse arc
-        d2 = np.bincount(two[:, 0], minlength=n)
-        repeats = d2 * d2 + np.bincount(two[:, 0], weights=d2[two[:, 1]], minlength=n).astype(np.int64) - d2
     rows = max(1, _BLOCK // n)
-    walks = found = 0  # simple closed walks so far: each cycle is ``length`` of them
+    if length == 3:
+        heads = np.flatnonzero(np.bincount(back[:, 1]))
+        for r in range(0, heads.size, rows):
+            q = heads[r:r + rows]
+            later = np.arange(n) > q[:, None]  # the columns past each row's vertex
+            blk = (a[q] * later) @ a  # U[q] A: paths q -> y -> z with y > q ...
+            blk *= a.T[q] * later  # ... closed by a back arc z -> q, z > q
+            yield int(blk.sum(dtype=np.float64))
+        return
+    pairs = back[a[back[:, 1], back[:, 0]] != 0]  # the back arcs of the 2-cycles
+    two = np.concatenate([pairs, pairs[:, ::-1]])  # the arcs with a reverse arc
+    d2 = np.bincount(two[:, 0], minlength=n)
+    repeats = d2 * d2 + np.bincount(two[:, 0], weights=d2[two[:, 1]], minlength=n).astype(np.int64) - d2
+    walks = found = 0  # simple closed walks so far: each cycle is four of them
     for r in range(0, n, rows):
-        blk = a[r:r + rows] @ a  # paths of two arcs out of the block's rows
-        if length == 3:
-            blk *= a.T[r:r + rows]  # ... closed by an arc back
-            walks += int(blk.sum(dtype=np.float64))
-        else:  # ... closed by a path of two arcs back: rows R of (A^T)^2
-            walks += int(np.einsum("ij,ij->", blk, a.T[r:r + rows] @ a.T, dtype=np.float64))
-            walks -= int(repeats[r:r + rows].sum())
-        # whole cycles: at least ceil(walks / length), and c + bound > cap iff c + walks / length > cap
-        bound = -(-walks // length)
+        blk = a[r:r + rows] @ a  # paths of two arcs out of R, closed by two arcs back: rows R of (A^T)^2
+        walks += int(np.einsum("ij,ij->", blk, a.T[r:r + rows] @ a.T, dtype=np.float64))
+        walks -= int(repeats[r:r + rows].sum())
+        # whole cycles: at least ceil(walks / 4), and c + bound > cap iff c + walks / 4 > cap
+        bound = -(-walks // 4)
         yield bound - found
         found = bound
 
 
-def greedy_hit_cycles(d: Digraph, k: int, adj, succ, counts: list[int]) -> list[int]:
+def greedy_hit_cycles(d: Digraph, k: int, adj, succ, counts: list[int], back=None) -> list[int]:
     """The sorted vertices the greedy takes by absorbing, over the lengths 2..k
     in ``cycles_of_length`` order, each cycle the vertices taken so far miss,
     in one lazy pass over ``adj, succ = successor_lists(d)``: an anchor's
     cycles are contiguous in that order and all hit once it is taken, so per
-    length and per untaken anchor (a vertex with an arc from a higher id) the
-    cycle absorbed is the first path ``walk_cycles`` yields among untaken ones.
+    length and per untaken anchor (a head of ``back``, else of ``_back_arcs(d)``)
+    the cycle absorbed is the first path ``walk_cycles`` yields among untaken ones.
     ``counts`` are the cycles of each length 2..k (``collect_short_cycles``):
     a length counted 0 has nothing to absorb, and its pass is skipped.
 
     On the planted model, size <= k * |P| holds by construction: V minus P is a
     DAG, so each absorbed cycle holds an untaken planted vertex, and at most |P|
     cycles are absorbed."""
-    anchors = _cycle_anchors(d)
+    anchors = _cycle_anchors(d, back=back)
     untaken = bytearray(b"\x01") * d.n
     for length in range(2, k + 1):
         if counts[length - 2] == 0:
@@ -190,16 +215,16 @@ def recover_planted_fvs(
     """Run the count, greedy hitting, its certificate and the through-vertex
     filter: ``_dense_filter`` where ``_dense_adjacency`` gives A, built once
     for the count and the filter, else a walk from each vertex of the greedy
-    set.
+    set. The count and the greedy share one list of back arcs.
 
     ``planted`` is optional ground truth used only to fill ``exact_match``.
     """
     if k < 3:
         raise ValueError("recovery needs k >= 3")
-    a = _dense_adjacency(d)
-    counts = collect_short_cycles(d, k, max_cycles=max_cycles, a=a)
+    a, back = _dense_adjacency(d), _back_arcs(d)
+    counts = collect_short_cycles(d, k, max_cycles=max_cycles, a=a, back=back)
     adj, succ = successor_lists(d)
-    greedy = greedy_hit_cycles(d, k, adj, succ, counts)
+    greedy = greedy_hit_cycles(d, k, adj, succ, counts, back)
 
     allowed = np.ones(d.n, dtype=bool)
     allowed[greedy] = False

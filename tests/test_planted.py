@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -133,7 +134,7 @@ def test_cycle_counts_match_listed_rows(seed):
 
 def test_greedy_misses_a_cycle_raises(monkeypatch):
     # the certificate catches a greedy set that leaves a short cycle unhit
-    monkeypatch.setattr(planted_mod, "greedy_hit_cycles", lambda d, k, adj, succ, counts: [])
+    monkeypatch.setattr(planted_mod, "greedy_hit_cycles", lambda d, k, adj, succ, counts, back: [])
     with pytest.raises(OracleProtocolError, match="misses the greedy set"):
         recover_planted_fvs(Digraph(3, [(0, 1), (1, 2), (2, 0)]), 3)
 
@@ -177,11 +178,12 @@ def test_every_planted_vertex_closes_a_cycle_in_a_tenth_of_the_rest():
 
 
 def spy_counts(monkeypatch) -> dict[str, list]:
-    """Record the lengths ``collect_short_cycles`` counts by traces of the
-    dense adjacency, and the ``(length, cycles)`` of each walk of the
-    planted module's cycle walker that runs to its end."""
-    seen = {"traces": [], "walks": []}
-    traces = planted_mod._trace_counts
+    """Record the 2-cycles each back-arc lookup of ``collect_short_cycles``
+    finds, the lengths it counts by products of the dense adjacency, and the
+    ``(length, cycles)`` of each walk of the planted module's cycle walker
+    that runs to its end."""
+    seen = {"lookups": [], "traces": [], "walks": []}
+    traces, two_cycles = planted_mod._trace_counts, planted_mod._two_cycles
 
     def walks(adj, succ, start, length, *rest):
         found = 0
@@ -190,8 +192,13 @@ def spy_counts(monkeypatch) -> dict[str, list]:
             yield path
         seen["walks"].append((length, found))
 
+    def lookups(d, back, a):
+        seen["lookups"].append(two_cycles(d, back, a))
+        return seen["lookups"][-1]
+
     monkeypatch.setattr(planted_mod, "walk_cycles", walks)
-    monkeypatch.setattr(planted_mod, "_trace_counts", lambda a, arcs, k: seen["traces"].append(k) or traces(a, arcs, k))
+    monkeypatch.setattr(planted_mod, "_trace_counts", lambda a, back, k: seen["traces"].append(k) or traces(a, back, k))
+    monkeypatch.setattr(planted_mod, "_two_cycles", lookups)
     return seen
 
 
@@ -204,25 +211,36 @@ def is_dense(d: Digraph) -> bool:
 
 
 def test_cycle_budget_stops_enumeration_at_cap(monkeypatch):
+    # 33 disjoint 3-cycles on 99 vertices, too sparse for the dense count:
+    # one 3-cycle per anchor, so a cap of 10 stops the count at the 11th anchor
+    seen = spy_counts(monkeypatch)
+    d = Digraph(99, [(u, u + 1 if u % 3 < 2 else u - 2) for u in range(99)])
+    assert not is_dense(d)
+    with pytest.raises(CycleBudgetExceeded, match="more than 10 cycles of length <= 3"):
+        planted_mod.collect_short_cycles(d, 4, max_cycles=10)
+    assert seen == {"lookups": [0], "traces": [], "walks": [(3, 1)] * 11}
+
+
+def test_cycle_budget_stops_at_the_two_cycle_lookup(monkeypatch):
     # 50 antiparallel pairs on 100 vertices, too sparse for the dense count:
-    # one 2-cycle per anchor, so a cap of 10 stops the count at the 11th anchor
+    # one lookup finds the 50 2-cycles, over a cap of 10, before any walk
     seen = spy_counts(monkeypatch)
     d = Digraph(100, [(u, u ^ 1) for u in range(100)])
     assert not is_dense(d)
     with pytest.raises(CycleBudgetExceeded, match="more than 10 cycles of length <= 2"):
         planted_mod.collect_short_cycles(d, 3, max_cycles=10)
-    assert seen == {"traces": [], "walks": [(2, 1)] * 11}
+    assert seen == {"lookups": [50], "traces": [], "walks": []}
 
 
 def test_dense_cycle_budget_stops_before_a_product(monkeypatch):
-    # the complete digraph on 10 vertices has 45 two-cycles: the dense count
+    # the complete digraph on 10 vertices has 45 two-cycles: the count
     # raises at length 2 and never starts the length-3 product, nor any walk
     seen = spy_counts(monkeypatch)
     d = Digraph(10, [(u, v) for u in range(10) for v in range(10) if u != v])
     assert is_dense(d)
     with pytest.raises(CycleBudgetExceeded, match="more than 10 cycles of length <= 2"):
         planted_mod.collect_short_cycles(d, 3, max_cycles=10)
-    assert seen == {"traces": [2], "walks": []}
+    assert seen == {"lookups": [45], "traces": [], "walks": []}
 
 
 # n, p, seed: a digraph on each side of 4 n^2 <= 25 m, antiparallel arcs allowed
@@ -232,7 +250,8 @@ SIDES = {"dense": (23, 0.45, 5), "sparse": (40, 0.1, 6)}
 @pytest.mark.parametrize("block", [None, 1, 5])
 @pytest.mark.parametrize("side", SIDES)
 def test_count_matches_listed_cycles_on_both_sides(monkeypatch, side, block):
-    # with block=1 or 5, A^2 is summed in row blocks of that many rows; 5 does not divide n
+    # with block=1 or 5, the products run in row blocks of that many rows; 5 does not divide n.
+    # Both sides look the 2-cycles up from the back arcs, and walk the lengths past the products
     d = random_digraph(*SIDES[side])
     assert is_dense(d) == (side == "dense")
     assert np.any(np.isin(d.arc_list[:, 0] * d.n + d.arc_list[:, 1], d.arc_list[:, 1] * d.n + d.arc_list[:, 0]))
@@ -242,8 +261,9 @@ def test_count_matches_listed_cycles_on_both_sides(monkeypatch, side, block):
     counts = planted_mod.collect_short_cycles(d, 5)
     assert counts == [len(cycles_of_length(d, length)) for length in range(2, 6)]
     assert sum(counts[:2]) > 0
-    assert seen["traces"] == ([2, 3, 4] if side == "dense" else [])
-    assert walked_lengths(seen) == ([5] if side == "dense" else [2, 3, 4, 5])
+    assert seen["lookups"] == counts[:1]
+    assert seen["traces"] == ([3, 4] if side == "dense" else [])
+    assert walked_lengths(seen) == ([5] if side == "dense" else [3, 4, 5])
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -264,11 +284,11 @@ def test_cycle_budget_decision_and_message_on_both_sides(side):
 
 def test_theorem5_k4_counts_by_both_paths(monkeypatch):
     # the digraph of golden case theorem5 k4 (n=60, p=0.3), counted up to
-    # k=5: lengths 2 to 4 by traces, length 5 by walks, in one call
+    # k=5: length 2 by the back-arc lookup, 3 and 4 by products, 5 by walks, in one call
     d = gen_planted(ModelParams(n=60, p=0.3, delta=0.1, k=4, seed=0)).digraph
     seen = spy_counts(monkeypatch)
     counts = planted_mod.collect_short_cycles(d, 5)
-    assert (seen["traces"], walked_lengths(seen)) == ([2, 3, 4], [5])
+    assert (seen["lookups"], seen["traces"], walked_lengths(seen)) == (counts[:1], [3, 4], [5])
     assert sum(found for _, found in seen["walks"]) == counts[3]
     assert counts == [len(cycles_of_length(d, length)) for length in range(2, 6)]
     assert sum(counts[:3]) == 1987
@@ -281,6 +301,48 @@ def test_dense_count_is_exact_past_float32_integers():
     d = Digraph(500, [(u, v) for u in range(500) for v in range(500) if u != v])
     counts = planted_mod.collect_short_cycles(d, 4, max_cycles=10**11)
     assert counts == [math.comb(500, 2), 2 * math.comb(500, 3), 6 * math.comb(500, 4)]
+
+
+def anchor_test_digraphs():
+    """At least 20 random digraphs with antiparallel arcs, n from 2 to 60;
+    complete digraphs, where every vertex but the last (no back arc can
+    enter it) is an anchor; and DAGs numbered in id order, with no anchor."""
+    rng = np.random.default_rng(97_000)
+    digraphs = [random_digraph(n, float(rng.uniform(0.05, 0.5)), int(rng.integers(1 << 30)))
+                for n in [2, 3, 60, *rng.integers(2, 61, size=21).tolist()]]
+    digraphs += [Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v]) for n in (2, 7, 30)]
+    digraphs += [Digraph(9, [(u, v) for u in range(9) for v in range(u + 1, 9)])]
+    digraphs += [Digraph(n, [(u, v) for u, v in random_digraph(n, 0.5, n).arc_list.tolist() if u < v]) for n in (20, 40)]
+    return digraphs
+
+
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_anchor_row_counts_match_full_traces(monkeypatch, block):
+    # 2-cycles = tr(A^2)/2 and 3-cycles = tr(A^3)/3 from full matrix powers; the
+    # anchor rows go in blocks of 1, 3 or all rows, and each block's part is the
+    # 3-cycles whose minimum vertex lies in it. A DAG in id order has no anchor:
+    # it counts 0 with no block, so no product runs
+    kinds = set()
+    for d in anchor_test_digraphs():
+        if block is not None:
+            monkeypatch.setattr(planted_mod, "_BLOCK", block * d.n)
+        a, back = adjacency(d), graphs_mod._back_arcs(d)
+        if is_dense(d):
+            assert np.array_equal(planted_mod._dense_adjacency(d), a)
+        anchors = sorted(set(back[:, 1].tolist()))
+        rows = max(1, len(anchors)) if block is None else block
+        blocks = [set(anchors[r:r + rows]) for r in range(0, len(anchors), rows)]
+        full = a.astype(np.int64)
+        tr2, tr3 = np.trace(full @ full), np.trace(full @ full @ full)
+        cycles = [c for c in nx.simple_cycles(nx.DiGraph(d.arc_list.tolist()), length_bound=3)]
+        parts = list(planted_mod._trace_counts(a, back, 3))
+        assert planted_mod._two_cycles(d, back, a) == planted_mod._two_cycles(d, back, None) == tr2 // 2
+        assert tr2 // 2 == sum(len(c) == 2 for c in cycles)
+        assert sum(parts) == tr3 // 3 and tr3 % 3 == 0
+        assert parts == [sum(len(c) == 3 and min(c) in blk for c in cycles) for blk in blocks]
+        kinds.add("dag" if not anchors else "all" if len(anchors) == d.n - 1 else "some")
+        assert anchors or (parts == [] and tr3 == tr2 == 0)
+    assert kinds == {"dag", "all", "some"}
 
 
 def adjacency(d: Digraph) -> np.ndarray:
@@ -368,6 +430,18 @@ def test_theorem5_recovery_calls_each_traced_layer(monkeypatch):
     assert sorted(set(calls)) == ["collect_short_cycles", "cycles_of_length", "greedy_hit_cycles"]
 
 
+def test_theorem5_recovery_lists_the_back_arcs_once(monkeypatch):
+    # the count and the greedy share one list of back arcs; the certificate's
+    # cycles_of_length keeps its own anchor pass, one per length 2..k
+    built, passes = [], []
+    back, own = planted_mod._back_arcs, graphs_mod._back_arcs
+    monkeypatch.setattr(planted_mod, "_back_arcs", lambda d: built.append(d.n) or back(d))
+    monkeypatch.setattr(graphs_mod, "_back_arcs", lambda d: passes.append(d.n) or own(d))
+    inst = gen_planted(ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=0))
+    assert recover_planted_fvs(inst.digraph, 3, planted=inst.planted).exact_match
+    assert built == [400] and passes == [400, 400]
+
+
 def test_theorem5_recovery_builds_one_dense_adjacency(monkeypatch):
     # the count and the filter share one A
     built = []
@@ -437,7 +511,7 @@ def test_theorem5_reference_count_skips_the_per_anchor_expansion(monkeypatch):
     seen = spy_counts(monkeypatch)
     monkeypatch.setattr(planted_mod, "successor_lists", lambda d: pytest.fail("successor lists in the count"))
     assert sum(planted_mod.collect_short_cycles(inst.digraph, 3)) == 458_596
-    assert seen == {"traces": [2, 3], "walks": []}
+    assert seen == {"lookups": [0], "traces": [3], "walks": []}
     monkeypatch.undo()
     report = recover_planted_fvs(inst.digraph, 3, planted=inst.planted)
     assert report.exact_match and report.cycles_found == 458_596
