@@ -142,9 +142,10 @@ def _normalize_pairs(n: int, pairs, directed: bool) -> np.ndarray:
     """Validate and canonicalize an edge/arc list to a lex-sorted, read-only
     int32 (m, 2) array.
 
-    The generators emit pairs in canonical order. Such input is checked slice
-    by slice and copied to int32 once, or not at all if it already is a
-    read-only int32 array that owns its data. Any other input is sorted.
+    ``gen_gnp`` and ``gen_planted`` emit pairs in canonical order; ``gen_dnp``'s
+    are sorted here. Canonical input is checked slice by slice and copied to
+    int32 once, or not at all if it already is a read-only int32 array that
+    owns its data. Any other input is sorted.
     """
     arr = _pair_array(n, pairs)
     if not _is_canonical(n, arr, directed):

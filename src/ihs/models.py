@@ -24,7 +24,9 @@ After the inclusion draws of a block, orientation coins (one uniform per
 included pair, in pair order) are drawn where the model needs them. The
 planted model consumes three blocks in order: inclusions for pairs touching
 the planted set, orientation coins for those, then inclusions for the
-remaining forward pairs.
+remaining forward pairs. Its arcs reach ``Digraph`` in canonical order, as
+G(n, p)'s edges reach ``Graph``: each flipped pair (u, v) is a back arc (v, u),
+sorted by tail and put first in its row, before the sorted kept and forward arcs.
 
 Identical ``(model, n, p, delta, seed)`` always yield identical instances.
 """
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _CHUNK as _SLICE, Digraph, Graph, _start
+from .graphs import _CHUNK as _SLICE, Digraph, Graph, _pack, _start
 
 _SKIP_THRESHOLD = 1 << 22  # pair-count above which the skip sampler kicks in
 _CHUNK = 1 << 22
@@ -207,7 +209,7 @@ def _decode(out: np.ndarray, at: int, t: np.ndarray, offsets: np.ndarray, shift:
         np.add.at(u, np.searchsorted(part, offsets[lo + 1:hi + 1]), 1)  # empty rows share a step
         np.cumsum(u, out=u)
         u += lo
-        np.subtract(part, np.take(shift, u, out=v), out=v)
+        np.subtract(part, np.take(shift, u, out=v, mode="clip"), out=v)  # in range: "clip" writes v unbuffered
         out[a:a + part.size, 0], out[a:a + part.size, 1] = u, v
 
 
@@ -281,7 +283,8 @@ def gen_planted(params: ModelParams) -> PlantedInstance:
     a DAG by construction.
 
     2p is clamped at 1 so that edge probabilities above 1/2 (used by the
-    recovery experiments) remain meaningful for the cross pairs.
+    recovery experiments) remain meaningful for the cross pairs. Row t of the
+    lex-sorted arcs holds its back arcs into P, then its arcs to higher ids.
     """
     params.validate("planted")
     n = params.n
@@ -292,10 +295,29 @@ def gen_planted(params: ModelParams) -> PlantedInstance:
     total = n * (n - 1) // 2
 
     # in stream order: cross inclusions, their coins, then forward inclusions
-    arcs = np.concatenate([
-        _orient(rng, _draw_pairs(rng, n, cross, min(1.0, 2 * params.p))),
-        _draw_pairs(rng, n, total - cross, params.p, first=cross),
-    ])
+    pairs = _draw_pairs(rng, n, cross, min(1.0, 2 * params.p)).view(np.int64).reshape(-1)  # whole 8-byte rows
+    flip = rng.random(pairs.size) >= 0.5
+    kept, up = np.compress(~flip, pairs), np.compress(flip, pairs).view(np.int32).reshape(-1, 2)
+    keys = np.sort(_pack(n, up[:, 1], up[:, 0]))  # each flipped (u, v) is the back arc (v, u)
+    back = np.empty((keys.size, 2), dtype=np.int32)
+    np.divmod(keys, n, out=(back[:, 0], back[:, 1]), casting="unsafe")
+    del pairs, up, keys
+    forward = _draw_pairs(rng, n, total - cross, params.p, first=cross).view(np.int64).reshape(-1)
+
+    # a back arc (t, h) goes before the kept or forward arcs of row t, whose heads all pass t > h
+    ids = np.arange(n, dtype=np.int32)
+    pos = (np.searchsorted(kept.view(np.int32)[::2], ids) + np.searchsorted(forward.view(np.int32)[::2], ids))[back[:, 0]]
+    pos += np.arange(pos.size)
+    cut = kept.size + int(np.searchsorted(back[:, 0], s))  # the rows below s: the kept pairs and their back arcs
+    arcs = np.empty((kept.size + pos.size + forward.size, 2), dtype=np.int32)
+    out = arcs.view(np.int64).reshape(-1)
+    out[pos] = back.view(np.int64).reshape(-1)
+    del back  # dropped before the mask is made: at scale that is the peak
+    rest = np.ones(out.size, dtype=bool)
+    rest[pos] = False
+    out[:cut][rest[:cut]] = kept
+    out[cut:][rest[cut:]] = forward
+    arcs.setflags(write=False)  # canonical, owned and read-only: Digraph checks it once and keeps it
     return PlantedInstance(
         digraph=Digraph(n, arcs),
         planted=list(range(s)),

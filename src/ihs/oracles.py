@@ -262,11 +262,12 @@ def shortest_cycle_oracle(g_or_d: Graph | Digraph) -> OracleContract:
     return OracleContract(check=_memoized(check), universe_size=n)
 
 
-def cycles_of_length(d: Digraph, k: int, limit: int | None = None, allowed=None) -> np.ndarray:
+def cycles_of_length(d: Digraph, k: int, limit: int | None = None, allowed=None, *, back=None) -> np.ndarray:
     """Every simple directed cycle on exactly ``k`` vertices, as the rows of
     an int32 ``(C, k)`` array, each row the cycle's vertex ids sorted; with
     ``limit``, only the first ``limit`` of them; with the bool array
-    ``allowed``, only those of the subgraph it induces.
+    ``allowed``, only those of the subgraph it induces. ``back`` is
+    ``graphs._back_arcs(d)``, listed here when omitted.
 
     Row order: anchor ascending, then path lexicographic, the order of
     ``walk_cycles``; a row is a walked path with the ids after its anchor
@@ -277,7 +278,7 @@ def cycles_of_length(d: Digraph, k: int, limit: int | None = None, allowed=None)
     if k < 2:
         raise ValueError("cycle length must be at least 2")
     allowed = None if allowed is None else np.asarray(allowed, dtype=bool)
-    anchors = _cycle_anchors(d, allowed)
+    anchors = _cycle_anchors(d, allowed, back)
     adj, succ = successor_lists(d) if anchors else (None, None)
     free = bytearray(b"\x01") * d.n if allowed is None else bytearray(allowed)  # one mask for every walk
     rows = ([a, *sorted(path[1:])] for a in anchors for path in walk_cycles(adj, succ, a, k, a + 1, free))

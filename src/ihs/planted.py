@@ -215,7 +215,7 @@ def recover_planted_fvs(
     """Run the count, greedy hitting, its certificate and the through-vertex
     filter: ``_dense_filter`` where ``_dense_adjacency`` gives A, built once
     for the count and the filter, else a walk from each vertex of the greedy
-    set. The count and the greedy share one list of back arcs.
+    set. The count, the greedy and the certificate share one list of back arcs.
 
     ``planted`` is optional ground truth used only to fill ``exact_match``.
     """
@@ -228,7 +228,7 @@ def recover_planted_fvs(
 
     allowed = np.ones(d.n, dtype=bool)
     allowed[greedy] = False
-    if any(len(cycles_of_length(d, length, limit=1, allowed=allowed)) for length in range(2, k + 1)):
+    if any(len(cycles_of_length(d, length, limit=1, allowed=allowed, back=back)) for length in range(2, k + 1)):
         raise OracleProtocolError("a short cycle misses the greedy set")  # walk and enumeration disagree: a bug
     if a is None:
         free = bytearray(allowed)

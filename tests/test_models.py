@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import warnings
@@ -336,6 +337,57 @@ def test_planted_allows_cross_probability_above_half():
     )
     expected = math.comb(50, 2) - math.comb(45, 2)  # every cross pair present
     assert cross == expected
+
+
+def reference_naive_pairs(rng, n, count, prob, first=0):
+    """The naive sampler by its definition: one uniform per pair in lex order
+    (none at prob 0 or 1), decoded with ``np.triu_indices``."""
+    u, v = np.triu_indices(n, 1)
+    if count == 0 or prob <= 0:
+        t = np.empty(0, dtype=np.int64)
+    else:
+        t = np.arange(count) if prob >= 1 else np.flatnonzero(rng.random(count) < prob)
+    return np.stack([u[t + first], v[t + first]], axis=1)
+
+
+def test_planted_arcs_are_the_sorted_reference_draw():
+    # the parent draws of gen_planted, oriented and concatenated in stream order,
+    # then sorted by Digraph: the generator's own merge must give the same bytes
+    coins = set()
+    for n, p, delta, seed in itertools.product((2, 3, 5, 8, 40, 150), (0.0, 0.05, 0.3, 0.5, 0.6, 1.0),
+                                               (0.2, 0.5, 1.0), range(4)):
+        s = math.floor(delta * n)
+        if s < 1:
+            continue
+        cross, total = s * (2 * n - s - 1) // 2, n * (n - 1) // 2
+        rng = models_mod._rng(seed)
+        arcs = reference_orient(rng, reference_naive_pairs(rng, n, cross, min(1.0, 2 * p)))
+        forward = reference_naive_pairs(rng, n, total - cross, p, first=cross)
+        got = gen_planted(ModelParams(n=n, p=p, delta=delta, seed=seed)).digraph.arc_list
+        want = Digraph(n, np.concatenate([arcs, forward]).astype(np.int32)).arc_list
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, p, delta, seed)
+        flipped = int((arcs[:, 0] > arcs[:, 1]).sum())
+        if len(arcs) >= 3 or not len(arcs):  # all coins kept or all flipped, on at least 3 cross arcs
+            coins.add("none" if not len(arcs) else "kept" if not flipped else "flipped" if flipped == len(arcs) else "mixed")
+        if s == n:
+            assert forward.size == 0  # delta = 1: no forward block
+    assert coins == {"kept", "flipped", "mixed", "none"}
+
+
+def test_planted_digraph_keeps_the_generators_array(monkeypatch):
+    # canonical, owned and read-only: one validating scan, no sort and no copy
+    kept, sorts = [], []
+    normalize, by_sort = graphs_mod._normalize_pairs, graphs_mod._sorted_pairs
+    monkeypatch.setattr(graphs_mod, "_normalize_pairs", lambda n, pairs, directed: kept.append(
+        (pairs, normalize(n, pairs, directed))) or kept[-1][1])
+    monkeypatch.setattr(graphs_mod, "_sorted_pairs", lambda *a: sorts.append(a[0]) or by_sort(*a))
+    inst = gen_planted(ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=0))
+    assert not sorts and len(kept) == 1
+    given, stored = kept[0]
+    assert stored is given and inst.digraph.arc_list is given
+    assert given.flags.owndata and not given.flags.writeable
+    gen_dnp(ModelParams(n=400, p=0.1, seed=0))  # D(n, p)'s oriented pairs are sorted
+    assert sorts == [400]
 
 
 # ---------------------------------------------------------------------------

@@ -431,15 +431,15 @@ def test_theorem5_recovery_calls_each_traced_layer(monkeypatch):
 
 
 def test_theorem5_recovery_lists_the_back_arcs_once(monkeypatch):
-    # the count and the greedy share one list of back arcs; the certificate's
-    # cycles_of_length keeps its own anchor pass, one per length 2..k
+    # the count, the greedy and the certificate's cycles_of_length calls (one
+    # per length 2..k) share one list of back arcs: no other pass is made
     built, passes = [], []
     back, own = planted_mod._back_arcs, graphs_mod._back_arcs
     monkeypatch.setattr(planted_mod, "_back_arcs", lambda d: built.append(d.n) or back(d))
     monkeypatch.setattr(graphs_mod, "_back_arcs", lambda d: passes.append(d.n) or own(d))
     inst = gen_planted(ModelParams(n=400, p=0.6, delta=0.1, k=3, seed=0))
     assert recover_planted_fvs(inst.digraph, 3, planted=inst.planted).exact_match
-    assert built == [400] and passes == [400, 400]
+    assert built == [400] and passes == []
 
 
 def test_theorem5_recovery_builds_one_dense_adjacency(monkeypatch):
@@ -482,7 +482,7 @@ def test_theorem5_acyclic_ok_is_settled_by_the_order_witness(monkeypatch, seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_csr_rows_keep_listings_counts_and_greedy_sets(seed):
     # against the reference walker over Python list rows: listings of lengths 2..5 with and
-    # without a mask and a limit, the counts on either side of the density rule, greedy sets
+    # without a mask and a limit (with a given list of back arcs), the counts on either side of the density rule, greedy sets
     rng = np.random.default_rng(95_000 + seed)
     for _ in range(10):
         d = random_digraph(int(rng.integers(0, 12)), float(rng.uniform(0.05, 0.5)), int(rng.integers(1 << 30)))
@@ -493,7 +493,8 @@ def test_csr_rows_keep_listings_counts_and_greedy_sets(seed):
                 anchors = [a for a in range(d.n) if mask is None or mask[a]]
                 want = [(a, *sorted(p[1:])) for a in anchors for p in reference_walks(lists, a, k, a + 1, mask)]
                 assert [tuple(r) for r in cycles_of_length(d, k, allowed=mask).tolist()] == want
-                assert [tuple(r) for r in cycles_of_length(d, k, limit=2, allowed=mask).tolist()] == want[:2]
+                back = graphs_mod._back_arcs(d)  # as recovery's certificate passes it
+                assert [tuple(r) for r in cycles_of_length(d, k, limit=2, allowed=mask, back=back).tolist()] == want[:2]
             listed[k] = want
         counts = [len(listed[k]) for k in range(2, 6)]
         assert planted_mod.collect_short_cycles(d, 5) == planted_mod.collect_short_cycles(d, 5, a=None) == counts
